@@ -21,17 +21,6 @@ using namespace sscl;
 
 namespace {
 
-/// Pipeline knobs for the phased-vs-legacy rows: Arg(1) is the engine's
-/// default phased pipeline, Arg(0) turns every knob off and reproduces
-/// the pre-phased clear-and-restamp engine (the speedup baseline).
-spice::SolverOptions pipeline_options(bool phased) {
-  spice::SolverOptions so;
-  so.bypass = phased;
-  so.cache_linear = phased;
-  so.reuse_factorization = phased;
-  return so;
-}
-
 void report_pipeline_counters(benchmark::State& state,
                               const spice::EngineStats& st) {
   state.counters["device_evals"] = static_cast<double>(st.device_evals);
@@ -128,7 +117,7 @@ void BM_StsclCellOp(benchmark::State& state) {
     benchmark::DoNotOptimize(engine.solve_op());
   }
   state.counters["newton_iters"] =
-      static_cast<double>(engine.total_iterations());
+      static_cast<double>(engine.stats().newton_iterations);
 }
 BENCHMARK(BM_StsclCellOp);
 
@@ -151,33 +140,30 @@ void BM_StsclBufferTransient(benchmark::State& state) {
 }
 BENCHMARK(BM_StsclBufferTransient);
 
-// ---- phased-pipeline rows (docs/ENGINE.md): op + transient on the
-// STSCL ring oscillator and the Fig. 6 preamp, phased (Arg 1) vs the
-// legacy knobs-off engine (Arg 0). On the ring transient only the
-// switching wavefront re-evaluates its devices, so the phased rows show
-// a large drop in device_evals alongside the wall-time speedup.
+// ---- pipeline rows (docs/ENGINE.md): op + transient on the STSCL ring
+// oscillator and the Fig. 6 preamp, with the engine's counters. On the
+// ring transient only the switching wavefront re-evaluates its devices,
+// so bypass_hits exceed device_evals.
 
 void BM_StsclRingOp(benchmark::State& state) {
-  const bool phased = state.range(0) != 0;
   const device::Process proc = device::Process::c180();
   spice::Circuit c;
   build_ring(c, proc, 5);
-  spice::Engine engine(c, pipeline_options(phased));
+  spice::Engine engine(c);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.solve_op());
   }
   report_pipeline_counters(state, engine.stats());
 }
-BENCHMARK(BM_StsclRingOp)->Arg(0)->Arg(1);
+BENCHMARK(BM_StsclRingOp);
 
 void BM_StsclRingTransient(benchmark::State& state) {
-  const bool phased = state.range(0) != 0;
   const device::Process proc = device::Process::c180();
   spice::EngineStats last;
   for (auto _ : state) {
     spice::Circuit c;
     const double td0 = build_ring(c, proc, 5);
-    spice::Engine engine(c, pipeline_options(phased));
+    spice::Engine engine(c);
     spice::TransientOptions opts;
     opts.tstop = 4.0 * 2 * 5 * td0;  // four rough ring periods
     opts.dt_max = td0 / 3;
@@ -187,24 +173,22 @@ void BM_StsclRingTransient(benchmark::State& state) {
   report_pipeline_counters(state, last);
   state.counters["transient_steps"] = static_cast<double>(last.transient_steps);
 }
-BENCHMARK(BM_StsclRingTransient)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StsclRingTransient)->Unit(benchmark::kMillisecond);
 
 void BM_PreampOp(benchmark::State& state) {
-  const bool phased = state.range(0) != 0;
   const device::Process proc = device::Process::c180();
   spice::Circuit c;
   analog::PreampParams pp;
   analog::build_preamp(c, proc, pp);
-  spice::Engine engine(c, pipeline_options(phased));
+  spice::Engine engine(c);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.solve_op());
   }
   report_pipeline_counters(state, engine.stats());
 }
-BENCHMARK(BM_PreampOp)->Arg(0)->Arg(1);
+BENCHMARK(BM_PreampOp);
 
 void BM_PreampTransient(benchmark::State& state) {
-  const bool phased = state.range(0) != 0;
   const device::Process proc = device::Process::c180();
   spice::EngineStats last;
   for (auto _ : state) {
@@ -214,7 +198,7 @@ void BM_PreampTransient(benchmark::State& state) {
     // Small differential step on top of the common mode.
     pre.vin_src->set_spec(spice::SourceSpec::pulse(
         pp.v_cm - 0.02, pp.v_cm + 0.02, 2e-6, 1e-8, 1e-8, 4e-6));
-    spice::Engine engine(c, pipeline_options(phased));
+    spice::Engine engine(c);
     spice::TransientOptions opts;
     opts.tstop = 8e-6;
     benchmark::DoNotOptimize(run_transient(engine, opts));
@@ -223,7 +207,7 @@ void BM_PreampTransient(benchmark::State& state) {
   report_pipeline_counters(state, last);
   state.counters["transient_steps"] = static_cast<double>(last.transient_steps);
 }
-BENCHMARK(BM_PreampTransient)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PreampTransient)->Unit(benchmark::kMillisecond);
 
 void BM_EncoderEventSim(benchmark::State& state) {
   digital::Netlist nl;

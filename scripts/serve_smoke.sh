@@ -1,22 +1,22 @@
 #!/usr/bin/env bash
 # serve-smoke: boot the sscl-serve daemon, drive the wire protocol end
-# to end, and gate the elaboration cache (docs/SERVE.md):
+# to end, and gate the elaboration cache (docs/SERVE.md). One cold
+# submission of the deck must miss the cache, and each of five
+# byte-identical resubmissions must hit the elab tier with a payload
+# byte-identical to the cold one. The daemon's METRICS JSON must then
+# count exactly that: serve.cache.miss == 1, serve.cache.hit.elab == 5
+# and serve.jobs.ok == 6.
 #
-#   1. a warm resubmission of the same deck must hit the elab tier
-#      (serve.cache.hit.elab >= 1 in the METRICS JSON), and
-#   2. it must be at least MIN_RATIO x faster than the cold submission.
+# Every check is an exact count, so the verdict does not depend on
+# machine load. The cold/warm latency ratio (the daemon's p95/p50 over
+# these six jobs) is printed as information only; perfbench's serve_mix
+# workload tracks cold and warm latency (perfbench/README.md).
 #
-# The timing gate reads the daemon's own latency percentiles instead of
-# timing client processes: after 1 cold + N warm submissions the
-# nearest-rank p95 is the cold job and the p50 is a middle warm job, so
-# p95/p50 is the cold/warm ratio, free of connect/exec overhead.
-#
-# usage: serve_smoke.sh <sscl-serve binary> <deck.sp> [min-ratio]
+# usage: serve_smoke.sh <sscl-serve binary> <deck.sp>
 set -euo pipefail
 
-BIN=${1:?usage: serve_smoke.sh <sscl-serve> <deck.sp> [min-ratio]}
-DECK=${2:?usage: serve_smoke.sh <sscl-serve> <deck.sp> [min-ratio]}
-MIN_RATIO=${3:-${SERVE_SMOKE_MIN_RATIO:-5}}
+BIN=${1:?usage: serve_smoke.sh <sscl-serve> <deck.sp>}
+DECK=${2:?usage: serve_smoke.sh <sscl-serve> <deck.sp>}
 WARM_RUNS=5
 
 WORK=$(mktemp -d)
@@ -58,18 +58,27 @@ done
 JSON=$(grep '^METRICS ' "$WORK/metrics.txt" | cut -d' ' -f2-)
 echo "serve-smoke: $JSON"
 
-HITS=$(sed -n 's/.*"serve\.cache\.hit\.elab":\([0-9]*\).*/\1/p' <<<"$JSON")
-[ -n "$HITS" ] && [ "$HITS" -ge 1 ] \
-  || { echo "serve-smoke: expected serve.cache.hit.elab >= 1, got '$HITS'"; exit 1; }
+# metric <name>: the integer value of a counter in the METRICS JSON.
+metric() {
+  sed -n "s/.*\"${1//./\\.}\":\([0-9]*\).*/\1/p" <<<"$JSON"
+}
+expect_metric() {
+  local got
+  got=$(metric "$1")
+  [ "$got" = "$2" ] \
+    || { echo "serve-smoke: expected $1 == $2, got '$got'"; exit 1; }
+}
+expect_metric serve.cache.miss 1
+expect_metric serve.cache.hit.elab "$WARM_RUNS"
+expect_metric serve.jobs.ok $((WARM_RUNS + 1))
 
 P50=$(sed -n 's/.*"serve\.latency\.p50_ms":\([0-9.eE+-]*\).*/\1/p' <<<"$JSON")
 P95=$(sed -n 's/.*"serve\.latency\.p95_ms":\([0-9.eE+-]*\).*/\1/p' <<<"$JSON")
-awk -v cold="$P95" -v warm="$P50" -v min="$MIN_RATIO" 'BEGIN {
+awk -v cold="$P95" -v warm="$P50" 'BEGIN {
   ratio = warm > 0 ? cold / warm : 0;
-  printf "serve-smoke: cold %.3f ms, warm %.3f ms -> %.1fx (need >= %sx)\n",
-         cold, warm, ratio, min;
-  exit !(ratio >= min);
-}' || { echo "serve-smoke: warm-vs-cold speedup below ${MIN_RATIO}x"; exit 1; }
+  printf "serve-smoke: cold %.3f ms, warm %.3f ms -> %.1fx (information only)\n",
+         cold, warm, ratio;
+}'
 
 "$BIN" --connect "$PORT" --command SHUTDOWN >/dev/null
 wait "$SERVER_PID"

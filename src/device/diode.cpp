@@ -89,7 +89,7 @@ void Diode::load(spice::LoadContext& ctx) {
   // Bypass: if the junction voltage moved less than the Newton tolerance
   // since the last full evaluation, reuse the cached i/g/q/c (and skip
   // pnjlim, whose only job is steering large steps).
-  const bool bypass = !init && ctx.bypass_enabled() && cache_valid_ &&
+  const bool bypass = !init && cache_valid_ &&
                       ctx.within_bypass_tol(v_raw, v_raw_cache_);
   if (bypass) {
     ctx.note_bypass();

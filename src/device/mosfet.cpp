@@ -84,7 +84,7 @@ void Mosfet::load(LoadContext& ctx) {
   // the last full evaluation, reuse the cached channel point and
   // junction quantities. Only the voltage-dependent model outputs are
   // cached; integrator companions are rebuilt below on every load.
-  const bool bypass = !init && ctx.bypass_enabled() && cache_valid_ &&
+  const bool bypass = !init && cache_valid_ &&
                       ctx.within_bypass_tol(vd, vd_c_) &&
                       ctx.within_bypass_tol(vg, vg_c_) &&
                       ctx.within_bypass_tol(vs, vs_c_) &&

@@ -185,65 +185,25 @@ class LoadContext {
     return i;
   }
 
-  // ---- stamping --------------------------------------------------------
-  void a_nn(NodeId r, NodeId c, double v) {
-    if (r == kGround || c == kGround) return;
-    system_.add(r, c, v);
-  }
-  void a_nb(NodeId r, BranchId b, double v) {
-    if (r == kGround) return;
-    system_.add(r, node_count_ + b, v);
-  }
-  void a_bn(BranchId b, NodeId c, double v) {
-    if (c == kGround) return;
-    system_.add(node_count_ + b, c, v);
-  }
-  void a_bb(BranchId r, BranchId c, double v) {
-    system_.add(node_count_ + r, node_count_ + c, v);
-  }
-  void rhs_n(NodeId r, double v) {
-    if (r == kGround) return;
-    system_.add_rhs(r, v);
-  }
-  void rhs_b(BranchId b, double v) { system_.add_rhs(node_count_ + b, v); }
-
-  /// Linear conductance g between a and b.
-  void stamp_conductance(NodeId a, NodeId b, double g) {
-    a_nn(a, a, g);
-    a_nn(b, b, g);
-    a_nn(a, b, -g);
-    a_nn(b, a, -g);
-  }
-
-  /// Independent current i flowing from a to b.
-  void stamp_current_source(NodeId a, NodeId b, double i) {
-    rhs_n(a, -i);
-    rhs_n(b, i);
-  }
-
-  /// Newton companion for a nonlinear two-terminal current i(v_ab) with
-  /// derivative g evaluated at the candidate v_ab.
-  void stamp_nonlinear_current(NodeId a, NodeId b, double i, double g,
-                               double v_ab) {
-    stamp_conductance(a, b, g);
-    stamp_current_source(a, b, i - g * v_ab);
-  }
-
-  // ---- slot stamping (devices that ran the pattern pass) --------------
+  // ---- stamping through the slots reserved in the pattern pass -------
 
   void add_at(MatrixSlot s, double v) { system_.add_at(s, v); }
   void add_rhs_at(RhsSlot s, double v) { system_.add_rhs_at(s, v); }
 
+  /// Linear conductance g between the pattern's nodes a and b.
   void stamp_conductance(const ConductancePattern& p, double g) {
     system_.add_at(p.aa, g);
     system_.add_at(p.bb, g);
     system_.add_at(p.ab, -g);
     system_.add_at(p.ba, -g);
   }
+  /// Independent current i flowing from the pattern's node a to b.
   void stamp_current_source(const CurrentPattern& p, double i) {
     system_.add_rhs_at(p.a, -i);
     system_.add_rhs_at(p.b, i);
   }
+  /// Newton companion for a nonlinear two-terminal current i(v_ab) with
+  /// derivative g evaluated at the candidate v_ab.
   void stamp_nonlinear_current(const NonlinearPattern& p, double i, double g,
                                double v_ab) {
     stamp_conductance(p.g, g);
@@ -251,9 +211,6 @@ class LoadContext {
   }
 
   // ---- per-device bypass ----------------------------------------------
-
-  /// True when the engine permits reusing cached model evaluations.
-  bool bypass_enabled() const { return bypass_enabled_; }
 
   /// Newton-tolerance test used by the bypass check: has this terminal
   /// voltage moved enough (vs the cached evaluation point) to warrant a
@@ -298,9 +255,8 @@ class LoadContext {
 
   void set_mode(AnalysisMode mode) { mode_ = mode; }
 
-  /// Engine wiring: enable/disable bypass and supply its tolerances.
-  void set_bypass(bool enabled, double reltol, double vntol) {
-    bypass_enabled_ = enabled;
+  /// Engine wiring: the tolerances of within_bypass_tol().
+  void set_bypass_tol(double reltol, double vntol) {
     reltol_ = reltol;
     vntol_ = vntol;
   }
@@ -312,7 +268,6 @@ class LoadContext {
   LinearSystem& system_;
   int node_count_;
   AnalysisMode mode_;
-  bool bypass_enabled_ = false;
   double reltol_ = 1e-4;
   double vntol_ = 1e-7;
   EngineStats* stats_ = nullptr;
@@ -500,9 +455,10 @@ class Device {
   virtual void setup(SetupContext& /*ctx*/) {}
 
   /// Pre-reserve every matrix/rhs slot load() will write. Called once by
-  /// the engine after elaboration, before the first load(). The default
-  /// no-op keeps legacy devices working: their load() falls back to the
-  /// hashed add() path.
+  /// the engine after elaboration, before the first load(); the engine
+  /// then freezes the pattern, so load() can stamp only through the
+  /// slots reserved here. The default reserves nothing, for devices
+  /// that never stamp the system.
   virtual void reserve(PatternContext& /*ctx*/) {}
 
   /// True when load() stamps values independent of the candidate

@@ -72,9 +72,8 @@ Engine::Engine(Circuit& circuit, SolverOptions options)
   state_now_.assign(circuit_.state_count(), 0.0);
 
   // Phase 1 (pattern pass): reserve every slot any device will stamp,
-  // plus the gmin diagonal, then freeze the pointer table. Devices that
-  // don't implement reserve() keep working through the hashed add()
-  // path; the table re-syncs if they grow the pattern later.
+  // plus the gmin diagonal, then freeze the pattern and its pointer
+  // table.
   const int nodes = circuit_.node_count();
   PatternContext pctx(system_, nodes);
   for (const auto& device : circuit_.devices()) device->reserve(pctx);
@@ -120,10 +119,8 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
   const int nodes = circuit_.node_count();
   LoadContext ctx(system_, nodes, mode);
   ctx.set_stats(&stats_);
-  ctx.set_bypass(options_.bypass, options_.reltol, options_.vntol);
-  system_.allow_pivot_reuse(options_.reuse_factorization);
+  ctx.set_bypass_tol(options_.reltol, options_.vntol);
 
-  const bool cache = options_.cache_linear;
   const std::vector<Device*>& dynamics =
       mode == AnalysisMode::kTransient ? dynamic_tr_ : dynamic_op_;
 
@@ -136,7 +133,7 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
 
   trace::Span newton_span("newton", "newton");
 
-  if (cache) {
+  {
     // Phase 2 (baseline): everything constant across this solve --
     // static-linear device stamps and the gmin diagonal -- is assembled
     // once and snapshotted; each iteration starts from a copy of it.
@@ -153,24 +150,16 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
     stats_.static_loads += static_cast<long long>(statics.size());
   }
 
+  // Phase 3 (dynamic loads): nonlinear devices restamp on top of the
+  // baseline, bypassing their model evaluation when their terminals
+  // stayed within the Newton tolerance.
   auto assemble = [&](const std::vector<double>& at) {
     PhaseTimer t(stats_.seconds_assemble);
     trace::Span span("assemble", "device-eval");
-    if (cache) {
-      system_.restore_baseline();
-      configure(at);
-      for (Device* d : dynamics) d->load(ctx);
-      stats_.device_loads += static_cast<long long>(dynamics.size());
-    } else {
-      // Legacy single-phase assembly: the same stamping order as the
-      // pre-phased engine (all devices in circuit order, gmin last).
-      system_.clear();
-      configure(at);
-      for (const auto& device : circuit_.devices()) device->load(ctx);
-      for (int i = 0; i < nodes; ++i) system_.add_at(gmin_slots_[i], gmin);
-      stats_.device_loads +=
-          static_cast<long long>(circuit_.devices().size());
-    }
+    system_.restore_baseline();
+    configure(at);
+    for (Device* d : dynamics) d->load(ctx);
+    stats_.device_loads += static_cast<long long>(dynamics.size());
     ++stats_.assemblies;
     first = false;
   };

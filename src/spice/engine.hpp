@@ -12,9 +12,6 @@
 ///                      their terminal voltages are within tolerance
 ///  4. factorisation  - sparse solves reuse the pivot sequence, refreshing
 ///                      numeric values only, with full-pivoting fallback
-/// Each phase has an opt-out in SolverOptions; with all three knobs off
-/// the engine performs the same arithmetic as the pre-phased
-/// clear-and-restamp implementation.
 
 #include <map>
 #include <stdexcept>
@@ -42,18 +39,6 @@ struct SolverOptions {
   /// errors (floating nodes, voltage-source loops, ...) throw
   /// lint::LintError instead of surfacing as convergence mysteries.
   bool lint = true;
-
-  // ---- phased-pipeline knobs (all on by default; turning all three
-  // off reproduces the legacy clear-and-restamp engine's arithmetic) ---
-  /// Let nonlinear devices reuse cached model evaluations when their
-  /// terminal voltages moved less than vntol + reltol*|v|.
-  bool bypass = true;
-  /// Stamp static-linear devices once per Newton solve into a cached
-  /// baseline instead of restamping them every iteration.
-  bool cache_linear = true;
-  /// Let the sparse solver replay its pivot sequence, refreshing
-  /// numeric values only (falls back to full pivoting automatically).
-  bool reuse_factorization = true;
 
   // ---- storage selection (construction-time; both false = pick by
   // size against kSparseThreshold) ------------------------------------
@@ -112,9 +97,6 @@ class Engine {
   std::vector<double> make_initial_guess() const;
 
   int unknown_count() const { return circuit_.unknown_count(); }
-
-  /// Total Newton iterations since construction (for benchmarking).
-  long long total_iterations() const { return stats_.newton_iterations; }
 
   /// Pipeline observability counters (accumulate; reset with
   /// stats().reset()). Analyses add their step counters here too.

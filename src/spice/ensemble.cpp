@@ -126,11 +126,10 @@ std::vector<std::vector<double>> EnsembleEngine::run_block(
                                static_cast<std::uint64_t>(j));
   }
 
-  // Gmin diagonal slots: reserve() is idempotent, these are the same
-  // slots the engine reserved at construction.
+  // Gmin diagonal slots: the engine reserved them at construction, so
+  // reserve() on the frozen pattern just looks them up.
   std::vector<MatrixSlot> gmin_slots(nodes);
   for (int i = 0; i < nodes; ++i) gmin_slots[i] = sys.reserve(i, i);
-  sys.allow_pivot_reuse(o.reuse_factorization);
 
   std::vector<double> state_now(circuit->state_count(), 0.0);
   std::vector<double> state_prev(circuit->state_count(), 0.0);

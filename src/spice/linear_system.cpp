@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace sscl::spice {
@@ -13,6 +15,7 @@ LinearSystem::LinearSystem(int n, bool force_dense, bool force_sparse)
     sparse_ = std::make_unique<SparseMatrix>(n);
   } else {
     dense_ = std::make_unique<DenseMatrix<double>>(n);
+    dense_reserved_.assign(static_cast<std::size_t>(n) * n, 0);
   }
   // rhs_ never reallocates, so its slot table is fixed at construction.
   rhs_addr_.resize(static_cast<std::size_t>(n) + 1);
@@ -33,9 +36,9 @@ LinearSystem& LinearSystem::operator=(LinearSystem&& other) noexcept {
   slot_addr_ = std::move(other.slot_addr_);
   rhs_addr_ = std::move(other.rhs_addr_);
   pattern_finalized_ = other.pattern_finalized_;
+  dense_reserved_ = std::move(other.dense_reserved_);
   baseline_values_ = std::move(other.baseline_values_);
   baseline_rhs_ = std::move(other.baseline_rhs_);
-  have_baseline_ = other.have_baseline_;
   last_factor_kind_ = other.last_factor_kind_;
   // Slot 0 of both tables must point at *this* object's trash cell.
   if (!rhs_addr_.empty()) rhs_addr_[0] = &trash_;
@@ -53,38 +56,29 @@ void LinearSystem::clear() {
   trash_ = 0.0;
 }
 
-void LinearSystem::add(int r, int c, double v) {
-  if (sparse_) {
-    const std::size_t before = sparse_->nonzeros();
-    sparse_->add(r, c, v);
-    if (pattern_finalized_ && sparse_->nonzeros() != before) {
-      // An ad-hoc user grew the pattern after the pattern pass: the value
-      // array may have reallocated, so re-sync the slot pointers.
-      rebuild_slot_table();
-    }
-  } else {
-    dense_->add(r, c, v);
-  }
-}
-
 MatrixSlot LinearSystem::reserve(int r, int c) {
+  int index = -1;
   if (sparse_) {
-    const MatrixSlot s = sparse_->reserve(r, c) + 1;
-    if (pattern_finalized_) rebuild_slot_table();
-    return s;
+    index = pattern_finalized_ ? sparse_->find(r, c) : sparse_->reserve(r, c);
+  } else {
+    const std::size_t k = static_cast<std::size_t>(r) * n_ + c;
+    if (!pattern_finalized_) dense_reserved_[k] = 1;
+    if (dense_reserved_[k]) index = static_cast<int>(k);
   }
-  return static_cast<MatrixSlot>(static_cast<std::size_t>(r) * n_ + c) + 1;
+  if (index < 0) {
+    throw std::logic_error("LinearSystem::reserve(" + std::to_string(r) +
+                           ", " + std::to_string(c) +
+                           "): entry is not in the pattern frozen by "
+                           "finalize_pattern()");
+  }
+  return index + 1;
 }
 
-void LinearSystem::rebuild_slot_table() {
+void LinearSystem::finalize_pattern() {
   std::vector<double>& vals = sparse_ ? sparse_->values() : dense_->values();
   slot_addr_.resize(vals.size() + 1);
   slot_addr_[0] = &trash_;
   for (std::size_t k = 0; k < vals.size(); ++k) slot_addr_[k + 1] = &vals[k];
-}
-
-void LinearSystem::finalize_pattern() {
-  rebuild_slot_table();
   pattern_finalized_ = true;
 }
 
@@ -98,16 +92,11 @@ void LinearSystem::snapshot_baseline() {
       sparse_ ? sparse_->values() : dense_->values();
   baseline_values_.assign(vals.begin(), vals.end());
   baseline_rhs_.assign(rhs_.begin(), rhs_.end());
-  have_baseline_ = true;
 }
 
 void LinearSystem::restore_baseline() {
   std::vector<double>& vals = sparse_ ? sparse_->values() : dense_->values();
-  // Entries reserved after the snapshot (ad-hoc pattern growth) belong to
-  // per-iteration stamps: zero them.
   std::copy(baseline_values_.begin(), baseline_values_.end(), vals.begin());
-  std::fill(vals.begin() + static_cast<std::ptrdiff_t>(baseline_values_.size()),
-            vals.end(), 0.0);
   std::copy(baseline_rhs_.begin(), baseline_rhs_.end(), rhs_.begin());
   trash_ = 0.0;
 }
@@ -165,10 +154,6 @@ bool LinearSystem::solve(std::vector<double>& x_out) {
   // The dense factorisation destroyed the assembled values in place; a
   // later restore_baseline() or clear() rebuilds them.
   return true;
-}
-
-void LinearSystem::allow_pivot_reuse(bool allow) {
-  if (sparse_) sparse_->allow_pivot_reuse(allow);
 }
 
 void LinearSystem::adopt_factorization(const LinearSystem& from) {

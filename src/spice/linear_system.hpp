@@ -2,18 +2,18 @@
 
 /// \file linear_system.hpp
 /// Real MNA system that switches between dense and sparse storage based
-/// on dimension. Analyses assemble through the uniform add()/rhs()
-/// interface and call solve().
+/// on dimension.
 ///
-/// The engine's phased pipeline uses the slot interface instead: every
-/// matrix entry and rhs row is reserved once during the elaboration-time
-/// pattern pass (reserve()/reserve_rhs()), finalize_pattern() builds a
-/// pointer table, and per-iteration stamping becomes add_at()/add_rhs_at()
-/// — one indirection, no hashing, no ground branches (slot 0 is a trash
-/// cell that swallows writes to ground rows/columns). snapshot_baseline()
-/// and restore_baseline() implement the static-linear stamp cache: the
-/// baseline holds everything that is constant across one Newton solve and
-/// each iteration starts from a memcpy of it.
+/// Assembly goes through slots only: every matrix entry and rhs row is
+/// reserved once during the elaboration-time pattern pass
+/// (reserve()/reserve_rhs()), finalize_pattern() freezes the pattern
+/// and builds a pointer table, and per-iteration stamping becomes
+/// add_at()/add_rhs_at() — one indirection, no hashing, no ground
+/// branches (slot 0 is a trash cell that swallows writes to ground
+/// rows/columns). snapshot_baseline() and restore_baseline() implement
+/// the static-linear stamp cache: the baseline holds everything that is
+/// constant across one Newton solve and each iteration starts from a
+/// memcpy of it.
 
 #include <memory>
 #include <vector>
@@ -47,23 +47,20 @@ class LinearSystem {
   int size() const { return n_; }
   bool is_sparse() const { return sparse_ != nullptr; }
 
-  /// Zero the matrix and right-hand side (pattern kept when sparse).
+  /// Zero the matrix and right-hand side (the pattern is kept).
   void clear();
-
-  void add(int r, int c, double v);
-  void add_rhs(int r, double v) { rhs_[r] += v; }
-  double rhs(int r) const { return rhs_[r]; }
-  std::vector<double>& rhs_vector() { return rhs_; }
 
   // ---- slot interface (pattern pass + hot-path stamping) --------------
 
-  /// Reserve entry (r, c) in the pattern and return its slot.
+  /// Reserve entry (r, c) in the pattern and return its slot. After
+  /// finalize_pattern() the pattern is frozen: an entry already in it
+  /// returns its slot, and a new entry throws std::logic_error.
   MatrixSlot reserve(int r, int c);
   /// Reserve rhs row r and return its slot.
   RhsSlot reserve_rhs(int r) { return r + 1; }
 
-  /// Build the slot pointer table after all reservations. Idempotent;
-  /// later pattern growth through add() re-syncs the table automatically.
+  /// Freeze the pattern and build the slot pointer table after all
+  /// reservations. Idempotent.
   void finalize_pattern();
 
   /// Accumulate into a reserved entry. Slot 0 lands in the trash cell.
@@ -78,8 +75,7 @@ class LinearSystem {
 
   /// Capture the current matrix values + rhs as the iteration baseline.
   void snapshot_baseline();
-  /// Reset matrix values + rhs to the captured baseline (entries added
-  /// to the pattern since the snapshot are zeroed).
+  /// Reset matrix values + rhs to the captured baseline.
   void restore_baseline();
 
   // ---- solving --------------------------------------------------------
@@ -101,9 +97,6 @@ class LinearSystem {
   /// returned. Returns false on singular matrix.
   bool solve(std::vector<double>& x_out);
 
-  /// Permit/forbid sparse numeric-only refactorisation (pivot reuse).
-  void allow_pivot_reuse(bool allow);
-
   /// Adopt \p from's sparse symbolic factorisation (pivot sequence).
   /// No-op for dense systems or when the patterns differ; see
   /// SparseMatrix::adopt_factorization.
@@ -116,8 +109,6 @@ class LinearSystem {
   FactorKind last_factor_kind() const { return last_factor_kind_; }
 
  private:
-  void rebuild_slot_table();
-
   int n_ = 0;
   std::unique_ptr<DenseMatrix<double>> dense_;
   std::unique_ptr<SparseMatrix> sparse_;
@@ -129,9 +120,11 @@ class LinearSystem {
   std::vector<double*> rhs_addr_;
   bool pattern_finalized_ = false;
 
+  /// Dense only: which entries the pattern pass reserved (row-major).
+  std::vector<char> dense_reserved_;
+
   std::vector<double> baseline_values_;
   std::vector<double> baseline_rhs_;
-  bool have_baseline_ = false;
 
   FactorKind last_factor_kind_ = FactorKind::kNone;
 };

@@ -12,6 +12,11 @@ namespace {
 // too far relative to its column and the full pivot search must rerun.
 constexpr double kPivotTiny = 1e-300;
 constexpr double kPivotReuseThreshold = 1e-3;
+
+std::uint64_t slot_key(int r, int c) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(r)) << 32) |
+         static_cast<std::uint32_t>(c);
+}
 }  // namespace
 
 SparseMatrix::SparseMatrix(int n) { resize(n); }
@@ -32,11 +37,14 @@ void SparseMatrix::clear() {
   factored_ = false;
 }
 
+int SparseMatrix::find(int r, int c) const {
+  const auto it = slot_map_.find(slot_key(r, c));
+  return it == slot_map_.end() ? -1 : it->second;
+}
+
 int SparseMatrix::slot(int r, int c) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(r)) << 32) |
-      static_cast<std::uint32_t>(c);
-  auto [it, inserted] = slot_map_.try_emplace(key, static_cast<int>(values_.size()));
+  auto [it, inserted] = slot_map_.try_emplace(
+      slot_key(r, c), static_cast<int>(values_.size()));
   if (inserted) {
     rows_.push_back(r);
     cols_.push_back(c);
@@ -96,7 +104,7 @@ bool SparseMatrix::factor() {
   for (std::size_t k = 0; k < values_.size(); ++k) ax_[slot_to_csc_[k]] = values_[k];
 
   last_factor_numeric_ = false;
-  if (allow_pivot_reuse_ && symbolic_valid_) {
+  if (symbolic_valid_) {
     if (refactor_numeric()) {
       last_factor_numeric_ = true;
       factored_ = true;

@@ -5,12 +5,12 @@
 /// Gilbert-Peierls factorisation with partial pivoting (the same
 /// algorithm family as SPICE3 / CSparse).
 ///
-/// Assembly has two speeds. add() hashes (row, col) into the slot map on
-/// every call — correct but slow, kept for ad-hoc users. The engine's
-/// hot path instead pre-reserves every entry once via reserve() during
-/// the elaboration-time pattern pass and then writes values straight
-/// into the slot array through LinearSystem's slot pointers: no hashing
-/// and no pattern growth inside the Newton loop.
+/// Standalone users assemble with add(), which hashes (row, col) into
+/// the slot map on every call. The engine never does: LinearSystem
+/// reserves every entry once via reserve() during the elaboration-time
+/// pattern pass and then writes values straight into the slot array
+/// through its slot pointers: no hashing and no pattern growth inside
+/// the Newton loop.
 ///
 /// Factorisation is likewise phased: the first factor() performs the
 /// full symbolic + threshold-pivoting pass; while the pattern stays
@@ -44,8 +44,8 @@ class SparseMatrix {
   /// return its index into values() (stable until resize()).
   int reserve(int r, int c) { return slot(r, c); }
 
-  /// Reserve a pattern slot for (r, c) without changing its value.
-  void touch(int r, int c) { slot(r, c); }
+  /// Index of (r, c) in values(), or -1 when it is not in the pattern.
+  int find(int r, int c) const;
 
   /// The assembly value array, indexed by the slots reserve() returned.
   std::vector<double>& values() { return values_; }
@@ -55,13 +55,9 @@ class SparseMatrix {
   void multiply(const std::vector<double>& x, std::vector<double>& y) const;
 
   /// Factor the current values. Reuses the stored pivot sequence when
-  /// the pattern is unchanged and the pivots stay numerically sound
-  /// (see allow_pivot_reuse). Returns false on numerical singularity.
+  /// the pattern is unchanged and the pivots stay numerically sound.
+  /// Returns false on numerical singularity.
   bool factor();
-
-  /// Permit/forbid the numeric-only refactorisation path. Off, every
-  /// factor() runs the full pivot search (bit-exact legacy behaviour).
-  void allow_pivot_reuse(bool allow) { allow_pivot_reuse_ = allow; }
 
   /// True when the last successful factor() was a numeric-only refresh.
   bool last_factor_was_numeric() const { return last_factor_numeric_; }
@@ -117,7 +113,6 @@ class SparseMatrix {
   std::vector<double> work_;  // numeric-refresh scratch (pivot-indexed)
   bool factored_ = false;
   bool symbolic_valid_ = false;  // pivot sequence + fill pattern reusable
-  bool allow_pivot_reuse_ = true;
   bool last_factor_numeric_ = false;
 };
 

@@ -1,11 +1,18 @@
 /// \file test_engine_pipeline.cpp
 /// Tests for the phased evaluation pipeline: dense/sparse crosscheck,
-/// bypass-on vs bypass-off equivalence, legacy knobs-off mode, numeric
+/// the default engine held to the goldens of the removed bypass-off and
+/// knobs-off engine modes, the frozen MNA pattern, numeric
 /// refactorisation, EngineStats accounting and the solver failure paths
 /// (gmin -> source stepping fall-through, pathological-op ConvergenceError,
 /// transient timestep underflow).
 
+#include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -45,16 +52,34 @@ double max_node_delta(const Solution& a, const Solution& b) {
   return worst;
 }
 
-/// Solve the same STSCL chain op under two option sets and return the
-/// worst node-voltage disagreement.
-double crosscheck_op(const SolverOptions& oa, const SolverOptions& ob) {
-  Circuit ca, cb;
-  build_buffer_chain(ca);
-  build_buffer_chain(cb);
-  Engine ea(ca, oa), eb(cb, ob);
-  const Solution a = ea.solve_op();
-  const Solution b = eb.solve_op();
-  return max_node_delta(a, b);
+/// Rows of a two-column golden CSV in tests/spice/golden/ (header
+/// skipped): the first column as text, the second as a double.
+std::vector<std::pair<std::string, double>> read_golden(
+    const std::string& name) {
+  std::ifstream in(std::string(SSCL_SPICE_GOLDEN_DIR) + "/" + name);
+  EXPECT_TRUE(in.good()) << "missing golden " << name;
+  std::vector<std::pair<std::string, double>> rows;
+  std::string line;
+  std::getline(in, line);
+  while (std::getline(in, line)) {
+    const std::size_t comma = line.find(',');
+    rows.emplace_back(line.substr(0, comma), std::stod(line.substr(comma + 1)));
+  }
+  return rows;
+}
+
+/// Max |v - golden| over the node,v rows of a golden op file.
+double max_delta_to_golden(const Circuit& c, const Solution& op,
+                           const std::string& golden) {
+  const auto rows = read_golden(golden);
+  EXPECT_EQ(static_cast<int>(rows.size()), op.node_count());
+  double worst = 0.0;
+  for (const auto& [node, v] : rows) {
+    const std::optional<NodeId> id = c.find_node(node);
+    EXPECT_TRUE(id.has_value()) << "golden node " << node << " not found";
+    if (id) worst = std::max(worst, std::fabs(op.v(*id) - v));
+  }
+  return worst;
 }
 
 // ---- S1: dense vs sparse crosscheck ----------------------------------
@@ -77,83 +102,104 @@ TEST(EnginePipeline, DenseSparseCrosscheckStsclGate) {
       << "dense and sparse LU paths disagree on the same op";
 }
 
-// ---- bypass / baseline / legacy equivalence --------------------------
+// ---- the default engine vs the goldens of the removed engine modes ---
+// tests/spice/golden/ holds, with %.17g, the buffer-chain op of the
+// legacy knobs-off engine (no bypass, clear-and-restamp assembly, no
+// pivot reuse), the same op with only bypass off plus that run's
+// device_evals, and the bypass-off samples of a two-buffer transient.
 
-TEST(EnginePipeline, BypassMatchesNoBypassOp) {
-  SolverOptions on, off;
-  off.bypass = false;
-
-  Circuit con, coff;
-  build_buffer_chain(con);
-  build_buffer_chain(coff);
-  Engine eon(con, on), eoff(coff, off);
-  const Solution son = eon.solve_op();
-  const Solution soff = eoff.solve_op();
-
-  // Bypass may settle on a point within the Newton tolerance band.
-  const double tol = on.vntol * 10;
-  EXPECT_LT(max_node_delta(son, soff), tol);
-  EXPECT_GT(eon.stats().bypass_hits, 0)
-      << "bypass enabled but no device ever reused its cache";
-  EXPECT_EQ(eoff.stats().bypass_hits, 0);
-  EXPECT_GT(eoff.stats().device_evals, eon.stats().device_evals)
-      << "bypass did not reduce full model evaluations";
-}
-
-TEST(EnginePipeline, LegacyKnobsOffMatchesPhased) {
-  SolverOptions phased, legacy;
-  legacy.bypass = false;
-  legacy.cache_linear = false;
-  legacy.reuse_factorization = false;
-
-  const double delta = crosscheck_op(phased, legacy);
-  EXPECT_LT(delta, phased.vntol * 10)
+TEST(EngineGolden, OpMatchesKnobsOffEngine) {
+  Circuit c;
+  build_buffer_chain(c);
+  Engine engine(c);
+  const Solution op = engine.solve_op();
+  EXPECT_LT(max_delta_to_golden(c, op, "buffer_chain_op_knobs_off.csv"),
+            engine.options().vntol * 10)
       << "phased pipeline drifted away from the legacy engine";
 }
 
-TEST(EnginePipeline, BypassMatchesNoBypassTransient) {
-  auto run = [](bool bypass, EngineStats* stats_out) {
-    Circuit c;
-    stscl::SclParams p;
-    stscl::SclFabric fab(c, kProc, p);
-    stscl::DiffSignal in = fab.signal("in");
-    const stscl::SclModel model;
-    const double td = model.delay(p.iss);
-    fab.drive_pulse(in, 4 * td, td / 4, 40 * td);
-    stscl::DiffSignal out = fab.buffer(fab.buffer(in, "b0"), "b1");
+TEST(EngineGolden, BypassOpMatchesBypassOffEngine) {
+  Circuit c;
+  build_buffer_chain(c);
+  Engine engine(c);
+  const Solution op = engine.solve_op();
 
-    SolverOptions so;
-    so.bypass = bypass;
-    Engine engine(c, so);
-    TransientOptions to;
-    to.tstop = 12 * td;
-    to.dt_max = td / 3;
-    Waveform w = run_transient(engine, to);
-    if (stats_out) *stats_out = engine.stats();
+  // Bypass may settle on a point within the Newton tolerance band.
+  EXPECT_LT(max_delta_to_golden(c, op, "buffer_chain_op_bypass_off.csv"),
+            engine.options().vntol * 10);
+  EXPECT_GT(engine.stats().bypass_hits, 0)
+      << "bypass enabled but no device ever reused its cache";
+  const auto golden = read_golden("buffer_chain_op_bypass_off_stats.csv");
+  ASSERT_EQ(golden.size(), 1u);
+  ASSERT_EQ(golden[0].first, "device_evals");
+  EXPECT_LT(static_cast<double>(engine.stats().device_evals), golden[0].second)
+      << "bypass did not reduce full model evaluations";
+}
 
-    // Sample the differential output on a fixed grid.
-    std::vector<double> samples;
-    for (int i = 0; i <= 60; ++i) {
-      const double t = to.tstop * i / 60.0;
-      samples.push_back(w.at(out.p, t) - w.at(out.n, t));
-    }
-    return samples;
-  };
+TEST(EngineGolden, BypassTransientMatchesBypassOffEngine) {
+  Circuit c;
+  stscl::SclParams p;
+  stscl::SclFabric fab(c, kProc, p);
+  stscl::DiffSignal in = fab.signal("in");
+  const stscl::SclModel model;
+  const double td = model.delay(p.iss);
+  fab.drive_pulse(in, 4 * td, td / 4, 40 * td);
+  stscl::DiffSignal out = fab.buffer(fab.buffer(in, "b0"), "b1");
 
-  EngineStats stats_on, stats_off;
-  const std::vector<double> von = run(true, &stats_on);
-  const std::vector<double> voff = run(false, &stats_off);
-  ASSERT_EQ(von.size(), voff.size());
+  Engine engine(c);
+  TransientOptions to;
+  to.tstop = 12 * td;
+  to.dt_max = td / 3;
+  const Waveform w = run_transient(engine, to);
 
-  // The step controller may pick slightly different time grids once
-  // voltages differ at the Newton-tolerance level; allow a small
+  // The golden samples the differential output on a fixed 61-point
+  // grid. The step controller may pick slightly different time grids
+  // once voltages differ at the Newton-tolerance level; allow a small
   // multiple of the swing-relative tolerance at interpolated samples.
-  for (std::size_t i = 0; i < von.size(); ++i) {
-    EXPECT_NEAR(von[i], voff[i], 2e-3) << "sample " << i;
+  const auto golden = read_golden("buffer_chain_tran_bypass_off.csv");
+  ASSERT_EQ(golden.size(), 61u);
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    const double t = std::stod(golden[i].first);
+    EXPECT_NEAR(w.at(out.p, t) - w.at(out.n, t), golden[i].second, 2e-3)
+        << "sample " << i;
   }
-  EXPECT_GT(stats_on.bypass_hits, 0);
-  EXPECT_EQ(stats_off.bypass_hits, 0);
-  EXPECT_GT(stats_on.transient_steps, 0);
+  EXPECT_GT(engine.stats().bypass_hits, 0);
+  EXPECT_GT(engine.stats().transient_steps, 0);
+}
+
+// ---- frozen MNA pattern ----------------------------------------------
+
+TEST(FrozenPattern, ReserveAfterFinalizeLooksUpOrThrows) {
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse" : "dense");
+    LinearSystem sys(3, /*force_dense=*/!sparse, /*force_sparse=*/sparse);
+    ASSERT_EQ(sys.is_sparse(), sparse);
+    const MatrixSlot s01 = sys.reserve(0, 1);
+    const MatrixSlot s22 = sys.reserve(2, 2);
+    sys.finalize_pattern();
+    const std::size_t entries = sys.pattern_entries();
+
+    // An entry already in the pattern returns its slot.
+    EXPECT_EQ(sys.reserve(0, 1), s01);
+    EXPECT_EQ(sys.reserve(2, 2), s22);
+
+    // A new entry is refused by name and the pattern stays as it was.
+    try {
+      sys.reserve(1, 0);
+      FAIL() << "reserve() of a new entry after finalize_pattern()";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("(1, 0)"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(sys.pattern_entries(), entries);
+
+    // The slot table still addresses the reserved entries.
+    sys.add_at(s01, 2.0);
+    sys.add_at(s22, 3.0);
+    std::vector<double> y;
+    sys.multiply({0.0, 1.0, 1.0}, y);
+    EXPECT_EQ(y, (std::vector<double>{2.0, 0.0, 3.0}));
+  }
 }
 
 // ---- numeric refactorisation and stats accounting --------------------
@@ -173,15 +219,6 @@ TEST(EnginePipeline, NumericRefactorisationUsed) {
   EXPECT_GT(st.numeric_refactors, 0)
       << "pivot-reuse path never engaged on a multi-iteration sparse op";
   EXPECT_EQ(st.factors, st.full_factors + st.numeric_refactors);
-
-  // Knob off: every factorisation is a full pivoting pass.
-  Circuit c2;
-  build_buffer_chain(c2);
-  SolverOptions so2 = so;
-  so2.reuse_factorization = false;
-  Engine e2(c2, so2);
-  e2.solve_op();
-  EXPECT_EQ(e2.stats().numeric_refactors, 0);
 }
 
 TEST(EnginePipeline, StatsCountersAccumulate) {
@@ -206,46 +243,6 @@ TEST(EnginePipeline, StatsCountersAccumulate) {
   engine.stats().reset();
   EXPECT_EQ(engine.stats().newton_iterations, 0);
   EXPECT_EQ(engine.stats().op_solves, 0);
-}
-
-// ---- legacy devices without a pattern pass ---------------------------
-
-/// A device that skips reserve() entirely and stamps through the hashed
-/// add() path, like external/user devices predating the pipeline.
-class LegacyResistor final : public Device {
- public:
-  LegacyResistor(std::string name, NodeId a, NodeId b, double r)
-      : Device(std::move(name)), a_(a), b_(b), g_(1.0 / r) {}
-  void load(LoadContext& ctx) override {
-    ctx.a_nn(a_, a_, g_);
-    ctx.a_nn(b_, b_, g_);
-    ctx.a_nn(a_, b_, -g_);
-    ctx.a_nn(b_, a_, -g_);
-  }
-
- private:
-  NodeId a_, b_;
-  double g_;
-};
-
-TEST(EnginePipeline, LegacyDeviceWithoutReserveStillWorks) {
-  for (bool sparse : {false, true}) {
-    Circuit c;
-    const NodeId n1 = c.node("n1");
-    const NodeId n2 = c.node("n2");
-    c.add<VoltageSource>("v1", n1, kGround, SourceSpec::dc(1.0));
-    c.add<Resistor>("r1", n1, n2, 1e3);
-    // The legacy device grows the sparse pattern after finalize; the
-    // slot table must re-sync without corrupting reserved slots.
-    c.add<LegacyResistor>("rleg", n2, kGround, 1e3);
-    SolverOptions so;
-    so.lint = false;
-    so.force_sparse = sparse;
-    so.force_dense = !sparse;
-    Engine engine(c, so);
-    const Solution op = engine.solve_op();
-    EXPECT_NEAR(op.v(n2), 0.5, 1e-9) << (sparse ? "sparse" : "dense");
-  }
 }
 
 // ---- S3: failure paths -----------------------------------------------

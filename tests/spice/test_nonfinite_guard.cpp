@@ -28,9 +28,14 @@ class PoisonDevice final : public Device {
   PoisonDevice(std::string name, NodeId a, NodeId b, double g, double i)
       : Device(std::move(name)), a_(a), b_(b), g_(g), i_(i) {}
 
+  void reserve(PatternContext& ctx) override {
+    gp_ = ctx.conductance(a_, b_);
+    ip_ = ctx.current_source(a_, b_);
+  }
+
   void load(LoadContext& ctx) override {
-    ctx.stamp_conductance(a_, b_, g_);
-    ctx.stamp_current_source(a_, b_, i_);
+    ctx.stamp_conductance(gp_, g_);
+    ctx.stamp_current_source(ip_, i_);
   }
 
  private:
@@ -38,6 +43,8 @@ class PoisonDevice final : public Device {
   NodeId b_;
   double g_;
   double i_;
+  ConductancePattern gp_;
+  CurrentPattern ip_;
 };
 
 Circuit healthy_core(NodeId* n1, NodeId* n2) {
