@@ -48,10 +48,6 @@ struct Args {
   std::uint64_t seed = 0;
   std::string csv_override;
   bool csv_disabled = false;
-  /// Opt out of the batched Monte-Carlo ensemble engines back to the
-  /// legacy per-instance path (the crosscheck oracle; results are
-  /// bit-identical either way — docs/ENGINE.md, "Ensemble evaluation").
-  bool legacy_mc = false;
 
   /// Resolve the output path for a CSV this bench would write by
   /// default; empty means "skip the file".
@@ -83,8 +79,6 @@ struct Args {
         } else {
           args.csv_override = path;
         }
-      } else if (arg == "--legacy-mc") {
-        args.legacy_mc = true;
       } else if (arg == "--trace") {
         trace::enable();
         trace::set_thread_name("main");
@@ -96,12 +90,10 @@ struct Args {
       } else if (arg == "--help" || arg == "-h") {
         std::printf(
             "usage: %s [--jobs N] [--seed S] [--csv PATH|none]\n"
-            "          [--legacy-mc] [--trace PATH] [--metrics PATH]\n"
+            "          [--trace PATH] [--metrics PATH]\n"
             "  --jobs N     worker threads for sweeps (0 = one per core)\n"
             "  --seed S     root Monte-Carlo seed\n"
             "  --csv P      override the default CSV path; 'none' disables\n"
-            "  --legacy-mc  per-instance Monte-Carlo oracle path (default:\n"
-            "               batched ensemble; bit-identical results)\n"
             "  --trace P    write a Perfetto/Chrome trace-event timeline\n"
             "  --metrics P  write counters/gauges (JSON, or CSV for .csv)\n",
             argv[0]);

@@ -3,7 +3,6 @@
 /// the same lab procedure behind the paper's measured 1.0 LSB INL /
 /// 0.4 LSB DNL -- plus the nominal (mismatch-free) transfer.
 
-#include "adc/ensemble.hpp"
 #include "adc/fai_adc.hpp"
 #include "bench_common.hpp"
 
@@ -30,9 +29,8 @@ int main(int argc, char** argv) {
   // from Rng(seed).fork(i), so the ensemble is bit-identical at any
   // --jobs value.
   const int kInstances = 12;
-  const adc::MonteCarloLinearity mc = adc::monte_carlo_linearity(
-      cfg, kInstances, args.seed, args.jobs,
-      args.legacy_mc ? adc::McEngine::kLegacy : adc::McEngine::kEnsemble);
+  const adc::MonteCarloLinearity mc =
+      adc::monte_carlo_linearity(cfg, kInstances, args.seed, args.jobs);
 
   util::Table t({"instance", "max |INL| [LSB]", "max |DNL| [LSB]"});
   for (int i = 0; i < kInstances; ++i) {

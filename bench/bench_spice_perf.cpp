@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "adc/ensemble.hpp"
-#include "adc/fai_adc.hpp"
 #include "analog/preamp.hpp"
 #include "device/mosfet.hpp"
 #include "digital/fmax.hpp"
@@ -243,15 +242,10 @@ BENCHMARK(BM_MonteCarloLinearity)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-// Ensemble vs legacy Monte-Carlo engines, single-threaded so
-// items_per_second is the per-core sample throughput the PR's
-// acceptance numbers quote (EXPERIMENTS.md). Arg(0) = legacy
-// per-instance oracle, Arg(1) = batched ensemble; the two produce
-// bit-identical results (tests/adc/test_adc_ensemble.cpp,
-// tests/spice/test_ensemble.cpp).
+// The Monte-Carlo ensemble engines, single-threaded so
+// items_per_second is the per-core sample throughput EXPERIMENTS.md
+// quotes (P1).
 void BM_AdcMcEngine(benchmark::State& state) {
-  const adc::McEngine engine =
-      state.range(0) ? adc::McEngine::kEnsemble : adc::McEngine::kLegacy;
   // 32 instances x 4096 histogram conversions = 131k ADC samples per MC
   // call: the bench_yield workload at the >=100k-sample scale the
   // committed bench_spice_perf_ensemble.csv quotes.
@@ -260,24 +254,18 @@ void BM_AdcMcEngine(benchmark::State& state) {
   cfg.input_noise_rms = 0.0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        adc::monte_carlo_linearity(cfg, instances, /*seed=*/2026, /*jobs=*/1,
-                                   engine));
+        adc::monte_carlo_linearity(cfg, instances, /*seed=*/2026, /*jobs=*/1));
   }
   state.SetItemsProcessed(state.iterations() * instances);
-  state.counters["ensemble"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_AdcMcEngine)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
 // Circuit-level ensemble: DC operating points of a subthreshold NMOS
-// mirror across mismatch samples, batched lockstep (Arg 1) vs the
-// per-sample rebuild path (Arg 0).
+// mirror across mismatch samples on the batched lockstep path.
 void BM_SpiceEnsembleOp(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
   spice::Topology topo([]() {
     auto c = std::make_unique<spice::Circuit>();
     const device::Process proc = device::Process::c180();
@@ -296,9 +284,7 @@ void BM_SpiceEnsembleOp(benchmark::State& state) {
     return c;
   });
   const spice::NodeId out = topo.circuit().find_node("d2").value();
-  spice::EnsembleOptions opts;
-  opts.use_batched = batched;
-  spice::EnsembleEngine engine(topo, opts);
+  spice::EnsembleEngine engine(topo);
   const std::uint64_t samples = 256;
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run(
@@ -307,14 +293,8 @@ void BM_SpiceEnsembleOp(benchmark::State& state) {
         }));
   }
   state.SetItemsProcessed(state.iterations() * samples);
-  // Counter names must match BM_AdcMcEngine's: the CSV reporter
-  // requires one consistent counter set across rows.
-  state.counters["ensemble"] =
-      batched && engine.stats().fallback_samples == 0 ? 1.0 : 0.0;
 }
 BENCHMARK(BM_SpiceEnsembleOp)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

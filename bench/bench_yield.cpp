@@ -6,7 +6,6 @@
 /// class).
 
 #include "adc/ensemble.hpp"
-#include "adc/fai_adc.hpp"
 #include "bench_common.hpp"
 
 using namespace sscl;
@@ -43,9 +42,7 @@ int main(int argc, char** argv) {
         cfg.sigmas.coarse_ref *= s;
 
         const adc::MonteCarloLinearity mc = adc::monte_carlo_linearity(
-            cfg, kInstances, args.seed, args.jobs,
-            args.legacy_mc ? adc::McEngine::kLegacy
-                           : adc::McEngine::kEnsemble);
+            cfg, kInstances, args.seed, args.jobs);
         YieldPoint pt;
         pt.sigma_scale = s;
         pt.mean_inl = mc.mean_inl;

@@ -8,9 +8,8 @@
 ///
 ///   build/examples/deck_runner [--stats] [--trace FILE] [--metrics FILE]
 ///                              [--mc N] [--mc-seed S] [--mc-csv FILE]
-///                              [--mc-legacy] [--jobs J] [--strict]
-///                              [--max-depth N] [--measure-csv FILE]
-///                              [deck.sp] [node ...]
+///                              [--jobs J] [--strict] [--max-depth N]
+///                              [--measure-csv FILE] [deck.sp] [node ...]
 ///
 /// Extra arguments name the nodes to report (default: all). With
 /// --stats, an engine-pipeline report (Newton iterations, device
@@ -32,13 +31,16 @@
 ///
 /// --mc N replaces the deck's analysis cards with a Monte-Carlo DC
 /// operating-point ensemble: N mismatch samples of the deck's MOSFETs
-/// solved by the batched spice::EnsembleEngine (--mc-legacy opts out to
-/// the per-sample oracle path), with one CSV row per sample
+/// solved by spice::EnsembleEngine, with one CSV row per sample
 /// (sample, v(node)...) written to --mc-csv (default stdout). Sample s
 /// draws from Rng(S).fork(s), so the CSV is byte-identical at any
-/// --jobs count and across the two engines up to Newton tolerance
-/// (docs/RUNNER.md, "Monte-Carlo ensembles").
+/// --jobs count (docs/RUNNER.md, "Monte-Carlo ensembles").
+///
+/// Numeric flag values must be non-negative decimal integers; a bad or
+/// missing value is a usage error (exit status 2).
 
+#include <charconv>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -94,10 +96,23 @@ int usage(std::ostream& os, int code) {
         "  --mc-seed S            ensemble seed (default 1)\n"
         "  --mc-csv FILE          ensemble CSV destination (default "
         "stdout)\n"
-        "  --mc-legacy            per-sample oracle path instead of the\n"
-        "                         batched ensemble engine\n"
         "  --jobs J               ensemble worker threads\n";
   return code;
+}
+
+/// The value of a numeric flag: a decimal integer in [0, max]. A sign,
+/// trailing characters or an out-of-range value is a usage error.
+std::uint64_t parse_count(const std::string& text, const char* flag,
+                          std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value > max) {
+    std::fprintf(stderr, "deck_runner: invalid value '%s' for %s\n",
+                 text.c_str(), flag);
+    std::exit(2);
+  }
+  return value;
 }
 
 std::vector<sscl::spice::NodeId> pick_nodes(
@@ -138,7 +153,6 @@ int main(int argc, char** argv) {
   std::uint64_t mc_samples = 0;
   std::uint64_t mc_seed = 1;
   std::string mc_csv;
-  bool mc_legacy = false;
   int jobs = 1;
   std::vector<std::string> args(argv + 1, argv + argc);
   for (std::size_t i = 0; i < args.size();) {
@@ -148,6 +162,9 @@ int main(int argc, char** argv) {
         std::exit(2);
       }
       return args[i + 1];
+    };
+    auto count = [&](const char* flag, std::uint64_t max) {
+      return parse_count(value(flag), flag, max);
     };
     auto erase = [&](std::size_t n) {
       args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
@@ -162,7 +179,7 @@ int main(int argc, char** argv) {
       strict = true;
       erase(1);
     } else if (args[i] == "--max-depth") {
-      max_depth = std::stoi(value("--max-depth"));
+      max_depth = static_cast<int>(count("--max-depth", INT_MAX));
       erase(2);
     } else if (args[i] == "--measure-csv") {
       measure_csv = value("--measure-csv");
@@ -174,19 +191,16 @@ int main(int argc, char** argv) {
       metrics_path = value("--metrics");
       erase(2);
     } else if (args[i] == "--mc") {
-      mc_samples = std::stoull(value("--mc"));
+      mc_samples = count("--mc", UINT64_MAX);
       erase(2);
     } else if (args[i] == "--mc-seed") {
-      mc_seed = std::stoull(value("--mc-seed"));
+      mc_seed = count("--mc-seed", UINT64_MAX);
       erase(2);
     } else if (args[i] == "--mc-csv") {
       mc_csv = value("--mc-csv");
       erase(2);
-    } else if (args[i] == "--mc-legacy") {
-      mc_legacy = true;
-      erase(1);
     } else if (args[i] == "--jobs") {
-      jobs = std::stoi(value("--jobs"));
+      jobs = static_cast<int>(count("--jobs", INT_MAX));
       erase(2);
     } else {
       ++i;
@@ -236,7 +250,6 @@ int main(int argc, char** argv) {
       const auto nodes = pick_nodes(topo.circuit(), wanted_nodes);
       spice::EnsembleOptions mc_opts;
       mc_opts.jobs = jobs;
-      mc_opts.use_batched = !mc_legacy;
       spice::EnsembleEngine mc(topo, mc_opts);
       const auto rows = mc.run(
           mc_samples, mc_seed,
@@ -264,8 +277,7 @@ int main(int argc, char** argv) {
       for (std::size_t s = 0; s < rows.size(); ++s) {
         *csv << s;
         for (double v : rows[s]) {
-          // Shortest round-trippable form: byte-stable across job
-          // counts and engine paths that agree bit for bit.
+          // Round-trippable form: byte-stable across job counts.
           std::snprintf(buf, sizeof buf, "%.17g", v);
           *csv << ',' << buf;
         }
@@ -273,10 +285,9 @@ int main(int argc, char** argv) {
       }
 
       const spice::EnsembleStats& st = mc.stats();
-      std::printf(".mc %llu samples (seed %llu, %s engine, %d jobs)\n",
+      std::printf(".mc %llu samples (seed %llu, ensemble engine, %d jobs)\n",
                   static_cast<unsigned long long>(mc_samples),
-                  static_cast<unsigned long long>(mc_seed),
-                  mc_legacy ? "legacy" : "ensemble", jobs);
+                  static_cast<unsigned long long>(mc_seed), jobs);
       std::printf("  solved              %lld batched + %lld fallback\n",
                   st.batched_samples, st.fallback_samples);
       std::printf("  lockstep            %lld lane-iterations, %lld SoA batches\n",

@@ -4,7 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
+#include "run/parallel_for.hpp"
 #include "trace/trace.hpp"
 #include "util/numeric.hpp"
 
@@ -12,25 +14,86 @@ namespace sscl::adc {
 
 namespace {
 
-// The encoder mirror (software_encode) is fixed at the paper's 8-bit
-// geometry; the legacy FaiAdc hardcodes the same line counts.
-constexpr int kFineLines = 32;
-constexpr int kMaxFolders = 8;
+constexpr int kCoarseLines = 8;
+constexpr int kFineLines = FaiAdcEnsemble::kFineLines;
 
-void trace_publish_adc_ensemble(McEngine engine, int instances,
-                                double seconds) {
+int gray5(int i) { return i ^ (i >> 1); }
+
+/// Majority-of-neighbours filter with clamped ends (mirrors the Fig. 8
+/// gate rank in the encoder netlist). Computed as a whole-word 3-way
+/// bitwise majority over the left/centre/right neighbour words, with
+/// the edge bits duplicated into their missing neighbour — bit-for-bit
+/// the per-position sum-of-ones >= 2 rule (digital/test_encoder.cpp
+/// crosschecks against the gate netlist).
+template <typename Word>
+Word majority_filter(Word w, int width) {
+  const int bits = static_cast<int>(sizeof(Word) * 8);
+  const Word mask = width >= bits ? ~Word{0} : (Word{1} << width) - 1;
+  const Word left = ((w << 1) | (w & Word{1})) & mask;
+  const Word right = (w >> 1) | (w & (Word{1} << (width - 1)));
+  return ((left & w) | (left & right) | (w & right)) & mask;
+}
+
+void trace_publish_adc_ensemble(int instances, double seconds) {
   if (!trace::enabled()) return;
   trace::set_counter("adc.ensemble.instances", instances);
-  trace::set_counter("adc.ensemble.batched_instances",
-                     engine == McEngine::kEnsemble ? instances : 0);
-  trace::set_counter("adc.ensemble.legacy_instances",
-                     engine == McEngine::kLegacy ? instances : 0);
   trace::set_gauge("adc.ensemble.seconds", seconds);
   trace::set_gauge("adc.ensemble.instances_per_s",
                    seconds > 0 ? instances / seconds : 0.0);
 }
 
+/// The shared instance loop of every ADC Monte-Carlo analysis: out[i] =
+/// fn(instance i), the instance built from Rng(seed).fork(i). Ordered
+/// and bit-identical at any jobs count.
+template <typename R, typename F>
+std::vector<R> ensemble_map(const FaiAdcConfig& config, int instances,
+                            std::uint64_t seed, int jobs, F&& fn) {
+  const util::Rng base(seed);
+  const FaiAdcEnsemble shared(config);
+  return run::parallel_map<R>(
+      static_cast<std::size_t>(instances), jobs, [&](std::size_t i) {
+        FaiAdcEnsemble::Sample instance = shared.sample(base.fork(i));
+        return fn(instance);
+      });
+}
+
 }  // namespace
+
+int software_encode(std::uint32_t coarse_pattern, std::uint64_t fine_pattern) {
+  const std::uint32_t cb = majority_filter(coarse_pattern, kCoarseLines);
+  const std::uint64_t fb = majority_filter(fine_pattern, kFineLines);
+
+  // Fine: XOR transition detect -> Gray OR trees -> binary. One shared
+  // transition word instead of per-line shifts; the loop ends after the
+  // highest transition (a clean thermometer code has exactly one).
+  int gray = 0;
+  std::uint64_t t = (fb ^ (fb >> 1)) & ((std::uint64_t{1} << (kFineLines - 1)) - 1);
+  for (int i = 1; t != 0; ++i, t >>= 1) {
+    if (t & 1) gray |= gray5(i);
+  }
+  int pos = 0;
+  // Binary from Gray: prefix XOR from the MSB.
+  for (int k = 4; k >= 0; --k) {
+    const int upper = (k == 4) ? 0 : ((pos >> (k + 1)) & 1);
+    pos |= ((upper ^ ((gray >> k) & 1)) & 1) << k;
+  }
+
+  // Coarse: two thermometer->Gray->binary banks (count and count-1),
+  // fine MSB selects. Uses the exact Gray formulas of the netlist so the
+  // two implementations agree bit-for-bit even on non-monotone patterns.
+  auto bank = [cb](int base) {
+    auto line = [cb, base](int k) -> int { return (cb >> (base + k)) & 1; };
+    const int g2 = line(3);
+    const int g1 = line(1) & ~line(5) & 1;
+    const int g0 = ((line(0) & ~line(2)) | (line(4) & ~line(6))) & 1;
+    const int b2 = g2;
+    const int b1 = b2 ^ g1;
+    const int b0 = b1 ^ g0;
+    return b2 * 4 + b1 * 2 + b0;
+  };
+  const int s = pos >= 16 ? bank(1) : bank(0);
+  return s * kFineLines + pos;
+}
 
 FaiAdcEnsemble::FaiAdcEnsemble(const FaiAdcConfig& config)
     : config_(config), folding_(config.folding) {
@@ -41,26 +104,34 @@ FaiAdcEnsemble::FaiAdcEnsemble(const FaiAdcConfig& config)
 
 FaiAdcEnsemble::Sample::Sample(const FaiAdcEnsemble& shared,
                                const util::Rng& stream)
-    : shared_(shared),
-      front_end_(shared.folding(),
-                 analog::FoldingMismatch::sample(shared.config().folding,
-                                                 shared.config().sigmas,
-                                                 stream.fork(0))),
-      noise_rng_(stream.fork(1)) {}
+    : Sample(shared,
+             analog::FoldingMismatch::sample(shared.config().folding,
+                                             shared.config().sigmas,
+                                             stream.fork(0)),
+             stream.fork(1)) {}
 
-int FaiAdcEnsemble::Sample::convert_noiseless(double vin) const {
-  // One folder evaluation per conversion, shared by all fine lines;
-  // the pattern assembly mirrors FaiAdc::coarse_pattern /
-  // fine_pattern_bits bit for bit.
+FaiAdcEnsemble::Sample::Sample(const FaiAdcEnsemble& shared,
+                               const analog::FoldingMismatch& mm,
+                               const util::Rng& noise)
+    : shared_(shared), front_end_(shared.folding(), mm), noise_rng_(noise) {}
+
+std::uint32_t FaiAdcEnsemble::Sample::coarse_pattern(double vin) const {
+  return static_cast<std::uint32_t>((1u << front_end_.coarse_count(vin)) - 1u);
+}
+
+std::uint64_t FaiAdcEnsemble::Sample::fine_pattern_bits(double vin) const {
+  // One folder evaluation per conversion, shared by all fine lines.
   double fo[kMaxFolders];
   front_end_.fold(vin, fo);
-  const std::uint32_t coarse =
-      static_cast<std::uint32_t>((1u << front_end_.coarse_count(vin)) - 1u);
   std::uint64_t fine = 0;
   for (int i = 0; i < kFineLines; ++i) {
     if (front_end_.fine_bit_from(fo, i)) fine |= (1ULL << i);
   }
-  return software_encode(coarse, fine);
+  return fine;
+}
+
+int FaiAdcEnsemble::Sample::convert_noiseless(double vin) const {
+  return software_encode(coarse_pattern(vin), fine_pattern_bits(vin));
 }
 
 int FaiAdcEnsemble::Sample::convert(double vin) {
@@ -72,10 +143,12 @@ int FaiAdcEnsemble::Sample::convert(double vin) {
 
 analysis::LinearityResult FaiAdcEnsemble::Sample::linearity_histogram(
     int samples_per_code) {
-  // Same ramp and estimator as FaiAdc::linearity_histogram.
   const int total = shared_.n_codes() * samples_per_code;
   std::vector<int> codes;
   codes.reserve(total);
+  // Exactly full-scale: outside the range a folding front end WRAPS
+  // (there are no over-range folders in this design), so overdriving the
+  // ramp would alias out-of-range inputs onto interior codes.
   const double lo = shared_.v_bottom();
   const double hi = shared_.v_top();
   for (int k = 0; k < total; ++k) {
@@ -87,7 +160,6 @@ analysis::LinearityResult FaiAdcEnsemble::Sample::linearity_histogram(
 
 analysis::DynamicMetrics FaiAdcEnsemble::Sample::sine_enob(
     std::size_t record, int requested_cycles) {
-  // Same coherent record as FaiAdc::sine_enob.
   const int cycles = analysis::coherent_cycles(record, requested_cycles);
   const double mid = 0.5 * (shared_.v_bottom() + shared_.v_top());
   const double amp = 0.495 * (shared_.v_top() - shared_.v_bottom());
@@ -102,7 +174,7 @@ analysis::DynamicMetrics FaiAdcEnsemble::Sample::sine_enob(
 
 MonteCarloLinearity monte_carlo_linearity(const FaiAdcConfig& config,
                                           int instances, std::uint64_t seed,
-                                          int jobs, McEngine engine) {
+                                          int jobs, McEngine) {
   MonteCarloLinearity mc;
   // Static linearity is defined on the noiseless transfer curve; noise
   // belongs to the dynamic (ENOB) tests.
@@ -110,7 +182,7 @@ MonteCarloLinearity monte_carlo_linearity(const FaiAdcConfig& config,
   quiet.input_noise_rms = 0.0;
   const auto t0 = std::chrono::steady_clock::now();
   const auto rows = ensemble_map<std::pair<double, double>>(
-      quiet, instances, seed, jobs, engine, [](auto& adc) {
+      quiet, instances, seed, jobs, [](FaiAdcEnsemble::Sample& adc) {
         // Code-density (histogram) method: the lab procedure behind
         // Fig. 11, and the right estimator when mismatch makes the
         // transfer locally non-monotone.
@@ -118,7 +190,7 @@ MonteCarloLinearity monte_carlo_linearity(const FaiAdcConfig& config,
         return std::pair<double, double>{lin.max_abs_inl, lin.max_abs_dnl};
       });
   trace_publish_adc_ensemble(
-      engine, instances,
+      instances,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count());
   for (const auto& [inl, dnl] : rows) {
@@ -134,15 +206,15 @@ MonteCarloLinearity monte_carlo_linearity(const FaiAdcConfig& config,
 
 MonteCarloEnob monte_carlo_enob(const FaiAdcConfig& config, int instances,
                                 std::uint64_t seed, int jobs,
-                                std::size_t record, McEngine engine) {
+                                std::size_t record, McEngine) {
   MonteCarloEnob mc;
   const auto t0 = std::chrono::steady_clock::now();
-  mc.enob = ensemble_map<double>(config, instances, seed, jobs, engine,
-                                 [record](auto& adc) {
+  mc.enob = ensemble_map<double>(config, instances, seed, jobs,
+                                 [record](FaiAdcEnsemble::Sample& adc) {
                                    return adc.sine_enob(record).enob;
                                  });
   trace_publish_adc_ensemble(
-      engine, instances,
+      instances,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count());
   mc.mean_enob = util::mean(mc.enob);

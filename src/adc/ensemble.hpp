@@ -1,42 +1,53 @@
 #pragma once
 
 /// \file ensemble.hpp
-/// Batched Monte-Carlo harness of the behavioural FAI ADC: one shared
-/// FaiAdcEnsemble topology (configuration + nominal coarse thresholds),
-/// many per-sample instances. A Sample converts bit-identically to
-/// FaiAdc(config, stream) — same mismatch draws, same noise stream,
-/// same IEEE expression sequence per conversion (see
-/// analog/folding_ensemble.hpp) — while evaluating each folder output
-/// once per conversion instead of once per fine line and skipping the
-/// per-instance threshold bisection. bench_yield records the resulting
-/// per-core sample throughput against the legacy path
-/// (EXPERIMENTS.md).
+/// The conversion core of the behavioural FAI ADC of paper Section III
+/// and its Monte-Carlo harness: one shared FaiAdcEnsemble topology
+/// (configuration + nominal coarse thresholds), many per-sample
+/// instances. A Sample is the single conversion implementation of the
+/// converter — FaiAdc (fai_adc.hpp) and SampledFaiAdc (sampling.hpp)
+/// each own one — and evaluates each folder output once per conversion
+/// through analog::FoldingSampleFrontEnd, reusing the configuration's
+/// one nominal threshold bisection.
 ///
-/// The ensemble_map harness is the single instance-loop used by both
-/// monte_carlo_linearity and monte_carlo_enob (and the yield benches):
-/// instance i is a pure function of Rng(seed).fork(i) and the map is
-/// ordered, so results are bit-identical at any jobs count and across
-/// the two engines.
+/// monte_carlo_linearity and monte_carlo_enob (and the yield benches)
+/// share one ordered instance loop: instance i is a pure function of
+/// Rng(seed).fork(i), so results are bit-identical at any jobs count.
 
+#include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
-#include "adc/fai_adc.hpp"
 #include "analog/folding_ensemble.hpp"
-#include "run/parallel_for.hpp"
+#include "analysis/dynamic.hpp"
+#include "analysis/linearity.hpp"
 #include "util/rng.hpp"
 
 namespace sscl::adc {
 
-/// Which Monte-Carlo evaluation path to run. kLegacy (one FaiAdc per
-/// instance, with its per-instance threshold bisection) is kept as the
-/// crosscheck oracle behind the benches' --legacy-mc flag.
-enum class McEngine { kEnsemble, kLegacy };
+struct FaiAdcConfig {
+  analog::FoldingParams folding;
+  analog::FoldingMismatch::Sigmas sigmas;
+  /// Input-referred rms noise per conversion [V]. The default is the
+  /// thermal/sampling noise floor of the front end at its nW-level bias
+  /// (about half an LSB) -- the paper's 6.5 ENOB at 8 bits implies a
+  /// comparable noise-plus-distortion budget.
+  double input_noise_rms = 1.2e-3;
+};
+
+/// Bit-exact software mirror of the digital encoder netlist: majority
+/// bubble filter, XOR transition detect, Gray OR-trees, bank-selected
+/// coarse correction. Operates on raw comparator patterns.
+int software_encode(std::uint32_t coarse_pattern, std::uint64_t fine_pattern);
 
 /// Shared immutable topology of the behavioural ADC ensemble.
 class FaiAdcEnsemble {
  public:
+  /// Folder count bound of the on-stack folder-output buffers; the
+  /// encoder mirror is fixed at the paper's 32 fine lines.
+  static constexpr int kMaxFolders = 8;
+  static constexpr int kFineLines = 32;
+
   explicit FaiAdcEnsemble(const FaiAdcConfig& config);
 
   const FaiAdcConfig& config() const { return config_; }
@@ -46,22 +57,38 @@ class FaiAdcEnsemble {
   double v_bottom() const { return config_.folding.v_bottom; }
   double v_top() const { return config_.folding.v_top; }
 
-  /// Per-sample instance; bit-identical to FaiAdc(config, stream).
+  /// One converter instance. Holds a reference to its FaiAdcEnsemble,
+  /// which must outlive it.
   class Sample {
    public:
+    /// Monte-Carlo instance: mismatch drawn from stream.fork(0), input
+    /// noise from stream.fork(1) (the stream itself is not consumed).
     Sample(const FaiAdcEnsemble& shared, const util::Rng& stream);
+    /// Explicit mismatch and noise stream (FaiAdc's nominal instance).
+    Sample(const FaiAdcEnsemble& shared, const analog::FoldingMismatch& mm,
+           const util::Rng& noise);
 
-    /// Same conversion as FaiAdc::convert (noise drawn from the
-    /// fork(1) stream in the same call order when input_noise_rms > 0).
+    /// Convert one sample, adding input_noise_rms of noise drawn from
+    /// the instance's noise stream when it is set.
     int convert(double vin);
-    /// Same as FaiAdc::convert_noiseless.
+    /// Deterministic conversion ignoring the noise setting.
     int convert_noiseless(double vin) const;
 
-    /// Same ramp, same estimator as FaiAdc::linearity_histogram.
+    /// Raw comparator patterns at vin (for encoder cross-checks).
+    std::uint32_t coarse_pattern(double vin) const;
+    std::uint64_t fine_pattern_bits(double vin) const;
+
+    /// Static linearity by ramp histogram (the Fig. 11 lab procedure);
+    /// samples_per_code sets the ramp density.
     analysis::LinearityResult linearity_histogram(int samples_per_code = 16);
-    /// Same record as FaiAdc::sine_enob.
+    /// Dynamic test: coherent sine record (power-of-two length), returns
+    /// the metrics (ENOB etc.).
     analysis::DynamicMetrics sine_enob(std::size_t record = 4096,
                                        int requested_cycles = 61);
+
+    const analog::FoldingSampleFrontEnd& front_end() const {
+      return front_end_;
+    }
 
    private:
     const FaiAdcEnsemble& shared_;
@@ -76,38 +103,37 @@ class FaiAdcEnsemble {
   analog::FoldingEnsemble folding_;
 };
 
-/// The shared instance loop of every ADC Monte-Carlo analysis: out[i] =
-/// fn(instance i), where the instance is a Sample (kEnsemble) or a
-/// FaiAdc (kLegacy) built from Rng(seed).fork(i). \p fn must be a
-/// generic callable accepting either instance type by reference.
-/// Ordered and bit-identical at any jobs count.
-template <typename R, typename F>
-std::vector<R> ensemble_map(const FaiAdcConfig& config, int instances,
-                            std::uint64_t seed, int jobs, McEngine engine,
-                            F&& fn) {
-  const util::Rng base(seed);
-  if (engine == McEngine::kEnsemble) {
-    const FaiAdcEnsemble shared(config);
-    return run::parallel_map<R>(
-        static_cast<std::size_t>(instances), jobs, [&](std::size_t i) {
-          FaiAdcEnsemble::Sample instance = shared.sample(base.fork(i));
-          return fn(instance);
-        });
-  }
-  return run::parallel_map<R>(
-      static_cast<std::size_t>(instances), jobs, [&](std::size_t i) {
-        FaiAdc instance(config, base.fork(i));
-        return fn(instance);
-      });
-}
+/// The Monte-Carlo evaluation path. Only kEnsemble remains; the enum
+/// stays for callers that still name it (perfbench's mc_yield) and goes
+/// once they stop. Nothing branches on it.
+enum class McEngine { kEnsemble };
 
-/// Engine-selectable overloads of the fai_adc.hpp Monte-Carlo
-/// summaries; the fai_adc.hpp signatures forward here with kEnsemble.
-MonteCarloLinearity monte_carlo_linearity(const FaiAdcConfig& config,
-                                          int instances, std::uint64_t seed,
-                                          int jobs, McEngine engine);
+/// Monte-Carlo linearity summary over many mismatch instances.
+struct MonteCarloLinearity {
+  std::vector<double> max_inl;  ///< per instance
+  std::vector<double> max_dnl;
+  double mean_inl = 0.0;
+  double mean_dnl = 0.0;
+  double worst_inl = 0.0;
+  double worst_dnl = 0.0;
+};
+/// Runs the ensemble as a parallel map over per-instance RNG streams:
+/// instance i is built from Rng(seed).fork(i), so the result is
+/// bit-identical for every \p jobs value (1 = serial reference).
+MonteCarloLinearity monte_carlo_linearity(
+    const FaiAdcConfig& config, int instances, std::uint64_t seed = 2026,
+    int jobs = 1, McEngine engine = McEngine::kEnsemble);
+
+/// Monte-Carlo dynamic (ENOB) summary over independent mismatch + noise
+/// instances; same determinism contract as monte_carlo_linearity.
+struct MonteCarloEnob {
+  std::vector<double> enob;  ///< per instance
+  double mean_enob = 0.0;
+  double worst_enob = 0.0;
+};
 MonteCarloEnob monte_carlo_enob(const FaiAdcConfig& config, int instances,
-                                std::uint64_t seed, int jobs,
-                                std::size_t record, McEngine engine);
+                                std::uint64_t seed = 2026, int jobs = 1,
+                                std::size_t record = 1024,
+                                McEngine engine = McEngine::kEnsemble);
 
 }  // namespace sscl::adc

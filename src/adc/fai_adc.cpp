@@ -1,108 +1,15 @@
 #include "adc/fai_adc.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <utility>
-
-#include "adc/ensemble.hpp"
-
 namespace sscl::adc {
 
-namespace {
-
-constexpr int kCoarseLines = 8;
-constexpr int kFineLines = 32;
-
-int gray5(int i) { return i ^ (i >> 1); }
-
-/// Majority-of-neighbours filter with clamped ends (mirrors the Fig. 8
-/// gate rank in the encoder netlist). Computed as a whole-word 3-way
-/// bitwise majority over the left/centre/right neighbour words, with
-/// the edge bits duplicated into their missing neighbour — bit-for-bit
-/// the per-position sum-of-ones >= 2 rule (digital/test_encoder.cpp
-/// crosschecks against the gate netlist).
-template <typename Word>
-Word majority_filter(Word w, int width) {
-  const int bits = static_cast<int>(sizeof(Word) * 8);
-  const Word mask = width >= bits ? ~Word{0} : (Word{1} << width) - 1;
-  const Word left = ((w << 1) | (w & Word{1})) & mask;
-  const Word right = (w >> 1) | (w & (Word{1} << (width - 1)));
-  return ((left & w) | (left & right) | (w & right)) & mask;
-}
-
-}  // namespace
-
-int software_encode(std::uint32_t coarse_pattern, std::uint64_t fine_pattern) {
-  const std::uint32_t cb = majority_filter(coarse_pattern, kCoarseLines);
-  const std::uint64_t fb = majority_filter(fine_pattern, kFineLines);
-
-  // Fine: XOR transition detect -> Gray OR trees -> binary. One shared
-  // transition word instead of per-line shifts; the loop ends after the
-  // highest transition (a clean thermometer code has exactly one).
-  int gray = 0;
-  std::uint64_t t = (fb ^ (fb >> 1)) & ((std::uint64_t{1} << (kFineLines - 1)) - 1);
-  for (int i = 1; t != 0; ++i, t >>= 1) {
-    if (t & 1) gray |= gray5(i);
-  }
-  int pos = 0;
-  // Binary from Gray: prefix XOR from the MSB.
-  for (int k = 4; k >= 0; --k) {
-    const int upper = (k == 4) ? 0 : ((pos >> (k + 1)) & 1);
-    pos |= ((upper ^ ((gray >> k) & 1)) & 1) << k;
-  }
-
-  // Coarse: two thermometer->Gray->binary banks (count and count-1),
-  // fine MSB selects. Uses the exact Gray formulas of the netlist so the
-  // two implementations agree bit-for-bit even on non-monotone patterns.
-  auto bank = [cb](int base) {
-    auto line = [cb, base](int k) -> int { return (cb >> (base + k)) & 1; };
-    const int g2 = line(3);
-    const int g1 = line(1) & ~line(5) & 1;
-    const int g0 = ((line(0) & ~line(2)) | (line(4) & ~line(6))) & 1;
-    const int b2 = g2;
-    const int b1 = b2 ^ g1;
-    const int b0 = b1 ^ g0;
-    return b2 * 4 + b1 * 2 + b0;
-  };
-  const int s = pos >= 16 ? bank(1) : bank(0);
-  return s * kFineLines + pos;
-}
-
 FaiAdc::FaiAdc(const FaiAdcConfig& config)
-    : config_(config),
-      front_end_(config.folding),
-      noise_rng_(0xadc0ffee) {}
+    : shared_(std::make_unique<const FaiAdcEnsemble>(config)),
+      sample_(*shared_, analog::FoldingMismatch::zero(config.folding),
+              util::Rng(0xadc0ffee)) {}
 
 FaiAdc::FaiAdc(const FaiAdcConfig& config, const util::Rng& stream)
-    : config_(config),
-      front_end_(config.folding,
-                 analog::FoldingMismatch::sample(config.folding, config.sigmas,
-                                                 stream.fork(0))),
-      noise_rng_(stream.fork(1)) {}
-
-std::uint32_t FaiAdc::coarse_pattern(double vin) const {
-  return static_cast<std::uint32_t>(
-      (1u << front_end_.coarse_count(vin)) - 1u);
-}
-
-std::uint64_t FaiAdc::fine_pattern_bits(double vin) const {
-  std::uint64_t w = 0;
-  for (int i = 0; i < kFineLines; ++i) {
-    if (front_end_.fine_bit(i, vin)) w |= (1ULL << i);
-  }
-  return w;
-}
-
-int FaiAdc::convert_noiseless(double vin) const {
-  return software_encode(coarse_pattern(vin), fine_pattern_bits(vin));
-}
-
-int FaiAdc::convert(double vin) {
-  if (config_.input_noise_rms > 0) {
-    vin += noise_rng_.gaussian(0.0, config_.input_noise_rms);
-  }
-  return convert_noiseless(vin);
-}
+    : shared_(std::make_unique<const FaiAdcEnsemble>(config)),
+      sample_(*shared_, stream) {}
 
 analysis::LinearityResult FaiAdc::linearity() const {
   // Strictly in-range: outside [v_bottom, v_top] the folding front end
@@ -112,53 +19,6 @@ analysis::LinearityResult FaiAdc::linearity() const {
   return analysis::measure_linearity_edges(
       [this](double v) { return convert_noiseless(v); }, n_codes(),
       v_bottom() + 0.25 * lsb(), v_top() - 0.25 * lsb());
-}
-
-analysis::LinearityResult FaiAdc::linearity_histogram(int samples_per_code) {
-  const int total = n_codes() * samples_per_code;
-  std::vector<int> codes;
-  codes.reserve(total);
-  // Exactly full-scale: outside the range a folding front end WRAPS
-  // (there are no over-range folders in this design), so overdriving the
-  // ramp would alias out-of-range inputs onto interior codes.
-  const double lo = v_bottom();
-  const double hi = v_top();
-  for (int k = 0; k < total; ++k) {
-    const double v = lo + (hi - lo) * (k + 0.5) / total;
-    codes.push_back(convert(v));
-  }
-  return analysis::measure_linearity_histogram(codes, n_codes());
-}
-
-analysis::DynamicMetrics FaiAdc::sine_enob(std::size_t record,
-                                           int requested_cycles) {
-  const int cycles = analysis::coherent_cycles(record, requested_cycles);
-  const double mid = 0.5 * (v_bottom() + v_top());
-  const double amp = 0.495 * (v_top() - v_bottom());
-  std::vector<double> samples(record);
-  for (std::size_t k = 0; k < record; ++k) {
-    const double phase = 2.0 * M_PI * cycles * static_cast<double>(k) /
-                         static_cast<double>(record);
-    samples[k] = static_cast<double>(convert(mid + amp * std::sin(phase)));
-  }
-  return analysis::sine_test(samples, cycles);
-}
-
-// The instance loops live in the shared ensemble_map harness
-// (adc/ensemble.hpp); the batched engine is the default and converts
-// bit-identically to the legacy per-instance path.
-MonteCarloLinearity monte_carlo_linearity(const FaiAdcConfig& config,
-                                          int instances, std::uint64_t seed,
-                                          int jobs) {
-  return monte_carlo_linearity(config, instances, seed, jobs,
-                               McEngine::kEnsemble);
-}
-
-MonteCarloEnob monte_carlo_enob(const FaiAdcConfig& config, int instances,
-                                std::uint64_t seed, int jobs,
-                                std::size_t record) {
-  return monte_carlo_enob(config, instances, seed, jobs, record,
-                          McEngine::kEnsemble);
 }
 
 }  // namespace sscl::adc

@@ -1,38 +1,20 @@
 #pragma once
 
 /// \file fai_adc.hpp
-/// The complete 8-bit folding-and-interpolating ADC of paper Section III:
-/// folding front end + comparators (analog, behavioural with injected
-/// mismatch) and the STSCL encoder (bit-exact software mirror of the
-/// gate-level netlist, with optional cross-checking against the
-/// event-driven simulation). Static linearity (Fig. 11) and dynamic
-/// (ENOB) harnesses included.
+/// The complete 8-bit folding-and-interpolating ADC of paper Section III
+/// as one stand-alone instance: folding front end + comparators
+/// (analog, behavioural with injected mismatch) and the STSCL encoder
+/// (bit-exact software mirror of the gate-level netlist). FaiAdc owns
+/// the shared half of its configuration and one FaiAdcEnsemble::Sample,
+/// the conversion code the Monte-Carlo harnesses run per instance.
+/// Static linearity (Fig. 11) and dynamic (ENOB) harnesses included.
 
 #include <cstdint>
-#include <optional>
-#include <vector>
+#include <memory>
 
-#include "analog/folding.hpp"
-#include "analysis/dynamic.hpp"
-#include "analysis/linearity.hpp"
-#include "util/rng.hpp"
+#include "adc/ensemble.hpp"
 
 namespace sscl::adc {
-
-struct FaiAdcConfig {
-  analog::FoldingParams folding;
-  analog::FoldingMismatch::Sigmas sigmas;
-  /// Input-referred rms noise per conversion [V]. The default is the
-  /// thermal/sampling noise floor of the front end at its nW-level bias
-  /// (about half an LSB) -- the paper's 6.5 ENOB at 8 bits implies a
-  /// comparable noise-plus-distortion budget.
-  double input_noise_rms = 1.2e-3;
-};
-
-/// Bit-exact software mirror of the digital encoder netlist: majority
-/// bubble filter, XOR transition detect, Gray OR-trees, bank-selected
-/// coarse correction. Operates on raw comparator patterns.
-int software_encode(std::uint32_t coarse_pattern, std::uint64_t fine_pattern);
 
 class FaiAdc {
  public:
@@ -44,67 +26,52 @@ class FaiAdc {
   /// base.fork(i) for instance i; see docs/RUNNER.md.
   FaiAdc(const FaiAdcConfig& config, const util::Rng& stream);
 
-  const FaiAdcConfig& config() const { return config_; }
-  const analog::FoldingFrontEnd& front_end() const { return front_end_; }
+  const FaiAdcConfig& config() const { return shared_->config(); }
+  const analog::FoldingSampleFrontEnd& front_end() const {
+    return sample_.front_end();
+  }
 
-  int n_codes() const { return config_.folding.total_codes(); }
-  double v_bottom() const { return config_.folding.v_bottom; }
-  double v_top() const { return config_.folding.v_top; }
-  double lsb() const { return config_.folding.lsb(); }
+  int n_codes() const { return config().folding.total_codes(); }
+  double v_bottom() const { return config().folding.v_bottom; }
+  double v_top() const { return config().folding.v_top; }
+  double lsb() const { return config().folding.lsb(); }
 
   /// Convert one sample (noiseless unless input_noise_rms is set, in
   /// which case an internal deterministic noise stream is used).
-  int convert(double vin);
+  int convert(double vin) { return sample_.convert(vin); }
   /// Deterministic conversion ignoring the noise setting.
-  int convert_noiseless(double vin) const;
+  int convert_noiseless(double vin) const {
+    return sample_.convert_noiseless(vin);
+  }
 
   /// Raw comparator patterns at vin (for encoder cross-checks).
-  std::uint32_t coarse_pattern(double vin) const;
-  std::uint64_t fine_pattern_bits(double vin) const;
+  std::uint32_t coarse_pattern(double vin) const {
+    return sample_.coarse_pattern(vin);
+  }
+  std::uint64_t fine_pattern_bits(double vin) const {
+    return sample_.fine_pattern_bits(vin);
+  }
 
   /// Static linearity by edge search (transfer-curve method).
   analysis::LinearityResult linearity() const;
   /// Static linearity by ramp histogram (the Fig. 11 lab procedure);
   /// samples_per_code sets the ramp density.
-  analysis::LinearityResult linearity_histogram(int samples_per_code = 16);
+  analysis::LinearityResult linearity_histogram(int samples_per_code = 16) {
+    return sample_.linearity_histogram(samples_per_code);
+  }
 
   /// Dynamic test: coherent sine record (power-of-two length), returns
   /// the metrics (ENOB etc.).
   analysis::DynamicMetrics sine_enob(std::size_t record = 4096,
-                                     int requested_cycles = 61);
+                                     int requested_cycles = 61) {
+    return sample_.sine_enob(record, requested_cycles);
+  }
 
  private:
-  FaiAdcConfig config_;
-  analog::FoldingFrontEnd front_end_;
-  util::Rng noise_rng_;
+  // The Sample refers to *shared_; the heap allocation keeps that
+  // address stable when a FaiAdc is moved.
+  std::unique_ptr<const FaiAdcEnsemble> shared_;
+  FaiAdcEnsemble::Sample sample_;
 };
-
-/// Monte-Carlo linearity summary over many mismatch instances.
-struct MonteCarloLinearity {
-  std::vector<double> max_inl;  ///< per instance
-  std::vector<double> max_dnl;
-  double mean_inl = 0.0;
-  double mean_dnl = 0.0;
-  double worst_inl = 0.0;
-  double worst_dnl = 0.0;
-};
-/// Runs the ensemble as a parallel map over per-instance RNG streams:
-/// instance i is built from Rng(seed).fork(i), so the result is
-/// bit-identical for every \p jobs value (1 = serial reference).
-MonteCarloLinearity monte_carlo_linearity(const FaiAdcConfig& config,
-                                          int instances,
-                                          std::uint64_t seed = 2026,
-                                          int jobs = 1);
-
-/// Monte-Carlo dynamic (ENOB) summary over independent mismatch + noise
-/// instances; same determinism contract as monte_carlo_linearity.
-struct MonteCarloEnob {
-  std::vector<double> enob;  ///< per instance
-  double mean_enob = 0.0;
-  double worst_enob = 0.0;
-};
-MonteCarloEnob monte_carlo_enob(const FaiAdcConfig& config, int instances,
-                                std::uint64_t seed = 2026, int jobs = 1,
-                                std::size_t record = 1024);
 
 }  // namespace sscl::adc

@@ -31,18 +31,21 @@ int SampledFaiAdc::convert(double vin, double fs, double i_unit) {
     vin += rng_.gaussian(0.0, adc_.config().input_noise_rms);
   }
 
-  const analog::FoldingFrontEnd& fe = adc_.front_end();
+  const analog::FoldingSampleFrontEnd& fe = adc_.front_end();
   const double gm_sig =
       adc_.config().folding.i_unit /
       (2.0 * adc_.config().folding.n *
        util::thermal_voltage(adc_.config().folding.temperature));
 
   // Fine comparators: randomise decisions inside the window (the window
-  // is input-referred; signals are currents, referred via gm).
+  // is input-referred; signals are currents, referred via gm). One
+  // folder evaluation feeds every fine line.
+  double fo[FaiAdcEnsemble::kMaxFolders];
+  fe.fold(vin, fo);
   std::uint64_t fine = 0;
-  for (int i = 0; i < 32; ++i) {
-    const double sig = fe.fine_signal(i, vin) / gm_sig;  // volts-referred
-    bool bit = fe.fine_bit(i, vin);
+  for (int i = 0; i < FaiAdcEnsemble::kFineLines; ++i) {
+    const double sig = fe.fine_signal_from(fo, i) / gm_sig;  // volts-referred
+    bool bit = fe.fine_bit_from(fo, i);
     if (std::fabs(sig) < window) bit = rng_.uniform() < 0.5;
     if (bit) fine |= (1ULL << i);
   }

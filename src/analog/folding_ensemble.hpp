@@ -19,9 +19,10 @@
 /// every public evaluation reproduces the exact IEEE expression
 /// sequence of the equivalent FoldingFrontEnd(params, mm) call, so
 /// folder_output / fine_bit / coarse_count — and therefore every ADC
-/// code — are bitwise equal to the legacy path. Precomputation only
-/// hoists subexpressions the legacy code computes with the same
-/// grouping (e.g. w*sign_next, spacing/M_PI, threshold sums).
+/// code — are bitwise equal to that per-line reference model.
+/// Precomputation only hoists subexpressions FoldingFrontEnd computes
+/// with the same grouping (e.g. w*sign_next, spacing/M_PI, threshold
+/// sums).
 
 #include <vector>
 

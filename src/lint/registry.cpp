@@ -42,8 +42,4 @@ std::vector<std::unique_ptr<Rule>> make_default_passes() {
   return out;
 }
 
-std::vector<std::unique_ptr<Rule>> make_default_rules() {
-  return make_default_passes();
-}
-
 }  // namespace sscl::lint

@@ -82,7 +82,4 @@ class Rule {
 /// followed by the interprocedural dataflow passes.
 std::vector<std::unique_ptr<Rule>> make_default_passes();
 
-/// Backwards-compatible alias for make_default_passes().
-std::vector<std::unique_ptr<Rule>> make_default_rules();
-
 }  // namespace sscl::lint

@@ -3,8 +3,7 @@
 /// \file cards.hpp
 /// Plain-data results of elaboration that describe *what to run*:
 /// analysis requests, .measure specifications and .ic initial
-/// conditions. device/deck_parser.hpp aliases AnalysisCard so the
-/// legacy parse_deck API is source-compatible.
+/// conditions.
 
 #include <string>
 #include <vector>

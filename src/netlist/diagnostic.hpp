@@ -57,8 +57,7 @@ struct Diagnostic {
 };
 
 /// Fatal front-end failure. The what() string already contains the
-/// formatted location; loc() is kept for callers (the legacy DeckError
-/// shim) that need the raw line number.
+/// formatted location; loc() gives callers the raw line number.
 class NetlistError : public std::runtime_error {
  public:
   NetlistError(SourceLoc loc, std::string location, const std::string& message)

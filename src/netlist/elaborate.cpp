@@ -161,9 +161,8 @@ class Elaborator {
     deck_.warnings.push_back({loc, message, ast_.files.format(loc)});
   }
 
-  /// Accept-and-warn by default, a hard failure with --strict. The
-  /// legacy parse_deck shim runs strict so unsupported cards still
-  /// throw DeckError with the legacy message.
+  /// Accept-and-warn by default, a hard failure with --strict
+  /// (ParseOptions::strict), which throws \p strict_message.
   void warn_or_fail(const SourceLoc& loc, const std::string& strict_message,
                     const std::string& lenient_note) {
     if (options_.strict) fail(loc, strict_message);

@@ -13,9 +13,6 @@
 /// Hierarchical instances elaborate into the flat spice::Circuit with
 /// dotted names (xtop.xinv1.m1) so lint/SARIF/trace output can point
 /// back into the hierarchy.
-///
-/// The legacy device::parse_deck API is a thin shim over this pipeline
-/// (strict mode, legacy nesting limit); see device/deck_parser.hpp.
 
 #include <map>
 #include <memory>

@@ -77,8 +77,9 @@ bool all_finite(const std::vector<double>& x) {
 
 }  // namespace
 
-std::vector<double> EnsembleEngine::solve_legacy_sample(
-    std::uint64_t sample, std::uint64_t seed, const Measure& measure) {
+std::vector<double> EnsembleEngine::solve_sample(std::uint64_t sample,
+                                                 std::uint64_t seed,
+                                                 const Measure& measure) {
   auto circuit = topology_.make_circuit();
   // Mismatch contract: sample s perturbs from Rng(seed).fork(s); the
   // ordinal advances over the devices that consumed a draw, in circuit
@@ -109,7 +110,7 @@ std::vector<std::vector<double>> EnsembleEngine::run_block(
   const int nodes = circuit->node_count();
 
   // Channels in circuit order; the position among channel-bearing
-  // devices is the mismatch ordinal (matches the legacy path, where
+  // devices is the mismatch ordinal (matches the per-sample path, where
   // exactly the channel-bearing devices consume perturb_sample draws
   // on a batchable circuit).
   std::vector<std::unique_ptr<EnsembleChannel>> channels;
@@ -212,11 +213,11 @@ std::vector<std::vector<double>> EnsembleEngine::run_block(
       rows[k] = measure(sample, op);
     } else {
       // Lockstep Newton failed (singular lane, non-finite solution or
-      // iteration limit): the legacy per-sample solve with its gmin and
-      // source stepping continuation takes over. It is a pure function
-      // of (seed, sample), so determinism is preserved.
+      // iteration limit): the per-sample solve with its gmin and source
+      // stepping continuation takes over. It is a pure function of
+      // (seed, sample), so determinism is preserved.
       ++local.fallback_samples;
-      rows[k] = solve_legacy_sample(sample, seed, measure);
+      rows[k] = solve_sample(sample, seed, measure);
     }
   }
   local.samples += count;
@@ -231,12 +232,10 @@ std::vector<std::vector<double>> EnsembleEngine::run(std::uint64_t n_samples,
   trace::Span span("ensemble_run", "analysis");
 
   std::vector<std::vector<double>> rows;
-  const bool batched = options_.use_batched && topology_.batchable();
-  if (!batched) {
+  if (!topology_.batchable()) {
     rows = run::parallel_map<std::vector<double>>(
         n_samples, options_.jobs, [&](std::size_t s) {
-          return solve_legacy_sample(static_cast<std::uint64_t>(s), seed,
-                                     measure);
+          return solve_sample(static_cast<std::uint64_t>(s), seed, measure);
         });
     stats_.samples = static_cast<long long>(n_samples);
     stats_.fallback_samples = static_cast<long long>(n_samples);

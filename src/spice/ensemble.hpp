@@ -4,7 +4,7 @@
 /// Monte-Carlo ensemble evaluation: one immutable circuit topology,
 /// many mismatch samples.
 ///
-/// The legacy per-sample path rebuilds a Circuit + Engine per sample and
+/// The per-sample path rebuilds a Circuit + Engine per sample and
 /// mutates each device with its mismatch draw. The ensemble split
 /// factors that into:
 ///  * Topology    — the shared immutable part: a builder that produces
@@ -26,16 +26,18 @@
 /// Determinism contract (tested in tests/spice/test_ensemble.cpp):
 ///  * sample s draws its mismatch from Rng(seed).fork(s); device
 ///    ordinal j within the sample from a further fork(j) — identical to
-///    the legacy path's perturb_sample ordinals;
+///    the per-sample path's perturb_sample ordinals;
 ///  * blocks have a fixed size independent of the job count and are
 ///    mapped over run::parallel_map, so results are bit-identical at
 ///    any --jobs;
-///  * lanes that fail the lockstep Newton fall back to the legacy
-///    per-sample solve, which is itself a pure function of (seed, s).
+///  * lanes that fail the lockstep Newton, and every sample of a
+///    topology that is not batchable(), fall back to the per-sample
+///    solve, which is itself a pure function of (seed, s).
 /// Known difference vs Engine::newton: the lockstep loop performs no
 /// residual backtracking line search, so a converged lane can differ
-/// from the legacy solve within Newton tolerance; tests crosscheck the
-/// two paths at ~10*vntol (docs/ENGINE.md, "Ensemble evaluation").
+/// from a per-sample Engine solve within Newton tolerance; tests
+/// crosscheck the two at ~10*vntol (docs/ENGINE.md, "Ensemble
+/// evaluation").
 
 #include <cstdint>
 #include <functional>
@@ -60,9 +62,6 @@ struct EnsembleOptions {
   /// block partition — and therefore every lane's arithmetic — is
   /// identical at any thread count.
   int block = 64;
-  /// Opt-out: false forces the legacy per-sample path for every sample
-  /// (kept as the crosscheck oracle).
-  bool use_batched = true;
 };
 
 /// Observability counters of one EnsembleEngine (published as
@@ -70,7 +69,7 @@ struct EnsembleOptions {
 struct EnsembleStats {
   long long samples = 0;           ///< total samples solved
   long long batched_samples = 0;   ///< solved by the lockstep SoA path
-  long long fallback_samples = 0;  ///< solved by the legacy per-sample path
+  long long fallback_samples = 0;  ///< solved by the per-sample fallback
   long long soa_batches = 0;       ///< masked SoA model evaluations
   long long newton_iterations = 0; ///< lockstep lane-iterations
   long long factor_adoptions = 0;  ///< nominal pivot sequences adopted
@@ -120,7 +119,7 @@ class Topology {
   /// False when some non-static device cannot provide an
   /// EnsembleChannel (e.g. a MOSFET with junction diodes, or any
   /// Diode); the EnsembleEngine then routes every sample through the
-  /// legacy per-sample path.
+  /// per-sample fallback.
   bool batchable() const { return batchable_; }
 
   std::unique_ptr<Circuit> make_circuit() const { return builder_(); }
@@ -164,9 +163,8 @@ class EnsembleEngine {
                                              int count, std::uint64_t seed,
                                              const Measure& measure,
                                              EnsembleStats& local);
-  std::vector<double> solve_legacy_sample(std::uint64_t sample,
-                                          std::uint64_t seed,
-                                          const Measure& measure);
+  std::vector<double> solve_sample(std::uint64_t sample, std::uint64_t seed,
+                                   const Measure& measure);
 
   const Topology& topology_;
   EnsembleOptions options_;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "digital/encoder.hpp"
 #include "digital/eventsim.hpp"
@@ -187,6 +189,24 @@ TEST(FaiAdc, PatternsFeedTheRealEncoder) {
   EXPECT_EQ(software_encode(adc.coarse_pattern(x), adc.fine_pattern_bits(x)),
             100);
   EXPECT_EQ(adc.convert_noiseless(x), 100);
+}
+
+TEST(FaiAdc, MovedInstanceConvertsLikeTheOriginal) {
+  // The converter's Sample refers to the shared half FaiAdc owns; moving
+  // the FaiAdc (directly and through vector reallocation) must keep that
+  // reference valid.
+  FaiAdcConfig cfg;
+  const util::Rng stream = util::Rng(31).fork(4);
+  FaiAdc original(cfg, stream);
+  std::vector<FaiAdc> grown;
+  for (int i = 0; i < 5; ++i) grown.emplace_back(cfg, stream);
+  FaiAdc moved(std::move(grown.front()));
+  for (int k = 0; k < 256; ++k) {
+    const double x = original.v_bottom() + (k + 0.5) * original.lsb();
+    ASSERT_EQ(grown.back().convert_noiseless(x), original.convert_noiseless(x))
+        << x;
+    ASSERT_EQ(moved.convert(x), original.convert(x)) << x;
+  }
 }
 
 TEST(FaiAdc, MonotoneAwayFromSliverWindows) {

@@ -1,7 +1,8 @@
-#include "device/deck_parser.hpp"
-
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "netlist/netlist.hpp"
 #include "spice/ac.hpp"
 #include "spice/engine.hpp"
 #include "spice/transient.hpp"
@@ -9,8 +10,17 @@
 namespace sscl::device {
 namespace {
 
+using netlist::AnalysisCard;
+using netlist::NetlistError;
+
+netlist::Deck parse_strict(const std::string& text) {
+  netlist::ParseOptions options;
+  options.strict = true;
+  return netlist::parse_netlist(text, options);
+}
+
 TEST(DeckParser, TitleAndDivider) {
-  const auto deck = parse_deck(R"(simple divider
+  const auto deck = parse_strict(R"(simple divider
 V1 in 0 2.0
 R1 in mid 1k
 R2 mid 0 1k
@@ -27,7 +37,7 @@ R2 mid 0 1k
 }
 
 TEST(DeckParser, CommentsAndContinuations) {
-  const auto deck = parse_deck(R"(* full-line comment
+  const auto deck = parse_strict(R"(* full-line comment
 V1 in 0
 + DC 1.5   $ end-of-line comment
 R1 in 0 3k ; another comment style
@@ -38,7 +48,7 @@ R1 in 0 3k ; another comment style
 }
 
 TEST(DeckParser, EngineeringSuffixes) {
-  const auto deck = parse_deck(R"(suffixes
+  const auto deck = parse_strict(R"(suffixes
 I1 0 n1 2u
 R1 n1 0 1meg
 )");
@@ -48,7 +58,7 @@ R1 n1 0 1meg
 }
 
 TEST(DeckParser, PulseSourceAndTran) {
-  const auto deck = parse_deck(R"(rc step
+  const auto deck = parse_strict(R"(rc step
 V1 in 0 PULSE(0 1 1u 10n 10n 1m)
 R1 in out 1k
 C1 out 0 1n
@@ -67,7 +77,7 @@ C1 out 0 1n
 }
 
 TEST(DeckParser, AcCardAndSource) {
-  const auto deck = parse_deck(R"(ac test
+  const auto deck = parse_strict(R"(ac test
 V1 in 0 DC 0 AC 1
 R1 in out 1k
 C1 out 0 1n
@@ -88,7 +98,7 @@ C1 out 0 1n
 
 TEST(DeckParser, MosfetWithBuiltinModel) {
   // Diode-connected NMOS pulled by 1 nA: VGS in the subthreshold range.
-  const auto deck = parse_deck(R"(mos test
+  const auto deck = parse_strict(R"(mos test
 Vdd vdd 0 1.2
 Ib vdd g 1n
 M1 g g 0 0 nmos W=2u L=1u
@@ -101,7 +111,7 @@ M1 g g 0 0 nmos W=2u L=1u
 }
 
 TEST(DeckParser, CustomModelCard) {
-  const auto deck = parse_deck(R"(custom model
+  const auto deck = parse_strict(R"(custom model
 .model hot NMOS (VT0=0.3 KP=500u N=1.2)
 Vdd vdd 0 1.2
 Ib vdd g 1n
@@ -114,7 +124,7 @@ M1 g g 0 0 hot W=2u L=1u
 }
 
 TEST(DeckParser, DiodeElement) {
-  const auto deck = parse_deck(R"(diode test
+  const auto deck = parse_strict(R"(diode test
 V1 in 0 1.0
 R1 in a 1k
 D1 a 0 d
@@ -127,7 +137,7 @@ D1 a 0 d
 }
 
 TEST(DeckParser, ControlledSources) {
-  const auto deck = parse_deck(R"(controlled
+  const auto deck = parse_strict(R"(controlled
 V1 in 0 0.1
 E1 out 0 in 0 10
 R1 out 0 1k
@@ -141,7 +151,7 @@ R2 i1 0 1k
 }
 
 TEST(DeckParser, SubcktExpansion) {
-  const auto deck = parse_deck(R"(hierarchy
+  const auto deck = parse_strict(R"(hierarchy
 .subckt divider top mid bot
 R1 top mid 1k
 R2 mid bot 1k
@@ -163,7 +173,7 @@ X2 m1 m2 0 divider
 }
 
 TEST(DeckParser, NestedSubckt) {
-  const auto deck = parse_deck(R"(nested
+  const auto deck = parse_strict(R"(nested
 .subckt half a b
 R1 a b 1k
 .ends
@@ -182,7 +192,7 @@ Xmain in 0 full
 }
 
 TEST(DeckParser, DcSweepCard) {
-  const auto deck = parse_deck(R"(sweep
+  const auto deck = parse_strict(R"(sweep
 V1 in 0 0
 R1 in 0 1k
 .dc V1 0 1 0.1
@@ -196,21 +206,21 @@ R1 in 0 1k
 
 TEST(DeckParser, ErrorsCarryLineNumbers) {
   try {
-    parse_deck("title\nR1 a 0 oops\n");
-    FAIL() << "expected DeckError";
-  } catch (const DeckError& e) {
-    EXPECT_EQ(e.line(), 2);
+    parse_strict("title\nR1 a 0 oops\n");
+    FAIL() << "expected NetlistError";
+  } catch (const NetlistError& e) {
+    EXPECT_EQ(e.loc().line, 2);
   }
-  EXPECT_THROW(parse_deck("title\nQ1 a b c\n"), DeckError);       // element
-  EXPECT_THROW(parse_deck("title\nM1 d g s b nope\n"), DeckError);  // model
-  EXPECT_THROW(parse_deck("title\nX1 a b ghost\n"), DeckError);   // subckt
-  EXPECT_THROW(parse_deck("title\n.weird\n"), DeckError);         // card
-  EXPECT_THROW(parse_deck(""), DeckError);                        // empty
+  EXPECT_THROW(parse_strict("title\nQ1 a b c\n"), NetlistError);      // element
+  EXPECT_THROW(parse_strict("title\nM1 d g s b nope\n"), NetlistError);  // model
+  EXPECT_THROW(parse_strict("title\nX1 a b ghost\n"), NetlistError);  // subckt
+  EXPECT_THROW(parse_strict("title\n.weird\n"), NetlistError);        // card
+  EXPECT_THROW(parse_strict(""), NetlistError);                       // empty
 }
 
 TEST(DeckParser, StsclInverterDeckEndToEnd) {
   // A realistic mini-deck: current-mirror-biased STSCL buffer stage.
-  const auto deck = parse_deck(R"(stscl cell from a deck
+  const auto deck = parse_strict(R"(stscl cell from a deck
 Vdd vdd 0 1.0
 Ib vdd vbn 1n
 MB vbn vbn 0 0 nmos_hvt W=2u L=1u

@@ -3,15 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
-#include "device/deck_parser.hpp"
+#include "netlist/netlist.hpp"
 #include "spice/engine.hpp"
 
 namespace sscl::device {
 namespace {
 
+netlist::Deck parse_strict(const std::string& text) {
+  netlist::ParseOptions options;
+  options.strict = true;
+  return netlist::parse_netlist(text, options);
+}
+
 TEST(OpReport, CollectsNodesSourcesAndMosfets) {
-  const auto deck = parse_deck(R"(report test
+  const auto deck = parse_strict(R"(report test
 Vdd vdd 0 1.2
 Ib vdd g 1n
 M1 g g 0 0 nmos W=2u L=1u
@@ -36,7 +43,7 @@ R2 r1 0 1meg
 }
 
 TEST(OpReport, PrintsReadableTables) {
-  const auto deck = parse_deck(R"(print test
+  const auto deck = parse_strict(R"(print test
 V1 in 0 1.0
 R1 in out 1k
 R2 out 0 1k
@@ -53,7 +60,7 @@ R2 out 0 1k
 }
 
 TEST(OpReport, RegionClassification) {
-  const auto deck = parse_deck(R"(regions
+  const auto deck = parse_strict(R"(regions
 Vdd vdd 0 1.2
 Vgw gw 0 0.25
 Vgs gs 0 1.1

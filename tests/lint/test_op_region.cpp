@@ -13,13 +13,13 @@
 #include <string>
 #include <vector>
 
-#include "device/deck_parser.hpp"
 #include "lint/check.hpp"
 #include "lint/circuit_view.hpp"
 #include "lint/ir.hpp"
 #include "lint/op_region.hpp"
 #include "lint/rule.hpp"
 #include "lint/sarif.hpp"
+#include "netlist/netlist.hpp"
 #include "spice/engine.hpp"
 
 namespace sscl::lint {
@@ -34,8 +34,14 @@ std::string read_deck_file(const std::string& name) {
   return text.str();
 }
 
+netlist::Deck parse_strict(const std::string& text) {
+  netlist::ParseOptions options;
+  options.strict = true;
+  return netlist::parse_netlist(text, options);
+}
+
 Report lint_deck(const std::string& text, const Options& options = {}) {
-  const device::ParsedDeck deck = device::parse_deck(text);
+  const netlist::Deck deck = parse_strict(text);
   return check_circuit(*deck.circuit, options);
 }
 
@@ -142,7 +148,7 @@ Iss tail 0 100u
 
 TEST(OpRegionAnalysis, BufferIntervalsContainTheDcSolution) {
   const std::string text = read_deck_file("good_stscl_buffer.sp");
-  device::ParsedDeck deck = device::parse_deck(text);
+  netlist::Deck deck = parse_strict(text);
   const CircuitView view(*deck.circuit);
   const AnalysisIR ir = AnalysisIR::build(view);
   const OpRegionResult result = analyze_op_region(view, ir, OpRegionOptions{});
@@ -167,7 +173,7 @@ TEST(OpRegionAnalysis, WideningTheBoxKeepsNominalInside) {
   // Inclusion isotonicity end to end: the PVT-box result contains the
   // nominal-corner result wherever both are defined.
   const std::string text = read_deck_file("good_stscl_pair.sp");
-  device::ParsedDeck deck = device::parse_deck(text);
+  netlist::Deck deck = parse_strict(text);
   const CircuitView view(*deck.circuit);
   const AnalysisIR ir = AnalysisIR::build(view);
   const OpRegionResult nominal =
@@ -187,7 +193,7 @@ TEST(AnalysisIr, SupplyRailCommonSourceGroupIsNotAPair) {
   // The two PMOS loads of the buffer share their source at vdd; they
   // must not be reported as a source-coupled pair (there is no tail).
   const std::string text = read_deck_file("good_stscl_buffer.sp");
-  device::ParsedDeck deck = device::parse_deck(text);
+  netlist::Deck deck = parse_strict(text);
   const CircuitView view(*deck.circuit);
   const AnalysisIR ir = AnalysisIR::build(view);
   ASSERT_EQ(ir.pairs.size(), 1u);
@@ -233,7 +239,7 @@ Iss tail 0 100u
 
 TEST(OpRegionPass, SarifIsByteIdenticalAcrossJobCounts) {
   const std::string text = read_deck_file("good_stscl_buffer.sp");
-  const device::ParsedDeck deck = device::parse_deck(text);
+  const netlist::Deck deck = parse_strict(text);
 
   const auto run = [&](int jobs) {
     Options options;

@@ -24,11 +24,11 @@
 #include <string>
 #include <vector>
 
-#include "device/deck_parser.hpp"
 #include "lint/check.hpp"
 #include "lint/circuit_view.hpp"
 #include "lint/ir.hpp"
 #include "lint/op_region.hpp"
+#include "netlist/netlist.hpp"
 #include "spice/elements.hpp"
 #include "spice/engine.hpp"
 #include "util/rng.hpp"
@@ -38,6 +38,15 @@ namespace sscl::lint {
 namespace {
 
 namespace fs = std::filesystem;
+
+netlist::Deck parse_strict(const std::string& text,
+                           const device::Process& process =
+                               device::Process::c180()) {
+  netlist::ParseOptions options;
+  options.strict = true;
+  options.process = process;
+  return netlist::parse_netlist(text, options);
+}
 
 struct Corner {
   double t_k = 300.15;
@@ -104,10 +113,10 @@ TEST(OpRegionOracle, EverySolvedCornerLiesInsideTheStaticIntervals) {
     const std::string text = slurp(path);
 
     // ---- static intervals over the box (nominal parse) ---------------
-    device::ParsedDeck nominal;
+    netlist::Deck nominal;
     try {
-      nominal = device::parse_deck(text);
-    } catch (const device::DeckError&) {
+      nominal = parse_strict(text);
+    } catch (const netlist::NetlistError&) {
       continue;  // not this oracle's concern (parser tests cover it)
     }
     const CircuitView view(*nominal.circuit);
@@ -146,10 +155,10 @@ TEST(OpRegionOracle, EverySolvedCornerLiesInsideTheStaticIntervals) {
     for (const Corner& corner : corners) {
       const std::string corner_text =
           scale_supplies(text, corner.vdd_scale);
-      device::ParsedDeck deck;
+      netlist::Deck deck;
       spice::Solution sol;
       try {
-        deck = device::parse_deck(
+        deck = parse_strict(
             corner_text, device::Process::c180().at_temperature(corner.t_k));
         spice::Engine engine(*deck.circuit);
         sol = engine.solve_op();
@@ -195,7 +204,7 @@ TEST(OpRegionOracle, NominalCornerIsInsideTheNominalAnalysis) {
     if (path.filename().string().rfind("good_", 0) != 0) continue;
     SCOPED_TRACE(path.filename().string());
     const std::string text = slurp(path);
-    device::ParsedDeck deck = device::parse_deck(text);
+    netlist::Deck deck = parse_strict(text);
     const CircuitView view(*deck.circuit);
     const AnalysisIR ir = AnalysisIR::build(view);
     const OpRegionResult result =

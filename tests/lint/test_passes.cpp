@@ -10,11 +10,11 @@
 #include <string>
 #include <vector>
 
-#include "device/deck_parser.hpp"
 #include "digital/netlist.hpp"
 #include "lint/check.hpp"
 #include "lint/pass.hpp"
 #include "lint/rule.hpp"
+#include "netlist/netlist.hpp"
 
 namespace sscl::lint {
 namespace {
@@ -46,7 +46,9 @@ int count_rule_warnings(const Report& r, const std::string& rule) {
 }
 
 Report lint_deck(const std::string& text, const Options& options = {}) {
-  const device::ParsedDeck deck = device::parse_deck(text);
+  netlist::ParseOptions strict;
+  strict.strict = true;
+  const netlist::Deck deck = netlist::parse_netlist(text, strict);
   return check_circuit(*deck.circuit, options);
 }
 
@@ -405,15 +407,6 @@ Rt tail 0 5meg
   const std::string b = lint_deck(deck, parallel).text();
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
-}
-
-TEST(PassManager, LegacyRuleAliasStillWorks) {
-  const auto rules = make_default_rules();
-  const auto passes = make_default_passes();
-  ASSERT_EQ(rules.size(), passes.size());
-  for (std::size_t i = 0; i < rules.size(); ++i) {
-    EXPECT_STREQ(rules[i]->id(), passes[i]->id());
-  }
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ TEST(LintReport, LintErrorCarriesTheReport) {
 }
 
 TEST(LintRegistry, RulesHaveUniqueIdsAndDescriptions) {
-  const auto rules = make_default_rules();
+  const auto rules = make_default_passes();
   EXPECT_GE(static_cast<int>(rules.size()), 10);
   std::vector<std::string> ids;
   for (const auto& rule : rules) {

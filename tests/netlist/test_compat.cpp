@@ -1,10 +1,9 @@
 /// Bit-identity regression between the staged netlist front-end and the
-/// legacy single-pass deck parser. The goldens under tests/netlist/golden/
-/// were generated with the legacy parser at the seed commit; every
-/// committed lint deck must elaborate to exactly the same signature
-/// (node numbering, device order, stamped values) through the new
-/// pipeline -- both via the device::parse_deck shim and via the new
-/// netlist::parse_netlist API.
+/// original single-pass deck parser. The goldens under
+/// tests/netlist/golden/ were generated with that parser at the seed
+/// commit; every committed lint deck must elaborate to exactly the same
+/// signature (node numbering, device order, stamped values) through
+/// netlist::parse_netlist, in strict and in lenient mode.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include <sstream>
 
 #include "deck_signature.hpp"
-#include "device/deck_parser.hpp"
 #include "netlist/netlist.hpp"
 
 namespace sscl {
@@ -28,6 +26,12 @@ std::string slurp(const fs::path& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+netlist::Deck parse_strict(const std::string& text) {
+  netlist::ParseOptions options;
+  options.strict = true;
+  return netlist::parse_netlist(text, options);
 }
 
 std::vector<fs::path> lint_decks() {
@@ -54,7 +58,7 @@ TEST(Compat, ShimElaboratesBitIdenticalToTheSeedParser) {
     fs::path golden_path = fs::path(SSCL_NETLIST_GOLDEN_DIR) / deck_path.stem();
     golden_path += ".sig";
     if (!fs::exists(golden_path)) continue;  // reported by the test above
-    const auto deck = device::parse_deck(slurp(deck_path));
+    const auto deck = parse_strict(slurp(deck_path));
     EXPECT_EQ(testing::deck_signature(*deck.circuit), slurp(golden_path))
         << deck_path.filename() << " drifted from the seed parser";
   }
@@ -65,10 +69,10 @@ TEST(Compat, LenientPipelineMatchesTheStrictShim) {
   // must not change the elaborated circuit in any way.
   for (const auto& deck_path : lint_decks()) {
     const std::string text = slurp(deck_path);
-    const auto legacy = device::parse_deck(text);
+    const netlist::Deck strict = parse_strict(text);
     const netlist::Deck fresh = netlist::parse_netlist(text);
     EXPECT_EQ(testing::deck_signature(*fresh.circuit),
-              testing::deck_signature(*legacy.circuit))
+              testing::deck_signature(*strict.circuit))
         << deck_path.filename();
     EXPECT_TRUE(fresh.warnings.empty()) << deck_path.filename();
   }

@@ -71,6 +71,24 @@ std::vector<std::vector<double>> run_mirror(std::uint64_t samples,
   return rows;
 }
 
+/// Reference per-sample solve under the documented mismatch contract:
+/// a fresh replica, perturbed from Rng(seed).fork(s) with the ordinal
+/// advancing over the devices that consume a draw, in circuit order.
+Solution per_sample_op(const Topology::Builder& builder, std::uint64_t seed,
+                       std::uint64_t s) {
+  auto circuit = builder();
+  const util::Rng stream = util::Rng(seed).fork(s);
+  std::uint64_t ordinal = 0;
+  for (const auto& device : circuit->devices()) {
+    if (device->perturb_sample(stream, ordinal)) ++ordinal;
+  }
+  EXPECT_EQ(ordinal, 2u);  // exactly the two MOSFETs draw mismatch
+  SolverOptions o;
+  o.lint = false;
+  Engine engine(*circuit, o);
+  return engine.solve_op();
+}
+
 TEST(Ensemble, TopologyIsBatchableAndNominalOpMatchesEngine) {
   Topology topo(mirror_builder());
   EXPECT_TRUE(topo.batchable());
@@ -85,90 +103,77 @@ TEST(Ensemble, TopologyIsBatchableAndNominalOpMatchesEngine) {
               topo.circuit().unknown_count() < 80);
 }
 
-/// The batched lockstep path must reproduce the legacy per-sample path
+/// The batched lockstep path must reproduce per-sample Engine solves
 /// within Newton tolerance (they differ only by the absence of the
 /// residual line search; both converge to vntol/reltol).
 TEST(Ensemble, BatchedMatchesLegacyPerSampleWithinNewtonTolerance) {
   const std::uint64_t samples = 96;  // > one block, non-multiple tail
   EnsembleOptions batched;
   batched.block = 64;
-  EnsembleOptions legacy = batched;
-  legacy.use_batched = false;
 
-  EnsembleStats bs, ls;
+  EnsembleStats bs;
   const auto rb = run_mirror(samples, 7, batched, &bs);
-  const auto rl = run_mirror(samples, 7, legacy, &ls);
   ASSERT_EQ(rb.size(), samples);
-  ASSERT_EQ(rl.size(), samples);
   EXPECT_EQ(bs.samples, static_cast<long long>(samples));
   EXPECT_EQ(bs.batched_samples + bs.fallback_samples,
             static_cast<long long>(samples));
   EXPECT_GT(bs.batched_samples, 0);
-  EXPECT_EQ(ls.fallback_samples, static_cast<long long>(samples));
 
+  const MirrorNodes n = mirror_nodes(*mirror_builder()());
   double spread = 0.0;
+  double first_d2 = 0.0;
   for (std::uint64_t s = 0; s < samples; ++s) {
-    ASSERT_EQ(rb[s].size(), rl[s].size());
+    const Solution op = per_sample_op(mirror_builder(), 7, s);
+    const std::vector<double> ref = mirror_measure(n)(s, op);
+    ASSERT_EQ(rb[s].size(), ref.size());
     for (std::size_t i = 0; i < rb[s].size(); ++i) {
-      EXPECT_NEAR(rb[s][i], rl[s][i], 1e-5) << "sample " << s << " col " << i;
+      EXPECT_NEAR(rb[s][i], ref[i], 1e-5) << "sample " << s << " col " << i;
     }
-    spread = std::max(spread, std::fabs(rl[s][1] - rl[0][1]));
+    if (s == 0) first_d2 = ref[1];
+    spread = std::max(spread, std::fabs(ref[1] - first_d2));
   }
   // Sanity: the mismatch draws actually moved the output node, so the
   // comparison above is not vacuous.
   EXPECT_GT(spread, 1e-6);
 }
 
-/// Bit-identity across job counts, for both engines: blocks have a
-/// fixed size and every lane adopts the shared nominal pivot sequence,
-/// so the arithmetic never depends on worker assignment.
+/// Bit-identity across job counts: blocks have a fixed size and every
+/// lane adopts the shared nominal pivot sequence, so the arithmetic
+/// never depends on worker assignment.
 TEST(Ensemble, ResultsAreBitIdenticalAcrossJobCounts) {
   const std::uint64_t samples = 150;  // odd block tail
-  for (const bool use_batched : {true, false}) {
-    EnsembleOptions o1;
-    o1.use_batched = use_batched;
-    o1.block = 32;
-    o1.jobs = 1;
-    EnsembleOptions o8 = o1;
-    o8.jobs = 8;
-    const auto r1 = run_mirror(samples, 11, o1);
-    const auto r8 = run_mirror(samples, 11, o8);
-    ASSERT_EQ(r1.size(), r8.size());
-    for (std::uint64_t s = 0; s < samples; ++s) {
-      ASSERT_EQ(r1[s].size(), r8[s].size());
-      for (std::size_t i = 0; i < r1[s].size(); ++i) {
-        EXPECT_EQ(r1[s][i], r8[s][i])
-            << "use_batched=" << use_batched << " sample " << s;
-      }
+  EnsembleOptions o1;
+  o1.block = 32;
+  o1.jobs = 1;
+  EnsembleOptions o8 = o1;
+  o8.jobs = 8;
+  const auto r1 = run_mirror(samples, 11, o1);
+  const auto r8 = run_mirror(samples, 11, o8);
+  ASSERT_EQ(r1.size(), r8.size());
+  for (std::uint64_t s = 0; s < samples; ++s) {
+    ASSERT_EQ(r1[s].size(), r8[s].size());
+    for (std::size_t i = 0; i < r1[s].size(); ++i) {
+      EXPECT_EQ(r1[s][i], r8[s][i]) << "sample " << s;
     }
   }
 }
 
-/// The legacy path inside the ensemble must equal a hand-rolled
-/// per-sample solve using the documented mismatch contract:
-/// Rng(seed).fork(s), ordinals advancing over perturbed devices in
-/// circuit order.
+/// The per-sample fallback inside the ensemble must equal a hand-rolled
+/// per-sample solve using the documented mismatch contract. The
+/// junction-bearing mirror is not batchable, so every sample takes the
+/// fallback.
 TEST(Ensemble, LegacyPathFollowsDocumentedMismatchContract) {
   const std::uint64_t seed = 23;
-  Topology topo(mirror_builder());
+  const Topology::Builder builder = mirror_builder(1e-12, 1e-12);
+  Topology topo(builder);
+  ASSERT_FALSE(topo.batchable());
   const MirrorNodes n = mirror_nodes(topo.circuit());
-  EnsembleOptions legacy;
-  legacy.use_batched = false;
-  EnsembleEngine engine(topo, legacy);
+  EnsembleEngine engine(topo);
   const auto rows = engine.run(5, seed, mirror_measure(n));
+  EXPECT_EQ(engine.stats().fallback_samples, 5);
 
   for (std::uint64_t s = 0; s < 5; ++s) {
-    auto circuit = mirror_builder()();
-    const util::Rng stream = util::Rng(seed).fork(s);
-    std::uint64_t ordinal = 0;
-    for (const auto& device : circuit->devices()) {
-      if (device->perturb_sample(stream, ordinal)) ++ordinal;
-    }
-    EXPECT_EQ(ordinal, 2u);  // exactly the two MOSFETs draw mismatch
-    SolverOptions o;
-    o.lint = false;
-    Engine ref(*circuit, o);
-    const Solution op = ref.solve_op();
+    const Solution op = per_sample_op(builder, seed, s);
     EXPECT_EQ(rows[s][0], op.v(n.g)) << s;
     EXPECT_EQ(rows[s][1], op.v(n.d2)) << s;
   }
@@ -176,13 +181,13 @@ TEST(Ensemble, LegacyPathFollowsDocumentedMismatchContract) {
 
 /// A topology with junction-bearing MOSFETs cannot stage its state in
 /// lanes: it must report non-batchable and route every sample through
-/// the legacy path, still bit-identical across job counts.
+/// the per-sample fallback, still bit-identical across job counts.
 TEST(Ensemble, JunctionDevicesForceLegacyFallback) {
   Topology topo(mirror_builder(1e-12, 1e-12));
   EXPECT_FALSE(topo.batchable());
   const MirrorNodes n = mirror_nodes(topo.circuit());
 
-  EnsembleOptions o1;  // use_batched stays true: the topology opts out
+  EnsembleOptions o1;
   o1.jobs = 1;
   EnsembleOptions o8 = o1;
   o8.jobs = 8;

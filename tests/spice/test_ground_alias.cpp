@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "device/deck_parser.hpp"
+#include "netlist/netlist.hpp"
 #include "spice/circuit.hpp"
 #include "spice/elements.hpp"
 #include "spice/engine.hpp"
@@ -53,7 +53,9 @@ TEST(GroundAlias, SubcktExpansionDoesNotCreatePhantomGround) {
       "X1 mid load\n"
       ".op\n"
       ".end\n";
-  const device::ParsedDeck parsed = device::parse_deck(deck);
+  netlist::ParseOptions strict;
+  strict.strict = true;
+  const netlist::Deck parsed = netlist::parse_netlist(deck, strict);
   EXPECT_FALSE(parsed.circuit->find_node("x1.vss!").has_value());
 
   Engine engine(*parsed.circuit);
