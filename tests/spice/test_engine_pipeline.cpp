@@ -106,7 +106,19 @@ TEST(EnginePipeline, DenseSparseCrosscheckStsclGate) {
 // tests/spice/golden/ holds, with %.17g, the buffer-chain op of the
 // legacy knobs-off engine (no bypass, clear-and-restamp assembly, no
 // pivot reuse), the same op with only bypass off plus that run's
-// device_evals, and the bypass-off samples of a two-buffer transient.
+// device_evals, the bypass-off samples of a two-buffer transient, and
+// the default engine's op on the dense LU (the chain has 18 unknowns,
+// below kSparseThreshold).
+
+TEST(EngineGolden, OpMatchesDenseLu) {
+  Circuit c;
+  build_buffer_chain(c);
+  Engine engine(c);
+  const Solution op = engine.solve_op();
+  EXPECT_LT(max_delta_to_golden(c, op, "buffer_chain_op_dense.csv"),
+            engine.options().vntol)
+      << "the engine's op drifted away from the dense LU's";
+}
 
 TEST(EngineGolden, OpMatchesKnobsOffEngine) {
   Circuit c;
