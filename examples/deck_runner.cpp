@@ -39,7 +39,6 @@
 /// Numeric flag values must be non-negative decimal integers; a bad or
 /// missing value is a usage error (exit status 2).
 
-#include <charconv>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -47,6 +46,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "cli_flags.hpp"
 #include "device/op_report.hpp"
 #include "netlist/measure.hpp"
 #include "netlist/netlist.hpp"
@@ -100,21 +100,6 @@ int usage(std::ostream& os, int code) {
   return code;
 }
 
-/// The value of a numeric flag: a decimal integer in [0, max]. A sign,
-/// trailing characters or an out-of-range value is a usage error.
-std::uint64_t parse_count(const std::string& text, const char* flag,
-                          std::uint64_t max) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || ptr != end || value > max) {
-    std::fprintf(stderr, "deck_runner: invalid value '%s' for %s\n",
-                 text.c_str(), flag);
-    std::exit(2);
-  }
-  return value;
-}
-
 std::vector<sscl::spice::NodeId> pick_nodes(
     const sscl::spice::Circuit& c, const std::vector<std::string>& wanted) {
   std::vector<sscl::spice::NodeId> nodes;
@@ -164,7 +149,7 @@ int main(int argc, char** argv) {
       return args[i + 1];
     };
     auto count = [&](const char* flag, std::uint64_t max) {
-      return parse_count(value(flag), flag, max);
+      return cli::parse_count("deck_runner", value(flag), flag, max);
     };
     auto erase = [&](std::size_t n) {
       args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
@@ -340,16 +325,27 @@ int main(int argc, char** argv) {
                          card.sweep_source.c_str());
             break;
           }
+          // The sweep mutates the source's spec; restore it so later
+          // analyses of the deck see the source as written.
+          const spice::SourceSpec saved = src ? src->spec() : isrc->spec();
+          auto set_source = [&](const spice::SourceSpec& spec) {
+            if (src) src->set_spec(spec);
+            if (isrc) isrc->set_spec(spec);
+          };
           std::vector<double> values;
           for (double v = card.sweep_start; v <= card.sweep_stop + 1e-15;
                v += card.sweep_step) {
             values.push_back(v);
           }
-          dc_result = run_dc_sweep(
-              engine, values, [&](double v) {
-                if (src) src->set_spec(spice::SourceSpec::dc(v));
-                if (isrc) isrc->set_spec(spice::SourceSpec::dc(v));
-              });
+          try {
+            dc_result = run_dc_sweep(engine, values, [&](double v) {
+              set_source(spice::SourceSpec::dc(v));
+            });
+          } catch (...) {
+            set_source(saved);
+            throw;
+          }
+          set_source(saved);
           std::vector<std::string> headers = {card.sweep_source};
           for (auto n : nodes) headers.push_back("v(" + deck.circuit->node_name(n) + ")");
           util::Table t(headers);

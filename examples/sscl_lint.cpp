@@ -19,7 +19,7 @@
 ///   sscl-lint --trace t.json --metrics m.json bias.sp
 ///   sscl-lint --list-passes                print every pass and exit
 
-#include <cstdlib>
+#include <climits>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "lint/check.hpp"
 #include "netlist/netlist.hpp"
 #include "lint/rule.hpp"
@@ -99,6 +100,9 @@ int main(int argc, char** argv) {
 
   auto next = [&](int& i) -> const char* {
     return ++i < argc ? argv[i] : nullptr;
+  };
+  auto count = [](const char* text, const char* flag) {
+    return static_cast<int>(cli::parse_count("sscl-lint", text, flag, INT_MAX));
   };
 
   for (int i = 1; i < argc; ++i) {
@@ -179,10 +183,10 @@ int main(int argc, char** argv) {
       strict = true;
     } else if (arg == "--max-depth") {
       if (!(value = next(i))) return usage(std::cerr, 2);
-      max_depth = std::atoi(value);
+      max_depth = count(value, "--max-depth");
     } else if (arg == "--jobs") {
       if (!(value = next(i))) return usage(std::cerr, 2);
-      options.jobs = std::atoi(value);
+      options.jobs = count(value, "--jobs");
     } else if (arg == "--trace") {
       if (!(value = next(i))) return usage(std::cerr, 2);
       trace_path = value;

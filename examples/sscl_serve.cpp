@@ -15,6 +15,7 @@
 /// Exit codes in client mode: 0 ok, 3 busy (admission rejected — retry
 /// after the hinted delay), 1 anything else.
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -23,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
 #include "trace/export.hpp"
@@ -78,39 +80,42 @@ int main(int argc, char** argv) {
   auto next = [&](int& i) -> const char* {
     return ++i < argc ? argv[i] : nullptr;
   };
+  auto count = [](const char* text, const char* flag, int max = INT_MAX) {
+    return static_cast<int>(cli::parse_count("sscl-serve", text, flag, max));
+  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = nullptr;
     if (arg == "--port") {
       if (!(value = next(i))) return usage(std::cerr, 2);
-      port = std::atoi(value);
+      port = count(value, "--port", 65535);
     } else if (arg == "--connect") {
       if (!(value = next(i))) return usage(std::cerr, 2);
-      connect_port = std::atoi(value);
+      connect_port = count(value, "--connect", 65535);
     } else if (arg == "--port-file") {
       if (!(value = next(i))) return usage(std::cerr, 2);
       port_file = value;
     } else if (arg == "--jobs") {
       if (!(value = next(i))) return usage(std::cerr, 2);
-      options.jobs = std::atoi(value);
+      options.jobs = count(value, "--jobs");
     } else if (arg == "--cache-entries") {
       if (!(value = next(i))) return usage(std::cerr, 2);
-      options.cache_entries = std::atoi(value);
+      options.cache_entries = count(value, "--cache-entries");
     } else if (arg == "--queue-depth") {
       if (!(value = next(i))) return usage(std::cerr, 2);
-      options.queue_depth = std::atoi(value);
+      options.queue_depth = count(value, "--queue-depth");
     } else if (arg == "--timeout-ms") {
       if (!(value = next(i))) return usage(std::cerr, 2);
-      options.default_timeout_ms = std::atoi(value);
-      request.timeout_ms = std::atoi(value);
+      options.default_timeout_ms = count(value, "--timeout-ms");
+      request.timeout_ms = options.default_timeout_ms;
     } else if (arg == "--no-adopt") {
       options.adopt_pattern = false;
     } else if (arg == "--strict") {
       options.parse.strict = true;
     } else if (arg == "--max-depth") {
       if (!(value = next(i))) return usage(std::cerr, 2);
-      options.parse.max_subckt_depth = std::atoi(value);
+      options.parse.max_subckt_depth = count(value, "--max-depth");
     } else if (arg == "--include-dir") {
       if (!(value = next(i))) return usage(std::cerr, 2);
       include_dir = value;
@@ -135,7 +140,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--stream") {
       if (!(value = next(i))) return usage(std::cerr, 2);
-      request.stream_every = std::atoi(value);
+      request.stream_every = count(value, "--stream");
     } else if (arg == "--help" || arg == "-h") {
       return usage(std::cout, 0);
     } else if (!arg.empty() && arg[0] == '-') {

@@ -1,7 +1,12 @@
 #include "serve/protocol.hpp"
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <sstream>
+
+#include "util/units.hpp"
 
 namespace sscl::serve {
 
@@ -20,6 +25,17 @@ Command bad(const std::string& why) {
   c.kind = Command::Kind::kBad;
   c.error = why;
   return c;
+}
+
+Command bad_value(const std::string& key) {
+  return bad("SUBMIT: bad value for '" + key + "'");
+}
+
+/// Parses a whole word of decimal digits into \p out (no sign).
+bool parse_int(const std::string& text, int& out) {
+  const std::optional<std::uint64_t> n = util::parse_decimal(text, INT_MAX);
+  if (n) out = static_cast<int>(*n);
+  return n.has_value();
 }
 
 }  // namespace
@@ -51,35 +67,30 @@ Command parse_command(const std::string& line) {
   Command c;
   if (verb == "SUBMIT") {
     if (words.size() < 2) return bad("SUBMIT needs a byte count");
-    try {
-      c.nbytes = static_cast<std::size_t>(std::stoull(words[1]));
-    } catch (const std::exception&) {
-      return bad("SUBMIT: bad byte count '" + words[1] + "'");
-    }
+    const std::optional<std::uint64_t> nbytes =
+        util::parse_decimal(words[1], SIZE_MAX);
+    if (!nbytes) return bad("SUBMIT: bad byte count '" + words[1] + "'");
+    c.nbytes = static_cast<std::size_t>(*nbytes);
     for (std::size_t i = 2; i < words.size(); ++i) {
       const std::string& opt = words[i];
       const auto eq = opt.find('=');
       if (eq == std::string::npos) return bad("SUBMIT: bad option '" + opt + "'");
       const std::string key = opt.substr(0, eq);
       const std::string val = opt.substr(eq + 1);
-      try {
-        if (key == "client") {
-          c.request.client = val;
-        } else if (key == "nodes") {
-          std::istringstream is(val);
-          std::string node;
-          while (std::getline(is, node, ',')) {
-            if (!node.empty()) c.request.nodes.push_back(node);
-          }
-        } else if (key == "stream") {
-          c.request.stream_every = std::stoi(val);
-        } else if (key == "timeout") {
-          c.request.timeout_ms = std::stoi(val);
-        } else {
-          return bad("SUBMIT: unknown option '" + key + "'");
+      if (key == "client") {
+        c.request.client = val;
+      } else if (key == "nodes") {
+        std::istringstream is(val);
+        std::string node;
+        while (std::getline(is, node, ',')) {
+          if (!node.empty()) c.request.nodes.push_back(node);
         }
-      } catch (const std::exception&) {
-        return bad("SUBMIT: bad value for '" + key + "'");
+      } else if (key == "stream") {
+        if (!parse_int(val, c.request.stream_every)) return bad_value(key);
+      } else if (key == "timeout") {
+        if (!parse_int(val, c.request.timeout_ms)) return bad_value(key);
+      } else {
+        return bad("SUBMIT: unknown option '" + key + "'");
       }
     }
     c.kind = Command::Kind::kSubmit;
@@ -87,11 +98,10 @@ Command parse_command(const std::string& line) {
   }
   if (verb == "CANCEL") {
     if (words.size() != 2) return bad("CANCEL needs a job id");
-    try {
-      c.job_id = std::stoll(words[1]);
-    } catch (const std::exception&) {
-      return bad("CANCEL: bad job id '" + words[1] + "'");
-    }
+    const std::optional<std::uint64_t> id =
+        util::parse_decimal(words[1], LLONG_MAX);
+    if (!id) return bad("CANCEL: bad job id '" + words[1] + "'");
+    c.job_id = static_cast<long long>(*id);
     c.kind = Command::Kind::kCancel;
     return c;
   }

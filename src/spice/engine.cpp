@@ -66,8 +66,7 @@ Engine::Engine(Circuit& circuit, SolverOptions options)
     : circuit_(circuit), options_(options), system_(0) {
   circuit_.elaborate();
   if (options_.lint) lint::enforce_circuit(circuit_);
-  system_ = LinearSystem(circuit_.unknown_count(), options_.force_dense,
-                         options_.force_sparse);
+  system_ = LinearSystem(circuit_.unknown_count());
   state_prev_.assign(circuit_.state_count(), 0.0);
   state_now_.assign(circuit_.state_count(), 0.0);
 
@@ -170,8 +169,7 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
     const bool ok = system_.solve(out);
     if (ok) {
       ++stats_.factors;
-      if (system_.last_factor_kind() ==
-          LinearSystem::FactorKind::kSparseNumeric) {
+      if (system_.last_factor_was_numeric()) {
         ++stats_.numeric_refactors;
       } else {
         ++stats_.full_factors;
@@ -189,8 +187,7 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
   // offender). The offender is found by re-assembling one device at a
   // time and scanning the values after each load.
   auto diagnose_nonfinite_stamps = [&](const std::vector<double>& at) {
-    // solve() factors in place, so re-assemble before scanning stamps.
-    assemble(at);
+    // solve() leaves the assembly at `at` intact, so scan it directly.
     if (system_.values_finite()) return;  // stamps fine: numeric failure
     system_.clear();
     configure(at);

@@ -10,7 +10,7 @@
 ///  2. baseline       - static-linear stamps cached once per Newton solve
 ///  3. device bypass  - nonlinear devices reuse cached evaluations when
 ///                      their terminal voltages are within tolerance
-///  4. factorisation  - sparse solves reuse the pivot sequence, refreshing
+///  4. factorisation  - the sparse LU reuses the pivot sequence, refreshing
 ///                      numeric values only, with full-pivoting fallback
 
 #include <map>
@@ -39,11 +39,6 @@ struct SolverOptions {
   /// errors (floating nodes, voltage-source loops, ...) throw
   /// lint::LintError instead of surfacing as convergence mysteries.
   bool lint = true;
-
-  // ---- storage selection (construction-time; both false = pick by
-  // size against kSparseThreshold) ------------------------------------
-  bool force_dense = false;   ///< always use the dense LU path
-  bool force_sparse = false;  ///< always use the sparse LU path
 };
 
 /// Thrown when an analysis cannot converge.
@@ -103,7 +98,8 @@ class Engine {
   EngineStats& stats() { return stats_; }
   const EngineStats& stats() const { return stats_; }
 
-  /// Whether the MNA system uses the sparse LU path.
+  /// Always true (see LinearSystem::is_sparse()); the next change to
+  /// the benchmark removes it.
   bool is_sparse() const { return system_.is_sparse(); }
 
   /// The assembled MNA system. The ensemble engine reads the master

@@ -181,7 +181,7 @@ std::vector<std::vector<double>> EnsembleEngine::run_block(
         --n_active;
         continue;
       }
-      if (sys.last_factor_kind() == LinearSystem::FactorKind::kSparseNumeric) {
+      if (sys.last_factor_was_numeric()) {
         ++local.numeric_refactors;
       } else {
         ++local.full_factors;

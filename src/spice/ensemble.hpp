@@ -74,7 +74,7 @@ struct EnsembleStats {
   long long newton_iterations = 0; ///< lockstep lane-iterations
   long long factor_adoptions = 0;  ///< nominal pivot sequences adopted
   long long numeric_refactors = 0; ///< solves replaying the pivot order
-  long long full_factors = 0;      ///< solves that re-pivoted (or dense)
+  long long full_factors = 0;      ///< solves that re-pivoted
   double seconds = 0.0;            ///< wall time of the last run()
 
   double samples_per_second() const {

@@ -1,8 +1,7 @@
 #pragma once
 
 /// \file linear_system.hpp
-/// Real MNA system that switches between dense and sparse storage based
-/// on dimension.
+/// Real MNA system over the sparse LU (sparse.hpp), at every size.
 ///
 /// Assembly goes through slots only: every matrix entry and rhs row is
 /// reserved once during the elaboration-time pattern pass
@@ -15,16 +14,11 @@
 /// constant across one Newton solve and each iteration starts from a
 /// memcpy of it.
 
-#include <memory>
 #include <vector>
 
-#include "spice/matrix.hpp"
 #include "spice/sparse.hpp"
 
 namespace sscl::spice {
-
-/// Dimension above which the sparse path is used.
-inline constexpr int kSparseThreshold = 80;
 
 /// Handle to a reserved matrix entry. Slot 0 is the trash cell (writes
 /// are swallowed); real entries start at 1.
@@ -34,18 +28,17 @@ using RhsSlot = int;
 
 class LinearSystem {
  public:
-  enum class FactorKind { kNone, kDense, kSparseFull, kSparseNumeric };
-
-  explicit LinearSystem(int n = 0, bool force_dense = false,
-                        bool force_sparse = false);
+  explicit LinearSystem(int n = 0);
 
   // The slot tables hold a pointer to this object's own trash cell, so
   // moves must re-point it (vector buffers themselves survive a move).
   LinearSystem(LinearSystem&& other) noexcept;
   LinearSystem& operator=(LinearSystem&& other) noexcept;
 
-  int size() const { return n_; }
-  bool is_sparse() const { return sparse_ != nullptr; }
+  int size() const { return matrix_.size(); }
+  /// Always true. Kept only because the benchmark (perfbench/) reads
+  /// it; the next change to the benchmark removes it.
+  bool is_sparse() const { return true; }
 
   /// Zero the matrix and right-hand side (the pattern is kept).
   void clear();
@@ -69,7 +62,7 @@ class LinearSystem {
   void add_rhs_at(RhsSlot s, double v) { *rhs_addr_[s] += v; }
 
   /// Number of structural matrix entries currently in the pattern.
-  std::size_t pattern_entries() const;
+  std::size_t pattern_entries() const { return matrix_.nonzeros(); }
 
   // ---- baseline (static-linear stamp cache) ---------------------------
 
@@ -80,9 +73,10 @@ class LinearSystem {
 
   // ---- solving --------------------------------------------------------
 
-  /// y = A x with the currently assembled values. Must be called before
-  /// solve() (dense factorisation overwrites A).
-  void multiply(const std::vector<double>& x, std::vector<double>& y) const;
+  /// y = A x with the currently assembled values.
+  void multiply(const std::vector<double>& x, std::vector<double>& y) const {
+    matrix_.multiply(x, y);
+  }
 
   /// Infinity norm of the KCL residual A x - b for the assembled system.
   double residual_norm(const std::vector<double>& x) const;
@@ -93,25 +87,28 @@ class LinearSystem {
   /// stamped NaN/inf.
   bool values_finite() const;
 
-  /// Factor and solve in place; the solution replaces the rhs and is also
-  /// returned. Returns false on singular matrix.
+  /// Factor the assembled matrix and solve for the rhs into \p x_out.
+  /// The assembled values and rhs are kept. Returns false on a singular
+  /// matrix.
   bool solve(std::vector<double>& x_out);
 
-  /// Adopt \p from's sparse symbolic factorisation (pivot sequence).
-  /// No-op for dense systems or when the patterns differ; see
-  /// SparseMatrix::adopt_factorization.
-  void adopt_factorization(const LinearSystem& from);
+  /// Adopt \p from's symbolic factorisation (pivot sequence). No-op
+  /// when the patterns differ; see SparseMatrix::adopt_factorization.
+  void adopt_factorization(const LinearSystem& from) {
+    matrix_.adopt_factorization(from.matrix_);
+  }
 
-  /// True when the sparse path holds a reusable pivot sequence.
-  bool has_symbolic_factorization() const;
+  /// True when a reusable pivot sequence is stored.
+  bool has_symbolic_factorization() const { return matrix_.has_symbolic(); }
 
-  /// What the last successful solve()'s factorisation did.
-  FactorKind last_factor_kind() const { return last_factor_kind_; }
+  /// True when the last successful solve() replayed the stored pivot
+  /// sequence (a numeric-only refactorisation).
+  bool last_factor_was_numeric() const {
+    return matrix_.last_factor_was_numeric();
+  }
 
  private:
-  int n_ = 0;
-  std::unique_ptr<DenseMatrix<double>> dense_;
-  std::unique_ptr<SparseMatrix> sparse_;
+  SparseMatrix matrix_;
   std::vector<double> rhs_;
 
   // Slot pointer tables; index 0 is &trash_ in both.
@@ -120,13 +117,8 @@ class LinearSystem {
   std::vector<double*> rhs_addr_;
   bool pattern_finalized_ = false;
 
-  /// Dense only: which entries the pattern pass reserved (row-major).
-  std::vector<char> dense_reserved_;
-
   std::vector<double> baseline_values_;
   std::vector<double> baseline_rhs_;
-
-  FactorKind last_factor_kind_ = FactorKind::kNone;
 };
 
 }  // namespace sscl::spice

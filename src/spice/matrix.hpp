@@ -2,8 +2,9 @@
 
 /// \file matrix.hpp
 /// Dense LU factorisation with partial pivoting over real or complex
-/// scalars. Circuits below the sparse threshold (see linear_system.hpp)
-/// and all AC solves use this path.
+/// scalars. The complex AC and noise solves and the sine fit
+/// (analysis/sinefit.hpp) use it; every real MNA solve goes through the
+/// sparse LU (linear_system.hpp).
 
 #include <complex>
 #include <stdexcept>
@@ -39,22 +40,6 @@ class DenseMatrix {
   }
 
   void add(int r, int c, T v) { at(r, c) += v; }
-
-  /// Row-major backing store (n*n entries); used by LinearSystem for
-  /// direct slot writes and baseline snapshot/restore.
-  std::vector<T>& values() { return data_; }
-  const std::vector<T>& values() const { return data_; }
-
-  /// y = A x. Only valid before factor() (which overwrites A with LU).
-  void multiply(const std::vector<T>& x, std::vector<T>& y) const {
-    y.assign(n_, T{});
-    for (int r = 0; r < n_; ++r) {
-      T acc{};
-      const T* row = &data_[static_cast<std::size_t>(r) * n_];
-      for (int c = 0; c < n_; ++c) acc += row[c] * x[c];
-      y[r] = acc;
-    }
-  }
 
   /// LU-factor in place with partial pivoting. Returns false if the
   /// matrix is numerically singular (pivot below tiny threshold).

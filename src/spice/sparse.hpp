@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file sparse.hpp
-/// Sparse LU factorisation for larger MNA systems. Left-looking
+/// Sparse LU factorisation of every real MNA system. Left-looking
 /// Gilbert-Peierls factorisation with partial pivoting (the same
 /// algorithm family as SPICE3 / CSparse).
 ///

@@ -20,8 +20,8 @@ struct EngineStats {
 
   // ---- factor / solve phase ------------------------------------------
   long long factors = 0;            ///< successful LU factorisations
-  long long full_factors = 0;       ///< with a fresh pivot search (dense or sparse)
-  long long numeric_refactors = 0;  ///< sparse value-only refreshes (pivots reused)
+  long long full_factors = 0;       ///< with a fresh pivot search
+  long long numeric_refactors = 0;  ///< value-only refreshes (pivots reused)
   long long singular_factors = 0;   ///< factorisations that failed (singular)
 
   // ---- analysis-level counters ---------------------------------------
@@ -47,7 +47,7 @@ struct EngineStats {
   }
 
   /// Fraction of successful factorisations that reused the pivot
-  /// sequence (sparse numeric-only refresh).
+  /// sequence (numeric-only refresh).
   double numeric_refactor_share() const {
     return factors > 0 ? static_cast<double>(numeric_refactors) / factors : 0.0;
   }

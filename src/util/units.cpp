@@ -1,6 +1,7 @@
 #include "util/units.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -106,6 +107,18 @@ std::optional<double> parse_si(std::string_view text) {
     if (!std::isalpha(static_cast<unsigned char>(suffix[i]))) return std::nullopt;
   }
   return mantissa * scale;
+}
+
+std::optional<std::uint64_t> parse_decimal(std::string_view text,
+                                           std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  // from_chars on an unsigned type takes neither '+' nor '-'.
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value > max) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace sscl::util

@@ -2,8 +2,11 @@
 
 /// \file units.hpp
 /// Engineering-notation formatting and parsing ("4.7n", "1.2meg", "800m")
-/// as used by the SPICE-style netlist parser and by all result tables.
+/// as used by the SPICE-style netlist parser and by all result tables,
+/// plus the strict decimal counts of command-line flags and the serve
+/// wire protocol.
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -23,5 +26,11 @@ std::string format_si(double value, std::string_view unit, int digits);
 /// compatibility). Trailing unit letters after the suffix are ignored
 /// ("10pF" parses as 10e-12). Returns std::nullopt on malformed input.
 std::optional<double> parse_si(std::string_view text);
+
+/// Parse \p text as a whole word of decimal digits no larger than
+/// \p max. A sign, whitespace, any other character, an empty word or an
+/// out-of-range value returns std::nullopt.
+std::optional<std::uint64_t> parse_decimal(std::string_view text,
+                                           std::uint64_t max = UINT64_MAX);
 
 }  // namespace sscl::util

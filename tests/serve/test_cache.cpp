@@ -15,9 +15,6 @@ using serve::ElabCache;
 ElabCache::Options small_cache(int capacity) {
   ElabCache::Options options;
   options.capacity = capacity;
-  // Tiny test circuits would pick the dense path, which has no pivot
-  // sequence to adopt; force sparse so the pattern tier is observable.
-  options.solver.force_sparse = true;
   return options;
 }
 

@@ -58,6 +58,16 @@ TEST(Protocol, RejectsMalformedCommands) {
   EXPECT_EQ(serve::parse_command("CANCEL").kind, Command::Kind::kBad);
   const Command bad = serve::parse_command("SUBMIT banana");
   EXPECT_FALSE(bad.error.empty());
+
+  // Every number is a whole word of decimal digits: no sign, no
+  // trailing junk, no overflow.
+  for (const char* line :
+       {"SUBMIT -5", "SUBMIT +5", "SUBMIT 5junk", "SUBMIT 0x10",
+        "SUBMIT 99999999999999999999", "SUBMIT 5 stream=-3",
+        "SUBMIT 5 stream=2x", "SUBMIT 5 stream=", "SUBMIT 5 timeout=-100",
+        "SUBMIT 5 timeout=99999999999", "CANCEL 5x", "CANCEL -1"}) {
+    EXPECT_EQ(serve::parse_command(line).kind, Command::Kind::kBad) << line;
+  }
 }
 
 TEST(Protocol, StatusNamesMatchTheWireWords) {

@@ -1,6 +1,6 @@
 /// \file test_engine_pipeline.cpp
-/// Tests for the phased evaluation pipeline: dense/sparse crosscheck,
-/// the default engine held to the goldens of the removed bypass-off and
+/// Tests for the phased evaluation pipeline: the default engine held to
+/// the goldens of the removed dense LU and the removed bypass-off and
 /// knobs-off engine modes, the frozen MNA pattern, numeric
 /// refactorisation, EngineStats accounting and the solver failure paths
 /// (gmin -> source stepping fall-through, pathological-op ConvergenceError,
@@ -42,16 +42,6 @@ stscl::DiffSignal build_buffer_chain(Circuit& c, int stages = 2) {
   return s;
 }
 
-/// Max |v_a - v_b| over all node voltages of two solutions.
-double max_node_delta(const Solution& a, const Solution& b) {
-  EXPECT_EQ(a.node_count(), b.node_count());
-  double worst = 0.0;
-  for (int i = 0; i < a.node_count(); ++i) {
-    worst = std::max(worst, std::fabs(a.v(i) - b.v(i)));
-  }
-  return worst;
-}
-
 /// Rows of a two-column golden CSV in tests/spice/golden/ (header
 /// skipped): the first column as text, the second as a double.
 std::vector<std::pair<std::string, double>> read_golden(
@@ -82,33 +72,12 @@ double max_delta_to_golden(const Circuit& c, const Solution& op,
   return worst;
 }
 
-// ---- S1: dense vs sparse crosscheck ----------------------------------
-
-TEST(EnginePipeline, DenseSparseCrosscheckStsclGate) {
-  SolverOptions dense, sparse;
-  dense.force_dense = true;
-  sparse.force_sparse = true;
-
-  Circuit cd, cs;
-  build_buffer_chain(cd);
-  build_buffer_chain(cs);
-  Engine ed(cd, dense), es(cs, sparse);
-  EXPECT_FALSE(ed.is_sparse());
-  EXPECT_TRUE(es.is_sparse());
-
-  const Solution vd = ed.solve_op();
-  const Solution vs = es.solve_op();
-  EXPECT_LT(max_node_delta(vd, vs), dense.vntol)
-      << "dense and sparse LU paths disagree on the same op";
-}
-
 // ---- the default engine vs the goldens of the removed engine modes ---
 // tests/spice/golden/ holds, with %.17g, the buffer-chain op of the
 // legacy knobs-off engine (no bypass, clear-and-restamp assembly, no
 // pivot reuse), the same op with only bypass off plus that run's
 // device_evals, the bypass-off samples of a two-buffer transient, and
-// the default engine's op on the dense LU (the chain has 18 unknowns,
-// below kSparseThreshold).
+// the op of the removed dense LU, which solved this 18-unknown chain.
 
 TEST(EngineGolden, OpMatchesDenseLu) {
   Circuit c;
@@ -117,7 +86,7 @@ TEST(EngineGolden, OpMatchesDenseLu) {
   const Solution op = engine.solve_op();
   EXPECT_LT(max_delta_to_golden(c, op, "buffer_chain_op_dense.csv"),
             engine.options().vntol)
-      << "the engine's op drifted away from the dense LU's";
+      << "the sparse LU's op drifted away from the dense LU's";
 }
 
 TEST(EngineGolden, OpMatchesKnobsOffEngine) {
@@ -182,54 +151,47 @@ TEST(EngineGolden, BypassTransientMatchesBypassOffEngine) {
 // ---- frozen MNA pattern ----------------------------------------------
 
 TEST(FrozenPattern, ReserveAfterFinalizeLooksUpOrThrows) {
-  for (const bool sparse : {false, true}) {
-    SCOPED_TRACE(sparse ? "sparse" : "dense");
-    LinearSystem sys(3, /*force_dense=*/!sparse, /*force_sparse=*/sparse);
-    ASSERT_EQ(sys.is_sparse(), sparse);
-    const MatrixSlot s01 = sys.reserve(0, 1);
-    const MatrixSlot s22 = sys.reserve(2, 2);
-    sys.finalize_pattern();
-    const std::size_t entries = sys.pattern_entries();
+  LinearSystem sys(3);
+  const MatrixSlot s01 = sys.reserve(0, 1);
+  const MatrixSlot s22 = sys.reserve(2, 2);
+  sys.finalize_pattern();
+  const std::size_t entries = sys.pattern_entries();
 
-    // An entry already in the pattern returns its slot.
-    EXPECT_EQ(sys.reserve(0, 1), s01);
-    EXPECT_EQ(sys.reserve(2, 2), s22);
+  // An entry already in the pattern returns its slot.
+  EXPECT_EQ(sys.reserve(0, 1), s01);
+  EXPECT_EQ(sys.reserve(2, 2), s22);
 
-    // A new entry is refused by name and the pattern stays as it was.
-    try {
-      sys.reserve(1, 0);
-      FAIL() << "reserve() of a new entry after finalize_pattern()";
-    } catch (const std::logic_error& e) {
-      EXPECT_NE(std::string(e.what()).find("(1, 0)"), std::string::npos)
-          << e.what();
-    }
-    EXPECT_EQ(sys.pattern_entries(), entries);
-
-    // The slot table still addresses the reserved entries.
-    sys.add_at(s01, 2.0);
-    sys.add_at(s22, 3.0);
-    std::vector<double> y;
-    sys.multiply({0.0, 1.0, 1.0}, y);
-    EXPECT_EQ(y, (std::vector<double>{2.0, 0.0, 3.0}));
+  // A new entry is refused by name and the pattern stays as it was.
+  try {
+    sys.reserve(1, 0);
+    FAIL() << "reserve() of a new entry after finalize_pattern()";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("(1, 0)"), std::string::npos)
+        << e.what();
   }
+  EXPECT_EQ(sys.pattern_entries(), entries);
+
+  // The slot table still addresses the reserved entries.
+  sys.add_at(s01, 2.0);
+  sys.add_at(s22, 3.0);
+  std::vector<double> y;
+  sys.multiply({0.0, 1.0, 1.0}, y);
+  EXPECT_EQ(y, (std::vector<double>{2.0, 0.0, 3.0}));
 }
 
 // ---- numeric refactorisation and stats accounting --------------------
 
 TEST(EnginePipeline, NumericRefactorisationUsed) {
-  SolverOptions so;
-  so.force_sparse = true;
-
   Circuit c;
   build_buffer_chain(c);
-  Engine engine(c, so);
+  Engine engine(c);
   engine.solve_op();
 
   const EngineStats& st = engine.stats();
   EXPECT_GT(st.factors, 0);
   EXPECT_GT(st.full_factors, 0);  // at least the first factorisation
   EXPECT_GT(st.numeric_refactors, 0)
-      << "pivot-reuse path never engaged on a multi-iteration sparse op";
+      << "pivot-reuse path never engaged on a multi-iteration op";
   EXPECT_EQ(st.factors, st.full_factors + st.numeric_refactors);
 }
 

@@ -204,19 +204,16 @@ TEST(Ensemble, JunctionDevicesForceLegacyFallback) {
   }
 }
 
-/// Forced-sparse run: lanes must adopt the master pivot sequence and
-/// replay it numerically (numeric refactor, not a fresh pivot search),
-/// and stay bit-identical across job counts.
+/// Lanes must adopt the master pivot sequence and replay it numerically
+/// (numeric refactor, not a fresh pivot search), and stay bit-identical
+/// across job counts.
 TEST(Ensemble, SparseLanesReplayTheNominalPivotSequence) {
-  SolverOptions solver;
-  solver.force_sparse = true;
-  Topology topo(mirror_builder(), solver);
+  Topology topo(mirror_builder());
   ASSERT_TRUE(topo.batchable());
   ASSERT_TRUE(topo.master_system().has_symbolic_factorization());
   const MirrorNodes n = mirror_nodes(topo.circuit());
 
   EnsembleOptions o1;
-  o1.solver = solver;
   o1.jobs = 1;
   o1.block = 16;
   EnsembleOptions o8 = o1;
