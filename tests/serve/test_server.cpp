@@ -4,7 +4,9 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,6 +79,20 @@ serve::JobRequest deck_request(const char* deck) {
   serve::JobRequest request;
   request.deck_text = deck;
   return request;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::istringstream in(read_file(path));
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
 }
 
 TEST(Server, QueuedLineAlwaysPrecedesBegin) {
@@ -320,6 +336,28 @@ TEST(Server, StreamEveryEmitsWaveLines) {
     if (line.rfind("WAVE ", 0) == 0) ++waves;
   }
   EXPECT_GT(waves, 1);
+}
+
+TEST(Server, EveryCardPayloadMatchesGoldenColdAndWarm) {
+  // Every analysis card the runner executes, in deck order, with one
+  // unknown report node and WAVE streaming: the cold reply and the warm
+  // elab-tier reply both match the committed payload byte for byte.
+  const std::vector<std::string> golden =
+      read_lines(SSCL_SERVE_GOLDEN_DIR "/every_card.payload");
+  ASSERT_FALSE(golden.empty());
+  serve::JobRequest request;
+  request.deck_text = read_file(SSCL_EXAMPLE_DECK_DIR "/every_card.sp");
+  request.nodes = {"out", "nosuch", "in"};
+  request.stream_every = 7;
+  Server server(quick_options(1));
+  const Reply cold = submit_sync(server, request);
+  const Reply warm = submit_sync(server, request);
+  ASSERT_EQ(cold.status, "ok");
+  ASSERT_EQ(warm.status, "ok");
+  EXPECT_EQ(envelope_of(cold, "CACHE"), "CACHE cold");
+  EXPECT_EQ(envelope_of(warm, "CACHE"), "CACHE elab");
+  EXPECT_EQ(payload(cold), golden);
+  EXPECT_EQ(payload(warm), golden);
 }
 
 }  // namespace
