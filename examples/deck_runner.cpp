@@ -2,9 +2,9 @@
 /// library's pieces. Reads a deck file (or a built-in demo deck when no
 /// file is given) through the staged netlist front-end (lexer -> AST ->
 /// .param expression evaluation -> hierarchical elaboration), runs every
-/// analysis card it contains and prints the results — operating-point
-/// report, DC sweep table, transient measurements, AC gain/bandwidth,
-/// .measure results.
+/// analysis card it contains through netlist::run_deck and prints the
+/// results — operating-point report, DC sweep table, transient
+/// measurements, AC gain/bandwidth, .measure results.
 ///
 ///   build/examples/deck_runner [--stats] [--trace FILE] [--metrics FILE]
 ///                              [--mc N] [--mc-seed S] [--mc-csv FILE]
@@ -48,14 +48,10 @@
 
 #include "cli_flags.hpp"
 #include "device/op_report.hpp"
-#include "netlist/measure.hpp"
 #include "netlist/netlist.hpp"
-#include "spice/ac.hpp"
-#include "spice/elements.hpp"
-#include "spice/dcsweep.hpp"
+#include "netlist/run.hpp"
 #include "spice/engine.hpp"
 #include "spice/ensemble.hpp"
-#include "spice/transient.hpp"
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
 #include "util/table.hpp"
@@ -100,28 +96,15 @@ int usage(std::ostream& os, int code) {
   return code;
 }
 
-std::vector<sscl::spice::NodeId> pick_nodes(
-    const sscl::spice::Circuit& c, const std::vector<std::string>& wanted) {
-  std::vector<sscl::spice::NodeId> nodes;
-  if (wanted.empty()) {
-    for (int n = 0; n < c.node_count(); ++n) nodes.push_back(n);
-  } else {
-    for (const std::string& name : wanted) {
-      if (auto n = c.find_node(name)) {
-        nodes.push_back(*n);
-      } else {
-        std::fprintf(stderr, "warning: no node named '%s'\n", name.c_str());
-      }
-    }
-  }
-  return nodes;
-}
-
 void print_warnings(const std::vector<sscl::netlist::Diagnostic>& warnings) {
   for (const auto& w : warnings) {
     std::fprintf(stderr, "warning: %s: %s\n", w.location.c_str(),
                  w.message.c_str());
   }
+}
+
+void warn(const std::string& message) {
+  std::fprintf(stderr, "warning: %s\n", message.c_str());
 }
 
 }  // namespace
@@ -232,7 +215,8 @@ int main(int argc, char** argv) {
       spice::Topology topo([text, parse_options]() {
         return std::move(netlist::parse_netlist(text, parse_options).circuit);
       });
-      const auto nodes = pick_nodes(topo.circuit(), wanted_nodes);
+      const auto nodes =
+          netlist::pick_nodes(topo.circuit(), wanted_nodes, warn);
       spice::EnsembleOptions mc_opts;
       mc_opts.jobs = jobs;
       spice::EnsembleEngine mc(topo, mc_opts);
@@ -287,119 +271,56 @@ int main(int argc, char** argv) {
     }
 
     spice::Engine engine(*deck.circuit);
-    const auto nodes = pick_nodes(*deck.circuit, wanted_nodes);
+    const auto nodes = netlist::pick_nodes(*deck.circuit, wanted_nodes, warn);
+    netlist::seed_nodesets(deck, engine, warn);
 
-    // .ic and .nodeset both seed the operating-point Newton start (the
-    // engine has no transient-UIC path, so .ic is a strong hint, not a
-    // constraint — documented in docs/NETLIST.md).
-    for (const auto& list : {deck.ics, deck.nodesets}) {
-      for (const netlist::IcSpec& ic : list) {
-        if (auto n = deck.circuit->find_node(ic.node)) {
-          engine.set_nodeset(*n, ic.volts);
-        } else {
-          std::fprintf(stderr, "warning: .ic/.nodeset on unknown node '%s'\n",
-                       ic.node.c_str());
-        }
+    netlist::DeckHooks hooks;
+    hooks.warn = warn;
+    hooks.op = [&](const spice::Solution& op) {
+      device::print_op_report(device::collect_op_report(*deck.circuit, op),
+                              std::cout);
+    };
+    hooks.dc = [&](const netlist::AnalysisCard& card,
+                   const spice::DcSweepResult& dc) {
+      std::vector<std::string> headers = {card.sweep_source};
+      for (auto n : nodes) headers.push_back("v(" + deck.circuit->node_name(n) + ")");
+      util::Table t(headers);
+      for (std::size_t i = 0; i < dc.values.size(); ++i) {
+        t.row().add(dc.values[i], 4);
+        for (auto n : nodes) t.add_unit(dc.solutions[i].v(n), "V");
       }
-    }
-
-    // The last transient waveform / DC sweep feed the .measure engine.
-    spice::Waveform tran_result;
-    spice::DcSweepResult dc_result;
-
-    for (const netlist::AnalysisCard& card : deck.analyses) {
-      switch (card.kind) {
-        case netlist::AnalysisCard::Kind::kOp: {
-          const spice::Solution op = engine.solve_op();
-          device::print_op_report(
-              device::collect_op_report(*deck.circuit, op), std::cout);
-          break;
-        }
-        case netlist::AnalysisCard::Kind::kDc: {
-          auto* src = dynamic_cast<spice::VoltageSource*>(
-              deck.circuit->find_device(card.sweep_source));
-          auto* isrc = dynamic_cast<spice::CurrentSource*>(
-              deck.circuit->find_device(card.sweep_source));
-          if (!src && !isrc) {
-            std::fprintf(stderr, ".dc: unknown source %s\n",
-                         card.sweep_source.c_str());
-            break;
-          }
-          // The sweep mutates the source's spec; restore it so later
-          // analyses of the deck see the source as written.
-          const spice::SourceSpec saved = src ? src->spec() : isrc->spec();
-          auto set_source = [&](const spice::SourceSpec& spec) {
-            if (src) src->set_spec(spec);
-            if (isrc) isrc->set_spec(spec);
-          };
-          std::vector<double> values;
-          for (double v = card.sweep_start; v <= card.sweep_stop + 1e-15;
-               v += card.sweep_step) {
-            values.push_back(v);
-          }
-          try {
-            dc_result = run_dc_sweep(engine, values, [&](double v) {
-              set_source(spice::SourceSpec::dc(v));
-            });
-          } catch (...) {
-            set_source(saved);
-            throw;
-          }
-          set_source(saved);
-          std::vector<std::string> headers = {card.sweep_source};
-          for (auto n : nodes) headers.push_back("v(" + deck.circuit->node_name(n) + ")");
-          util::Table t(headers);
-          for (std::size_t i = 0; i < values.size(); ++i) {
-            t.row().add(values[i], 4);
-            for (auto n : nodes) t.add_unit(dc_result.solutions[i].v(n), "V");
-          }
-          std::cout << t;
-          break;
-        }
-        case netlist::AnalysisCard::Kind::kTran: {
-          spice::TransientOptions opts;
-          opts.tstop = card.tstop;
-          tran_result = run_transient(engine, opts);
-          const spice::Waveform& w = tran_result;
-          util::Table t({"node", "t=0", "min", "max", "final"});
-          for (auto n : nodes) {
-            t.row()
-                .add(deck.circuit->node_name(n))
-                .add_unit(w.value(n, 0), "V")
-                .add_unit(w.minimum(n), "V")
-                .add_unit(w.maximum(n), "V")
-                .add_unit(w.final_value(n), "V");
-          }
-          std::cout << ".tran " << util::format_si(card.tstop, "s", 3) << " ("
-                    << w.size() << " points)\n"
-                    << t;
-          break;
-        }
-        case netlist::AnalysisCard::Kind::kAc: {
-          const spice::AcResult ac = run_ac_decade(
-              engine, card.f_start, card.f_stop, card.points_per_decade);
-          util::Table t({"node", "|H| @fstart", "f(-3dB)"});
-          for (auto n : nodes) {
-            t.row()
-                .add(deck.circuit->node_name(n))
-                .add(ac.low_frequency_gain(n), 4)
-                .add_unit(ac.bandwidth_3db(n), "Hz");
-          }
-          std::cout << ".ac " << util::format_si(card.f_start, "Hz", 3) << " .. "
-                    << util::format_si(card.f_stop, "Hz", 3) << "\n"
-                    << t;
-          break;
-        }
+      std::cout << t;
+    };
+    hooks.tran = [&](const netlist::AnalysisCard& card,
+                     const spice::Waveform& w) {
+      util::Table t({"node", "t=0", "min", "max", "final"});
+      for (auto n : nodes) {
+        t.row()
+            .add(deck.circuit->node_name(n))
+            .add_unit(w.value(n, 0), "V")
+            .add_unit(w.minimum(n), "V")
+            .add_unit(w.maximum(n), "V")
+            .add_unit(w.final_value(n), "V");
       }
-    }
-
-    if (!deck.measures.empty()) {
-      netlist::MeasureInput input;
-      input.circuit = deck.circuit.get();
-      input.tran = tran_result.empty() ? nullptr : &tran_result;
-      input.dc = dc_result.values.empty() ? nullptr : &dc_result;
-      input.params = &deck.params;
-      const auto results = netlist::run_measures(deck.measures, input);
+      std::cout << ".tran " << util::format_si(card.tstop, "s", 3) << " ("
+                << w.size() << " points)\n"
+                << t;
+    };
+    hooks.ac = [&](const netlist::AnalysisCard& card,
+                   const spice::AcResult& ac) {
+      util::Table t({"node", "|H| @fstart", "f(-3dB)"});
+      for (auto n : nodes) {
+        t.row()
+            .add(deck.circuit->node_name(n))
+            .add(ac.low_frequency_gain(n), 4)
+            .add_unit(ac.bandwidth_3db(n), "Hz");
+      }
+      std::cout << ".ac " << util::format_si(card.f_start, "Hz", 3) << " .. "
+                << util::format_si(card.f_stop, "Hz", 3) << "\n"
+                << t;
+    };
+    std::vector<netlist::MeasureResult> measured;
+    hooks.measures = [&](const std::vector<netlist::MeasureResult>& results) {
       util::Table t({"measure", "value"});
       for (const auto& r : results) {
         t.row().add(r.name);
@@ -410,14 +331,17 @@ int main(int argc, char** argv) {
         }
       }
       std::cout << ".measure results\n" << t;
-      if (!measure_csv.empty()) {
-        std::ofstream out(measure_csv);
-        if (!out) {
-          std::fprintf(stderr, "cannot write %s\n", measure_csv.c_str());
-          return 1;
-        }
-        out << netlist::measures_to_csv(results);
+      measured = results;
+    };
+    netlist::run_deck(deck, engine, hooks);
+
+    if (!measure_csv.empty() && !deck.measures.empty()) {
+      std::ofstream out(measure_csv);
+      if (!out) {
+        std::fprintf(stderr, "cannot write %s\n", measure_csv.c_str());
+        return 1;
       }
+      out << netlist::measures_to_csv(measured);
     }
 
     if (want_stats) {

@@ -1,50 +1,31 @@
 #include "serve/runner.hpp"
 
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "netlist/measure.hpp"
+#include "netlist/run.hpp"
 #include "serve/protocol.hpp"
-#include "spice/ac.hpp"
-#include "spice/dcsweep.hpp"
-#include "spice/elements.hpp"
-#include "spice/transient.hpp"
 #include "trace/trace.hpp"
 
 namespace sscl::serve {
 
 namespace {
 
-/// Thrown from the DC-sweep setter / analysis-boundary checks when the
-/// job's cancel token fires; converted to a terminal status below.
-struct JobInterrupted {};
-
-std::vector<spice::NodeId> pick_nodes(const spice::Circuit& circuit,
-                                      const std::vector<std::string>& wanted,
-                                      const Sink& sink) {
-  std::vector<spice::NodeId> nodes;
-  if (wanted.empty()) {
-    for (int n = 0; n < circuit.node_count(); ++n) nodes.push_back(n);
-    return nodes;
+const char* analysis_span(netlist::AnalysisCard::Kind kind) {
+  switch (kind) {
+    case netlist::AnalysisCard::Kind::kOp: return "serve.analysis.op";
+    case netlist::AnalysisCard::Kind::kDc: return "serve.analysis.dc";
+    case netlist::AnalysisCard::Kind::kTran: return "serve.analysis.tran";
+    case netlist::AnalysisCard::Kind::kAc: return "serve.analysis.ac";
   }
-  for (const std::string& name : wanted) {
-    if (auto n = circuit.find_node(name)) {
-      nodes.push_back(*n);
-    } else {
-      sink("WARN no node named '" + name + "'");
-    }
-  }
-  return nodes;
+  return "serve.analysis";
 }
 
 double node_of(const std::vector<double>& x, spice::NodeId n) {
   return n == spice::kGround ? 0.0 : x[static_cast<std::size_t>(n)];
-}
-
-void check(run::CancelToken& token) {
-  if (token.stop_requested()) throw JobInterrupted{};
 }
 
 }  // namespace
@@ -56,6 +37,7 @@ JobStatus run_job(CacheEntry& entry, const JobRequest& request,
   std::lock_guard<std::mutex> run_lock(entry.run_mutex());
   netlist::Deck& deck = entry.deck();
   spice::Engine& engine = entry.engine();
+  const spice::Circuit& circuit = *deck.circuit;
 
   sink("TITLE " + deck.title);
   // Warnings live on the cached Deck, so warm replies repeat them and
@@ -68,142 +50,79 @@ JobStatus run_job(CacheEntry& entry, const JobRequest& request,
   // state, nodesets) so a warm rerun is bit-identical to a cold one;
   // the symbolic factorisation survives on purpose (engine.hpp).
   engine.reset_runtime();
-  for (const auto* list : {&deck.ics, &deck.nodesets}) {
-    for (const netlist::IcSpec& ic : *list) {
-      if (auto n = deck.circuit->find_node(ic.node)) {
-        engine.set_nodeset(*n, ic.volts);
-      } else {
-        sink("WARN .ic/.nodeset on unknown node '" + ic.node + "'");
-      }
-    }
-  }
-
+  const netlist::Warn warn = [&](const std::string& m) { sink("WARN " + m); };
+  netlist::seed_nodesets(deck, engine, warn);
   const std::vector<spice::NodeId> nodes =
-      pick_nodes(*deck.circuit, request.nodes, sink);
+      netlist::pick_nodes(circuit, request.nodes, warn);
 
-  spice::Waveform tran_result;
-  spice::DcSweepResult dc_result;
+  // One "prefix v v v" payload line over the reported nodes.
+  auto row = [&](std::string line, auto&& value_of) {
+    for (auto n : nodes) {
+      line += ' ';
+      line += fmt_g17(value_of(n));
+    }
+    sink(line);
+  };
+
+  std::optional<trace::Span> span;
+  long long accepted = 0;  // WAVE points count from each .tran's t = 0
+  netlist::DeckHooks hooks;
+  hooks.warn = warn;
+  hooks.stop = [&] { return token.stop_requested(); };
+  hooks.begin = [&](const netlist::AnalysisCard* card) {
+    span.reset();
+    span.emplace(card ? analysis_span(card->kind) : "serve.measures",
+                 "serve");
+    accepted = 0;
+  };
+  hooks.op = [&](const spice::Solution& op) {
+    for (auto n : nodes) {
+      sink("OP v(" + circuit.node_name(n) + ") " + fmt_g17(op.v(n)));
+    }
+  };
+  hooks.dc = [&](const netlist::AnalysisCard&,
+                 const spice::DcSweepResult& dc) {
+    for (std::size_t i = 0; i < dc.values.size(); ++i) {
+      row("DC " + fmt_g17(dc.values[i]),
+          [&](spice::NodeId n) { return dc.solutions[i].v(n); });
+    }
+  };
+  hooks.tran_step = [&](double t, const std::vector<double>& x) {
+    if (request.stream_every > 0 && accepted % request.stream_every == 0) {
+      row("WAVE " + fmt_g17(t), [&](spice::NodeId n) { return node_of(x, n); });
+    }
+    ++accepted;
+  };
+  hooks.tran = [&](const netlist::AnalysisCard&, const spice::Waveform& w) {
+    sink("TRAN points " + std::to_string(w.size()));
+    for (auto n : nodes) {
+      sink("TRAN v(" + circuit.node_name(n) + ") " + fmt_g17(w.value(n, 0)) +
+           ' ' + fmt_g17(w.minimum(n)) + ' ' + fmt_g17(w.maximum(n)) + ' ' +
+           fmt_g17(w.final_value(n)));
+    }
+  };
+  hooks.ac = [&](const netlist::AnalysisCard&, const spice::AcResult& ac) {
+    sink("AC points " + std::to_string(ac.size()));
+    for (auto n : nodes) {
+      sink("AC v(" + circuit.node_name(n) + ") " +
+           fmt_g17(ac.low_frequency_gain(n)) + ' ' +
+           fmt_g17(ac.bandwidth_3db(n)));
+    }
+  };
+  hooks.measures = [&](const std::vector<netlist::MeasureResult>& results) {
+    // Reuse the deterministic CSV rows (name,value,error; %.17g) so
+    // serve output diffs cleanly against deck_runner --measure-csv.
+    std::istringstream csv(netlist::measures_to_csv(results));
+    std::string line;
+    std::getline(csv, line);  // drop the header
+    while (std::getline(csv, line)) {
+      if (!line.empty()) sink("MEASURE " + line);
+    }
+  };
 
   try {
-    for (const netlist::AnalysisCard& card : deck.analyses) {
-      check(token);
-      switch (card.kind) {
-        case netlist::AnalysisCard::Kind::kOp: {
-          trace::Span span("serve.analysis.op", "serve");
-          const spice::Solution op = engine.solve_op();
-          for (auto n : nodes) {
-            sink("OP v(" + deck.circuit->node_name(n) + ") " +
-                 fmt_g17(op.v(n)));
-          }
-          break;
-        }
-        case netlist::AnalysisCard::Kind::kDc: {
-          trace::Span span("serve.analysis.dc", "serve");
-          auto* vsrc = dynamic_cast<spice::VoltageSource*>(
-              deck.circuit->find_device(card.sweep_source));
-          auto* isrc = dynamic_cast<spice::CurrentSource*>(
-              deck.circuit->find_device(card.sweep_source));
-          if (!vsrc && !isrc) {
-            sink("WARN .dc: unknown source " + card.sweep_source);
-            break;
-          }
-          // The sweep mutates the source's spec; save it so the cached
-          // circuit re-runs identically next time.
-          const spice::SourceSpec saved =
-              vsrc ? vsrc->spec() : isrc->spec();
-          std::vector<double> values;
-          for (double v = card.sweep_start; v <= card.sweep_stop + 1e-15;
-               v += card.sweep_step) {
-            values.push_back(v);
-          }
-          try {
-            dc_result = run_dc_sweep(engine, values, [&](double v) {
-              check(token);
-              if (vsrc) vsrc->set_spec(spice::SourceSpec::dc(v));
-              if (isrc) isrc->set_spec(spice::SourceSpec::dc(v));
-            });
-          } catch (...) {
-            if (vsrc) vsrc->set_spec(saved);
-            if (isrc) isrc->set_spec(saved);
-            throw;
-          }
-          if (vsrc) vsrc->set_spec(saved);
-          if (isrc) isrc->set_spec(saved);
-          for (std::size_t i = 0; i < values.size(); ++i) {
-            std::string line = "DC " + fmt_g17(values[i]);
-            for (auto n : nodes) {
-              line += ' ';
-              line += fmt_g17(dc_result.solutions[i].v(n));
-            }
-            sink(line);
-          }
-          break;
-        }
-        case netlist::AnalysisCard::Kind::kTran: {
-          trace::Span span("serve.analysis.tran", "serve");
-          spice::TransientOptions opts;
-          opts.tstop = card.tstop;
-          long long accepted = 0;
-          opts.on_accept = [&](double t, const std::vector<double>& x) {
-            if (token.stop_requested()) return false;
-            if (request.stream_every > 0 &&
-                accepted % request.stream_every == 0) {
-              std::string line = "WAVE " + fmt_g17(t);
-              for (auto n : nodes) {
-                line += ' ';
-                line += fmt_g17(node_of(x, n));
-              }
-              sink(line);
-            }
-            ++accepted;
-            return true;
-          };
-          tran_result = run_transient(engine, opts);
-          const spice::Waveform& w = tran_result;
-          sink("TRAN points " + std::to_string(w.size()));
-          for (auto n : nodes) {
-            sink("TRAN v(" + deck.circuit->node_name(n) + ") " +
-                 fmt_g17(w.value(n, 0)) + ' ' + fmt_g17(w.minimum(n)) + ' ' +
-                 fmt_g17(w.maximum(n)) + ' ' + fmt_g17(w.final_value(n)));
-          }
-          break;
-        }
-        case netlist::AnalysisCard::Kind::kAc: {
-          trace::Span span("serve.analysis.ac", "serve");
-          const spice::AcResult ac = run_ac_decade(
-              engine, card.f_start, card.f_stop, card.points_per_decade);
-          sink("AC points " + std::to_string(ac.size()));
-          for (auto n : nodes) {
-            sink("AC v(" + deck.circuit->node_name(n) + ") " +
-                 fmt_g17(ac.low_frequency_gain(n)) + ' ' +
-                 fmt_g17(ac.bandwidth_3db(n)));
-          }
-          break;
-        }
-      }
-    }
-
-    if (!deck.measures.empty()) {
-      check(token);
-      trace::Span span("serve.measures", "serve");
-      netlist::MeasureInput input;
-      input.circuit = deck.circuit.get();
-      input.tran = tran_result.empty() ? nullptr : &tran_result;
-      input.dc = dc_result.values.empty() ? nullptr : &dc_result;
-      input.params = &deck.params;
-      const auto results = netlist::run_measures(deck.measures, input);
-      // Reuse the deterministic CSV rows (name,value,error; %.17g) so
-      // serve output diffs cleanly against deck_runner --measure-csv.
-      std::istringstream csv(netlist::measures_to_csv(results));
-      std::string row;
-      std::getline(csv, row);  // drop the header
-      while (std::getline(csv, row)) {
-        if (!row.empty()) sink("MEASURE " + row);
-      }
-    }
-  } catch (const spice::TransientAborted&) {
-    return token.expired() ? JobStatus::kTimeout : JobStatus::kCancelled;
-  } catch (const JobInterrupted&) {
+    netlist::run_deck(deck, engine, hooks);
+  } catch (const netlist::DeckStopped&) {
     return token.expired() ? JobStatus::kTimeout : JobStatus::kCancelled;
   } catch (const std::exception& e) {
     sink(std::string("ERROR ") + e.what());

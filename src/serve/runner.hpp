@@ -2,11 +2,11 @@
 
 /// \file runner.hpp
 /// Executes one admitted job against a cache entry: resets the shared
-/// engine to its just-elaborated condition, runs every analysis card in
-/// the deck and streams the results as protocol payload lines
-/// (docs/SERVE.md). Cooperative cancellation/timeout is checked between
-/// analyses, at every DC sweep point and at every accepted transient
-/// step.
+/// engine to its just-elaborated condition, runs the deck's cards
+/// through netlist::run_deck and streams the results as protocol
+/// payload lines (docs/SERVE.md). Cooperative cancellation/timeout is
+/// checked between analyses, at every DC sweep point and at every
+/// accepted transient step.
 
 #include "run/cancel.hpp"
 #include "serve/cache.hpp"
