@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cctype>
+#include <climits>
+#include <cmath>
 #include <set>
 
 #include "device/diode.hpp"
@@ -663,9 +665,19 @@ class Elaborator {
 
   // ---- analyses / ic / measure ---------------------------------------
 
+  /// Analysis cards must describe a finite run: a degenerate one would
+  /// otherwise grow a sweep until allocation fails or fail inside the
+  /// engine with no location.
   void parse_analysis_card(const Card& card) {
     const auto& tok = card.line.tokens;
-    const ParamEnv& env = global_scope_.env;
+    const SourceLoc& loc = card.line.loc;
+    auto value = [&](const Token& t) {
+      const double v = eval_tok(t, global_scope_.env);
+      if (!std::isfinite(v)) {
+        fail(loc, lowercase(tok[0].text) + ": '" + t.text + "' is not finite");
+      }
+      return v;
+    };
     AnalysisCard a;
     switch (card.kind) {
       case CardKind::kOp:
@@ -673,29 +685,40 @@ class Elaborator {
         break;
       case CardKind::kTran: {
         // .tran [tstep] tstop  (tstep recorded, auto-stepping engine)
-        if (tok.size() < 2) fail(card.line.loc, ".tran needs tstop");
+        if (tok.size() < 2) fail(loc, ".tran needs tstop");
         a.kind = AnalysisCard::Kind::kTran;
-        a.tstop = eval_tok(tok.back(), env);
-        if (tok.size() > 2) a.tstep = eval_tok(tok[1], env);
+        a.tstop = value(tok.back());
+        if (tok.size() > 2) a.tstep = value(tok[1]);
+        if (a.tstop <= 0) fail(loc, ".tran needs tstop > 0");
         break;
       }
       case CardKind::kAc: {
         if (tok.size() < 5 || lowercase(tok[1].text) != "dec") {
-          fail(card.line.loc, ".ac expects: .ac dec N fstart fstop");
+          fail(loc, ".ac expects: .ac dec N fstart fstop");
         }
         a.kind = AnalysisCard::Kind::kAc;
-        a.points_per_decade = static_cast<int>(eval_tok(tok[2], env));
-        a.f_start = eval_tok(tok[3], env);
-        a.f_stop = eval_tok(tok[4], env);
+        const double count = value(tok[2]);
+        a.f_start = value(tok[3]);
+        a.f_stop = value(tok[4]);
+        if (count < 1 || count > INT_MAX || count != std::floor(count)) {
+          fail(loc, ".ac point count must be a whole number in [1, " +
+                        std::to_string(INT_MAX) + "]");
+        }
+        a.points_per_decade = static_cast<int>(count);
+        if (a.f_start <= 0 || a.f_stop < a.f_start) {
+          fail(loc, ".ac needs 0 < fstart <= fstop");
+        }
         break;
       }
       case CardKind::kDc: {
-        if (tok.size() < 5) fail(card.line.loc, ".dc source start stop step");
+        if (tok.size() < 5) fail(loc, ".dc source start stop step");
         a.kind = AnalysisCard::Kind::kDc;
         a.sweep_source = tok[1].text;
-        a.sweep_start = eval_tok(tok[2], env);
-        a.sweep_stop = eval_tok(tok[3], env);
-        a.sweep_step = eval_tok(tok[4], env);
+        a.sweep_start = value(tok[2]);
+        a.sweep_stop = value(tok[3]);
+        a.sweep_step = value(tok[4]);
+        if (a.sweep_step <= 0) fail(loc, ".dc needs step > 0");
+        if (a.sweep_stop < a.sweep_start) fail(loc, ".dc needs stop >= start");
         break;
       }
       default:

@@ -1,7 +1,6 @@
 #include "netlist/measure.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 
@@ -11,11 +10,6 @@
 namespace sscl::netlist {
 
 namespace {
-
-std::string lowercase(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return s;
-}
 
 /// A probe resolved against one analysis: y(x) samples on a shared,
 /// monotonically non-decreasing x axis (time for tran, the swept value
@@ -37,13 +31,7 @@ struct MeasureFail {
 /// voltage sources and inductors carry their current as an unknown.
 spice::BranchId current_branch(const spice::Circuit& circuit,
                                const std::string& ref) {
-  const spice::Device* found = nullptr;
-  for (const auto& dev : circuit.devices()) {
-    if (lowercase(dev->name()) == ref) {
-      found = dev.get();
-      break;
-    }
-  }
+  const spice::Device* found = circuit.find_device(ref);
   if (!found) fail("unknown device '" + ref + "' in i(...)");
   if (const auto* v = dynamic_cast<const spice::VoltageSource*>(found)) {
     return v->branch();

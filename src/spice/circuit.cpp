@@ -59,8 +59,9 @@ Device* Circuit::add_device(std::unique_ptr<Device> device) {
 }
 
 Device* Circuit::find_device(std::string_view name) const {
+  const std::string key = lowercase(name);
   for (const auto& d : devices_) {
-    if (d->name() == name) return d.get();
+    if (lowercase(d->name()) == key) return d.get();
   }
   return nullptr;
 }

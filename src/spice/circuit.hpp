@@ -74,7 +74,8 @@ class Circuit {
 
   Device* add_device(std::unique_ptr<Device> device);
 
-  /// Find a device by instance name (nullptr if absent).
+  /// Find a device by instance name, case-insensitively like node
+  /// names (nullptr if absent).
   Device* find_device(std::string_view name) const;
 
   const std::vector<std::unique_ptr<Device>>& devices() const {

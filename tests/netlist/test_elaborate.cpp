@@ -7,16 +7,8 @@
 namespace sscl::netlist {
 namespace {
 
-const spice::Device* find_device(const spice::Circuit& c,
-                                 const std::string& name) {
-  for (const auto& dev : c.devices()) {
-    if (dev->name() == name) return dev.get();
-  }
-  return nullptr;
-}
-
 spice::DeviceInfo mos_info(const spice::Circuit& c, const std::string& name) {
-  const spice::Device* dev = find_device(c, name);
+  const spice::Device* dev = c.find_device(name);
   EXPECT_NE(dev, nullptr) << name;
   spice::DeviceInfo info;
   EXPECT_TRUE(dev->describe(info));
@@ -37,11 +29,11 @@ Xb b c vdd inv
 )");
   const spice::Circuit& c = *deck.circuit;
   // Flat devices carry the dotted hierarchical path...
-  EXPECT_NE(find_device(c, "xa.mp"), nullptr);
-  EXPECT_NE(find_device(c, "xa.mn"), nullptr);
-  EXPECT_NE(find_device(c, "xb.mn"), nullptr);
+  EXPECT_NE(c.find_device("xa.mp"), nullptr);
+  EXPECT_NE(c.find_device("xa.mn"), nullptr);
+  EXPECT_NE(c.find_device("xb.mn"), nullptr);
   // ...top-level elements keep their original spelling.
-  EXPECT_NE(find_device(c, "Vdd"), nullptr);
+  EXPECT_NE(c.find_device("Vdd"), nullptr);
 
   // Ports map onto the caller's nodes: xa drives b, xb reads it.
   const auto info_a = mos_info(c, "xa.mn");
@@ -66,7 +58,7 @@ X1 in 0 rdiv
   const spice::Circuit& c = *deck.circuit;
   EXPECT_TRUE(c.find_node("x1.mid").has_value());
   EXPECT_FALSE(c.find_node("mid").has_value());
-  EXPECT_NE(find_device(c, "x1.r1"), nullptr);
+  EXPECT_NE(c.find_device("x1.r1"), nullptr);
 }
 
 TEST(Elaborate, GlobalNodesBypassPrefixing) {
@@ -177,7 +169,7 @@ Xt in top
   ParseOptions roomy;
   roomy.max_subckt_depth = 3;
   const Deck deck = parse_netlist(text, roomy);
-  EXPECT_NE(find_device(*deck.circuit, "xt.x1.x1.r1"), nullptr);
+  EXPECT_NE(deck.circuit->find_device("xt.x1.x1.r1"), nullptr);
 }
 
 TEST(Elaborate, UnknownCardWarnsByDefaultFailsStrict) {
@@ -250,6 +242,44 @@ R1 in 0 1k
 
   EXPECT_EQ(deck.measures[1].kind, MeasureSpec::Kind::kParam);
   EXPECT_EQ(deck.measures[1].expr, "vdd*2");
+}
+
+TEST(Elaborate, DegenerateAnalysisCardsFailAtTheCard) {
+  // Each card used to elaborate: the .dc and .ac ones then grew a sweep
+  // until allocation failed (or printed 0 Hz bandwidths), and .tran 0
+  // failed inside the engine with no location.
+  struct Case {
+    const char* card;
+    const char* message;
+  };
+  const Case cases[] = {
+      {".dc V1 0 1 0", ".dc needs step > 0"},
+      {".dc V1 0 1 -0.25", ".dc needs step > 0"},
+      {".dc V1 1 0 0.25", ".dc needs stop >= start"},
+      {".dc V1 0 '1/0' 0.25", ".dc: '1/0' is not finite"},
+      {".ac dec 0 1 1meg", ".ac point count must be a whole number"},
+      {".ac dec -3 1 1meg", ".ac point count must be a whole number"},
+      {".ac dec 2.5 1 1meg", ".ac point count must be a whole number"},
+      {".ac dec 1e10 1 1meg", ".ac point count must be a whole number"},
+      {".ac dec 10 1meg 1", ".ac needs 0 < fstart <= fstop"},
+      {".ac dec 10 0 1meg", ".ac needs 0 < fstart <= fstop"},
+      {".ac dec 10 1 1e999", ".ac: '1e999' is not finite"},
+      {".tran 0", ".tran needs tstop > 0"},
+      {".tran 1n -1n", ".tran needs tstop > 0"},
+      {".tran 1n '1/0'", ".tran: '1/0' is not finite"},
+  };
+  for (const Case& c : cases) {
+    const std::string text =
+        std::string("degenerate\nV1 in 0 1\nR1 in 0 1k\n") + c.card + "\n.end\n";
+    try {
+      parse_netlist(text);
+      ADD_FAILURE() << c.card << ": expected NetlistError";
+    } catch (const NetlistError& e) {
+      EXPECT_EQ(e.location(), "<deck>:4:1") << c.card;
+      EXPECT_NE(e.message().find(c.message), std::string::npos)
+          << c.card << ": " << e.message();
+    }
+  }
 }
 
 TEST(Elaborate, LegacyErrorMessagesSurviveTheShim) {

@@ -261,6 +261,9 @@ TEST(Server, CancelRunningJobProducesEndCancelled) {
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return done; });
   EXPECT_EQ(lines.back(), "END cancelled");
+  // Admission runs this sink under the scheduler lock, which stats()
+  // takes too: release mu first so both paths lock in the same order.
+  lock.unlock();
   EXPECT_EQ(server.stats().jobs_cancelled, 1);
 }
 
@@ -336,6 +339,30 @@ TEST(Server, StreamEveryEmitsWaveLines) {
     if (line.rfind("WAVE ", 0) == 0) ++waves;
   }
   EXPECT_GT(waves, 1);
+}
+
+TEST(Server, DcSourceNameIsCaseInsensitive) {
+  // The deck spells the source v1 and the .dc card V1: the sweep runs,
+  // with no unknown-source warning, and the dc measure sees it.
+  Server server(quick_options(1));
+  const Reply reply = submit_sync(server, deck_request("* mixed case\n"
+                                                       "v1 in 0 1\n"
+                                                       "r1 in out 1k\n"
+                                                       "r2 out 0 1k\n"
+                                                       ".dc V1 0 1 0.5\n"
+                                                       ".measure dc vo find "
+                                                       "v(out) at=1\n"
+                                                       ".end\n"));
+  ASSERT_EQ(reply.status, "ok");
+  int dc_lines = 0;
+  for (const std::string& line : payload(reply)) {
+    EXPECT_NE(line.rfind("WARN", 0), 0u) << line;
+    if (line.rfind("DC ", 0) == 0) ++dc_lines;
+  }
+  EXPECT_EQ(dc_lines, 3);
+  const std::string measure = envelope_of(reply, "MEASURE");
+  EXPECT_EQ(measure.rfind("MEASURE vo,", 0), 0u) << measure;
+  EXPECT_EQ(measure.find("failed"), std::string::npos) << measure;
 }
 
 TEST(Server, EveryCardPayloadMatchesGoldenColdAndWarm) {

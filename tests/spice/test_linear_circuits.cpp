@@ -175,6 +175,7 @@ TEST(Circuit, FindDevice) {
   Circuit c;
   c.add<Resistor>("R1", c.node("a"), kGround, 1.0e3);
   EXPECT_NE(c.find_device("R1"), nullptr);
+  EXPECT_EQ(c.find_device("r1"), c.find_device("R1"));  // case-insensitive
   EXPECT_EQ(c.find_device("R2"), nullptr);
 }
 
