@@ -5,7 +5,7 @@
 /// a standalone binary that prints the table/series of one paper figure
 /// and drops a CSV next to it for replotting. All benches share one CLI
 /// (--jobs/--seed/--csv/--trace/--metrics) and drive their sweeps
-/// through run::Sweep, so a bench's numbers are bit-identical at every
+/// through run::sweep, so a bench's numbers are bit-identical at every
 /// --jobs value (the determinism contract of docs/RUNNER.md).
 
 #include <cstdio>
@@ -120,9 +120,8 @@ void sweep_table(const Args& args, const std::vector<std::string>& headers,
                  const std::vector<std::string>& csv_columns,
                  const std::vector<P>& points, TaskFn&& task, EmitFn&& emit,
                  int jobs_override = -1) {
-  run::SweepOptions opts;
-  opts.jobs = jobs_override >= 0 ? jobs_override : args.jobs;
-  auto result = run::sweep(points, std::forward<TaskFn>(task), opts);
+  const int jobs = jobs_override >= 0 ? jobs_override : args.jobs;
+  auto result = run::sweep(points, std::forward<TaskFn>(task), jobs);
 
   util::Table table(headers);
   std::optional<util::CsvWriter> csv;
@@ -136,7 +135,7 @@ void sweep_table(const Args& args, const std::vector<std::string>& headers,
   }
   std::cout << table;
   std::printf("[run] %zu point(s) on %d job(s) in %.2f s\n", points.size(),
-              run::resolve_jobs(opts.jobs), result.wall_seconds);
+              run::resolve_jobs(jobs), result.wall_seconds);
 }
 
 }  // namespace sscl::bench

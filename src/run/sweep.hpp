@@ -3,9 +3,8 @@
 /// \file sweep.hpp
 /// The experiment driver every bench runs on: a vector of sweep points,
 /// a task mapping (point, index) -> result, and a deterministic parallel
-/// execution with ordered collection. Per-task wall time and retry
-/// counts are recorded; an optional progress callback fires (serialised)
-/// after each completed point.
+/// execution with ordered collection. Each point runs under a
+/// `sweep_point` trace span that carries its index.
 ///
 /// Determinism contract: the task must be a pure function of its point
 /// and index -- any randomness comes from a root util::Rng forked by the
@@ -13,13 +12,9 @@
 /// Under that contract results (and therefore tables/CSVs) are
 /// bit-identical for every jobs value. See docs/RUNNER.md.
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <functional>
-#include <mutex>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "run/parallel_for.hpp"
@@ -27,109 +22,30 @@
 
 namespace sscl::run {
 
-struct TaskStats {
-  double wall_seconds = 0.0;  ///< duration of the successful attempt
-  int retries = 0;            ///< failed attempts before it
-};
-
-struct SweepOptions {
-  int jobs = 1;         ///< worker threads; 0 = one per core
-  int max_retries = 0;  ///< extra attempts after a throwing task
-  /// Called after each completed point with (done, total). Invocations
-  /// are serialised under a mutex, so the callback may print.
-  std::function<void(std::size_t, std::size_t)> progress;
-};
-
 template <typename R>
 struct SweepResult {
-  std::vector<R> results;       ///< ordered as the input points
-  std::vector<TaskStats> stats;  ///< parallel to results
-  double wall_seconds = 0.0;    ///< whole-sweep wall time
-
-  int total_retries() const {
-    int n = 0;
-    for (const TaskStats& s : stats) n += s.retries;
-    return n;
-  }
+  std::vector<R> results;     ///< ordered as the input points
+  double wall_seconds = 0.0;  ///< whole-sweep wall time
 };
 
-template <typename P, typename R>
-class Sweep {
- public:
-  using Task = std::function<R(const P&, std::size_t)>;
-
-  Sweep(std::vector<P> points, Task task)
-      : points_(std::move(points)), task_(std::move(task)) {}
-
-  Sweep& jobs(int n) {
-    opts_.jobs = n;
-    return *this;
-  }
-  Sweep& retries(int n) {
-    opts_.max_retries = n;
-    return *this;
-  }
-  Sweep& on_progress(std::function<void(std::size_t, std::size_t)> cb) {
-    opts_.progress = std::move(cb);
-    return *this;
-  }
-  Sweep& options(SweepOptions opts) {
-    opts_ = std::move(opts);
-    return *this;
-  }
-
-  SweepResult<R> run() const {
-    using clock = std::chrono::steady_clock;
-    const std::size_t n = points_.size();
-    SweepResult<R> out;
-    out.results.resize(n);
-    out.stats.resize(n);
-
-    std::atomic<std::size_t> done{0};
-    std::mutex progress_mutex;
-    const auto sweep_start = clock::now();
-    parallel_for(n, opts_.jobs, [&](std::size_t i) {
-      trace::Span span("sweep_point", "task", "index",
-                       static_cast<long long>(i));
-      TaskStats& st = out.stats[i];
-      for (;;) {
-        const auto task_start = clock::now();
-        try {
-          out.results[i] = task_(points_[i], i);
-          st.wall_seconds =
-              std::chrono::duration<double>(clock::now() - task_start)
-                  .count();
-          break;
-        } catch (...) {
-          if (st.retries >= opts_.max_retries) throw;
-          ++st.retries;
-        }
-      }
-      const std::size_t finished = done.fetch_add(1) + 1;
-      if (opts_.progress) {
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        opts_.progress(finished, n);
-      }
-    });
-    out.wall_seconds =
-        std::chrono::duration<double>(clock::now() - sweep_start).count();
-    return out;
-  }
-
- private:
-  std::vector<P> points_;
-  Task task_;
-  SweepOptions opts_;
-};
-
-/// Convenience wrapper deducing the result type from the task.
+/// results[i] = task(points[i], i) on up to \p jobs threads (0 = one per
+/// core). A throwing task fails the sweep with the exception of the
+/// lowest failing index, as parallel_for does.
 template <typename P, typename F>
-auto sweep(std::vector<P> points, F&& task, const SweepOptions& opts = {})
-    -> SweepResult<std::invoke_result_t<F, const P&, std::size_t>> {
-  using R = std::invoke_result_t<F, const P&, std::size_t>;
-  return Sweep<P, R>(std::move(points), std::forward<F>(task))
-      .options(opts)
-      .run();
+auto sweep(const std::vector<P>& points, F&& task, int jobs = 1)
+    -> SweepResult<std::invoke_result_t<F&, const P&, std::size_t>> {
+  using R = std::invoke_result_t<F&, const P&, std::size_t>;
+  using clock = std::chrono::steady_clock;
+  const auto start = clock::now();
+  SweepResult<R> out;
+  out.results = parallel_map<R>(points.size(), jobs, [&](std::size_t i) {
+    trace::Span span("sweep_point", "task", "index",
+                     static_cast<long long>(i));
+    return task(points[i], i);
+  });
+  out.wall_seconds =
+      std::chrono::duration<double>(clock::now() - start).count();
+  return out;
 }
 
 }  // namespace sscl::run

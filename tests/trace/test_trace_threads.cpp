@@ -132,10 +132,8 @@ TEST_F(TraceThreadsTest, SnapshotWhileRecordingIsConsistent) {
 TEST_F(TraceThreadsTest, SweepPointsTraceTheirIndex) {
   enable();
   std::vector<int> points{10, 11, 12, 13, 14, 15};
-  run::SweepOptions opts;
-  opts.jobs = 3;
   auto result = run::sweep(
-      points, [](const int& p, std::size_t) { return p * 2; }, opts);
+      points, [](const int& p, std::size_t) { return p * 2; }, 3);
   ASSERT_EQ(result.results.size(), 6u);
 
   const Snapshot snap = snapshot();
