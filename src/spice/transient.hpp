@@ -20,7 +20,6 @@ struct TransientOptions {
   double dt_max = 0.0;       ///< 0 = auto (tstop / 50)
   double lte_scale = 7.0;    ///< SPICE trtol: LTE relaxation factor
   IntegrationMethod method = IntegrationMethod::kTrapezoidal;
-  bool use_ic_op = true;     ///< solve DC op at t=0 first
   /// Called after every accepted step (and for the t=0 point) with the
   /// accepted time and full unknown vector. Return false to abort the
   /// analysis: run_transient then throws TransientAborted. Used by

@@ -6,35 +6,12 @@
 #include <ostream>
 #include <string>
 
+#include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace sscl::trace {
 
 namespace {
-
-/// JSON string escaping (control characters, quotes, backslash).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Chrome trace timestamps are microseconds; keep nanosecond resolution
 /// as three decimals.
@@ -69,20 +46,20 @@ void write_chrome_trace(std::ostream& os, const Snapshot& snap) {
     if (t.name.empty()) continue;
     sep();
     os << R"({"ph":"M","name":"thread_name","pid":1,"tid":)" << t.tid
-       << R"(,"args":{"name":")" << json_escape(t.name) << "\"}}";
+       << R"(,"args":{"name":")" << util::json_escape(t.name) << "\"}}";
   }
   for (const ThreadSnapshot& t : snap.threads) {
     for (const Event& e : t.events) {
       sep();
-      os << R"({"ph":"X","name":")" << json_escape(e.name ? e.name : "")
-         << R"(","cat":")" << json_escape(e.category ? e.category : "")
+      os << R"({"ph":"X","name":")" << util::json_escape(e.name ? e.name : "")
+         << R"(","cat":")" << util::json_escape(e.category ? e.category : "")
          << R"(","pid":1,"tid":)" << t.tid << R"(,"ts":)";
       print_us(os, e.start_ns);
       os << R"(,"dur":)";
       print_us(os, e.dur_ns);
       if (e.arg_name) {
-        os << R"(,"args":{")" << json_escape(e.arg_name) << "\":" << e.arg
-           << "}";
+        os << R"(,"args":{")" << util::json_escape(e.arg_name) << "\":"
+           << e.arg << "}";
       }
       os << "}";
     }
@@ -94,14 +71,15 @@ void write_metrics_json(std::ostream& os, const Snapshot& snap) {
   os << "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : snap.counters) {
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
+    os << (first ? "\n" : ",\n") << "    \"" << util::json_escape(name)
        << "\": " << value;
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, value] : snap.gauges) {
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name) << "\": ";
+    os << (first ? "\n" : ",\n") << "    \"" << util::json_escape(name)
+       << "\": ";
     print_double(os, value);
     first = false;
   }
