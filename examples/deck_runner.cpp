@@ -96,13 +96,6 @@ int usage(std::ostream& os, int code) {
   return code;
 }
 
-void print_warnings(const std::vector<sscl::netlist::Diagnostic>& warnings) {
-  for (const auto& w : warnings) {
-    std::fprintf(stderr, "warning: %s: %s\n", w.location.c_str(),
-                 w.message.c_str());
-  }
-}
-
 void warn(const std::string& message) {
   std::fprintf(stderr, "warning: %s\n", message.c_str());
 }
@@ -205,7 +198,7 @@ int main(int argc, char** argv) {
 
   try {
     netlist::Deck deck = netlist::parse_netlist(text, parse_options);
-    print_warnings(deck.warnings);
+    for (const auto& w : deck.warnings) warn(w.location + ": " + w.message);
     std::printf("* %s\n", deck.title.c_str());
 
     if (mc_samples > 0) {

@@ -12,10 +12,8 @@
 #include <map>
 #include <sstream>
 
-#include "netlist/measure.hpp"
 #include "netlist/netlist.hpp"
-#include "spice/engine.hpp"
-#include "spice/transient.hpp"
+#include "netlist/run.hpp"
 
 namespace sscl::netlist {
 namespace {
@@ -59,18 +57,17 @@ TEST(NetlistIntegration, BenchDeckElaborates) {
 }
 
 TEST(NetlistIntegration, BenchDeckMeasuresMatchGoldenPhysics) {
-  const Deck deck = parse_bench();
+  Deck deck = parse_bench();
   spice::Engine engine(*deck.circuit);
-  spice::TransientOptions opts;
-  opts.tstop = deck.analyses[0].tstop;
-  const spice::Waveform wave = spice::run_transient(engine, opts);
-  ASSERT_GT(wave.size(), 100u);
-
-  MeasureInput input;
-  input.circuit = deck.circuit.get();
-  input.tran = &wave;
-  input.params = &deck.params;
-  const auto results = run_measures(deck.measures, input);
+  std::size_t points = 0;
+  std::vector<MeasureResult> results;
+  DeckHooks hooks;
+  hooks.tran = [&](const AnalysisCard&, const spice::Waveform& w) {
+    points = w.size();
+  };
+  hooks.measures = [&](const std::vector<MeasureResult>& r) { results = r; };
+  run_deck(deck, engine, hooks);
+  ASSERT_GT(points, 100u);
   ASSERT_EQ(results.size(), 9u);
 
   std::map<std::string, double> by_name;
