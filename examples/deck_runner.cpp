@@ -276,7 +276,9 @@ int main(int argc, char** argv) {
     hooks.dc = [&](const netlist::AnalysisCard& card,
                    const spice::DcSweepResult& dc) {
       std::vector<std::string> headers = {card.sweep_source};
-      for (auto n : nodes) headers.push_back("v(" + deck.circuit->node_name(n) + ")");
+      for (auto n : nodes) {
+        headers.push_back("v(" + deck.circuit->node_name(n) + ")");
+      }
       util::Table t(headers);
       for (std::size_t i = 0; i < dc.values.size(); ++i) {
         t.row().add(dc.values[i], 4);

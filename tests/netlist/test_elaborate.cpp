@@ -269,8 +269,8 @@ TEST(Elaborate, DegenerateAnalysisCardsFailAtTheCard) {
       {".tran 1n '1/0'", ".tran: '1/0' is not finite"},
   };
   for (const Case& c : cases) {
-    const std::string text =
-        std::string("degenerate\nV1 in 0 1\nR1 in 0 1k\n") + c.card + "\n.end\n";
+    const std::string text = std::string("degenerate\nV1 in 0 1\n") +
+                             "R1 in 0 1k\n" + c.card + "\n.end\n";
     try {
       parse_netlist(text);
       ADD_FAILURE() << c.card << ": expected NetlistError";
