@@ -12,6 +12,7 @@
 #include "spice/elements.hpp"
 #include "spice/engine.hpp"
 #include "spice/ensemble.hpp"
+#include "spice/linear_system.hpp"
 #include "spice/transient.hpp"
 #include "stscl/fabric.hpp"
 #include "util/rng.hpp"
@@ -79,25 +80,28 @@ BENCHMARK(BM_DenseLu)->Arg(16)->Arg(64)->Arg(128);
 void BM_SparseLu(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   util::Rng rng(2);
-  spice::SparseMatrix m(n);
+  spice::LinearSystem sys(n);
   // Tridiagonal + random fill (MNA-like pattern).
+  std::vector<spice::MatrixSlot> diag(n), lower(n), upper(n);
   for (int i = 0; i < n; ++i) {
-    m.add(i, i, 4.0 + rng.uniform());
-    if (i > 0) m.add(i, i - 1, -1.0);
-    if (i + 1 < n) m.add(i, i + 1, -1.0);
-    m.add(i, static_cast<int>(rng.bounded(n)), 0.1);
+    rng.uniform();  // keeps the random fill of the pattern unchanged
+    diag[i] = sys.reserve(i, i);
+    if (i > 0) lower[i] = sys.reserve(i, i - 1);
+    if (i + 1 < n) upper[i] = sys.reserve(i, i + 1);
+    sys.reserve(i, static_cast<int>(rng.bounded(n)));
   }
+  sys.finalize_pattern();
+  std::vector<double> x;
   for (auto _ : state) {
-    m.clear();
+    sys.clear();
     for (int i = 0; i < n; ++i) {
-      m.add(i, i, 4.0);
-      if (i > 0) m.add(i, i - 1, -1.0);
-      if (i + 1 < n) m.add(i, i + 1, -1.0);
+      sys.add_at(diag[i], 4.0);
+      if (i > 0) sys.add_at(lower[i], -1.0);
+      if (i + 1 < n) sys.add_at(upper[i], -1.0);
+      sys.add_rhs_at(sys.reserve_rhs(i), 1.0);
     }
-    m.factor();
-    std::vector<double> b(n, 1.0);
-    m.solve(b);
-    benchmark::DoNotOptimize(b);
+    sys.solve(x);
+    benchmark::DoNotOptimize(x);
   }
 }
 BENCHMARK(BM_SparseLu)->Arg(64)->Arg(256)->Arg(1024);

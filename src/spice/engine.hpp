@@ -76,7 +76,7 @@ class Engine {
   /// (bypass points, junction limiting history) are invalidated. The
   /// sparse symbolic factorisation is deliberately kept — replaying a
   /// pivot sequence on identical values performs identical arithmetic
-  /// (sparse.cpp), so a reset engine re-runs a deck bit-identically to a
+  /// (linear_system.cpp), so a reset engine re-runs a deck bit-identically to a
   /// fresh one while skipping the whole elaboration-time pipeline. This
   /// is the contract the sscl-serve elaboration cache is built on
   /// (docs/SERVE.md).

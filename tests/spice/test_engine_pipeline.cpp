@@ -171,12 +171,14 @@ TEST(FrozenPattern, ReserveAfterFinalizeLooksUpOrThrows) {
   }
   EXPECT_EQ(sys.pattern_entries(), entries);
 
-  // The slot table still addresses the reserved entries.
+  // The slot table still addresses the reserved entries: A x equals
+  // b = (2, 0, 3) exactly at x = (0, 1, 1).
   sys.add_at(s01, 2.0);
   sys.add_at(s22, 3.0);
-  std::vector<double> y;
-  sys.multiply({0.0, 1.0, 1.0}, y);
-  EXPECT_EQ(y, (std::vector<double>{2.0, 0.0, 3.0}));
+  sys.add_rhs_at(sys.reserve_rhs(0), 2.0);
+  sys.add_rhs_at(sys.reserve_rhs(2), 3.0);
+  EXPECT_EQ(sys.residual_norm({0.0, 1.0, 1.0}), 0.0);
+  EXPECT_EQ(sys.residual_norm({0.0, 0.0, 0.0}), 3.0);
 }
 
 // ---- numeric refactorisation and stats accounting --------------------
