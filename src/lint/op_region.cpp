@@ -57,6 +57,8 @@ constexpr double kSwingMax = 2.0;
 constexpr double kSettleV = 0.5e-6;
 /// Current-interval relative change that counts as progress.
 constexpr double kSettleIRel = 1.0e-3;
+/// Refinement sweep cap (the result is sound at any cap).
+constexpr int kMaxSweeps = 16;
 
 /// Guard band on a KCL balance: the solver converges on voltage deltas
 /// (reltol/vntol), not on an explicit residual bound, so currents in a
@@ -492,7 +494,7 @@ void Analyzer::seed_and_sweep() {
   node_v_[CircuitView::slot(spice::kGround)] = Interval::point(0);
   chan_.assign(view_.devices().size(), Interval::top());
 
-  for (sweeps_ = 0; sweeps_ < options_.max_sweeps; ++sweeps_) {
+  for (sweeps_ = 0; sweeps_ < kMaxSweeps; ++sweeps_) {
     changed_ = false;
     sweep_rigid_and_shorts();
     update_channels();

@@ -36,7 +36,6 @@ struct OpRegionOptions {
   double t_lo_k = 300.15;  ///< coldest corner [K]
   double t_hi_k = 300.15;  ///< hottest corner [K]
   double vdd_tol = 0.0;    ///< relative tolerance on supply-named sources
-  int max_sweeps = 16;     ///< refinement sweep cap (sound at any cap)
 };
 
 /// Interval region facts for one described MOSFET over the box.

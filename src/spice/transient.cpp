@@ -11,6 +11,14 @@ namespace sscl::spice {
 
 namespace {
 
+/// The first step is tstop / kInitialSteps (capped by dt_max).
+constexpr double kInitialSteps = 1000.0;
+/// Smallest step, relative to tstop: a Newton failure below it is a
+/// timestep underflow and LTE rejections stop shrinking the step.
+constexpr double kDtMinRel = 1e-12;
+/// SPICE trtol: the LTE tolerance relaxation factor.
+constexpr double kLteScale = 7.0;
+
 /// Collect and sort source breakpoints within (0, tstop].
 std::vector<double> gather_breakpoints(const Circuit& circuit, double tstop) {
   std::vector<double> bp;
@@ -34,11 +42,9 @@ Waveform run_transient(Engine& engine, const TransientOptions& options) {
     throw std::invalid_argument("run_transient: tstop must be positive");
   }
   const double tstop = options.tstop;
-  const double dt_min =
-      options.dt_min > 0 ? options.dt_min : tstop * 1e-12;
+  const double dt_min = tstop * kDtMinRel;
   const double dt_max = options.dt_max > 0 ? options.dt_max : tstop / 50.0;
-  double h = options.dt_initial > 0 ? options.dt_initial
-                                    : std::min(tstop / 1000.0, dt_max);
+  double h = std::min(tstop / kInitialSteps, dt_max);
 
   Circuit& circuit = engine.circuit();
   const int nodes = circuit.node_count();
@@ -128,7 +134,7 @@ Waveform run_transient(Engine& engine, const TransientOptions& options) {
     if (h_prev > 0) {
       for (int i = 0; i < nodes; ++i) {
         const double tol =
-            options.lte_scale *
+            kLteScale *
             (sopts.vntol + sopts.reltol * std::max(std::fabs(x_try[i]),
                                                    std::fabs(x[i])));
         err_ratio = std::max(err_ratio, std::fabs(x_try[i] - x_pred[i]) / tol);

@@ -15,10 +15,7 @@ namespace sscl::spice {
 
 struct TransientOptions {
   double tstop = 0.0;        ///< end time [s] (required)
-  double dt_initial = 0.0;   ///< 0 = auto (tstop / 1000)
-  double dt_min = 0.0;       ///< 0 = auto (tstop * 1e-12)
   double dt_max = 0.0;       ///< 0 = auto (tstop / 50)
-  double lte_scale = 7.0;    ///< SPICE trtol: LTE relaxation factor
   IntegrationMethod method = IntegrationMethod::kTrapezoidal;
   /// Called after every accepted step (and for the t=0 point) with the
   /// accepted time and full unknown vector. Return false to abort the
