@@ -235,13 +235,11 @@ int main(int argc, char** argv) {
       *csv << "sample";
       for (auto n : nodes) *csv << ",v(" << topo.circuit().node_name(n) << ")";
       *csv << "\n";
-      char buf[32];
       for (std::size_t s = 0; s < rows.size(); ++s) {
         *csv << s;
         for (double v : rows[s]) {
           // Round-trippable form: byte-stable across job counts.
-          std::snprintf(buf, sizeof buf, "%.17g", v);
-          *csv << ',' << buf;
+          *csv << ',' << util::format_g17(v);
         }
         *csv << "\n";
       }

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "netlist/expr.hpp"
 #include "spice/elements.hpp"
+#include "util/units.hpp"
 
 namespace sscl::netlist {
 
@@ -228,13 +228,11 @@ std::vector<MeasureResult> run_measures(const std::vector<MeasureSpec>& specs,
 
 std::string measures_to_csv(const std::vector<MeasureResult>& results) {
   std::string out = "name,value,error\n";
-  char buf[64];
   for (const MeasureResult& r : results) {
     out += r.name;
     out += ',';
     if (r.value) {
-      std::snprintf(buf, sizeof(buf), "%.17g", *r.value);
-      out += buf;
+      out += util::format_g17(*r.value);
     } else {
       out += "failed";
     }

@@ -2,7 +2,6 @@
 
 #include <climits>
 #include <cstdint>
-#include <cstdio>
 #include <optional>
 #include <sstream>
 
@@ -52,12 +51,6 @@ const char* job_status_name(JobStatus status) {
       return "timeout";
   }
   return "error";
-}
-
-std::string fmt_g17(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
 }
 
 Command parse_command(const std::string& line) {

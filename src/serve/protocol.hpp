@@ -12,9 +12,10 @@
 /// Responses stream back as tagged lines and always finish with
 /// `END <status>` (status: ok, error, cancelled, timeout, busy). Result
 /// payload lines (OP/DC/TRAN/AC/WAVE/MEASURE) format every number with
-/// %.17g and carry no job ids or timing, so they are byte-comparable
-/// across runs, job counts and client interleavings; ids and tier
-/// labels ride on the QUEUED/BEGIN/CACHE envelope lines instead.
+/// %.17g (util::format_g17) and carry no job ids or timing, so they are
+/// byte-comparable across runs, job counts and client interleavings;
+/// ids and tier labels ride on the QUEUED/BEGIN/CACHE envelope lines
+/// instead.
 ///
 /// This header is shared by the in-process Server, the socket transport
 /// and the blocking Client, so the parser and the formatter cannot
@@ -27,10 +28,6 @@
 #include "serve/job.hpp"
 
 namespace sscl::serve {
-
-/// %.17g — the shortest round-trippable double form used everywhere a
-/// response line carries a number.
-std::string fmt_g17(double value);
 
 /// One parsed request line.
 struct Command {

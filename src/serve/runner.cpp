@@ -9,8 +9,11 @@
 #include "netlist/run.hpp"
 #include "serve/protocol.hpp"
 #include "trace/trace.hpp"
+#include "util/units.hpp"
 
 namespace sscl::serve {
+
+using util::format_g17;
 
 namespace {
 
@@ -59,7 +62,7 @@ JobStatus run_job(CacheEntry& entry, const JobRequest& request,
   auto row = [&](std::string line, auto&& value_of) {
     for (auto n : nodes) {
       line += ' ';
-      line += fmt_g17(value_of(n));
+      line += format_g17(value_of(n));
     }
     sink(line);
   };
@@ -77,36 +80,37 @@ JobStatus run_job(CacheEntry& entry, const JobRequest& request,
   };
   hooks.op = [&](const spice::Solution& op) {
     for (auto n : nodes) {
-      sink("OP v(" + circuit.node_name(n) + ") " + fmt_g17(op.v(n)));
+      sink("OP v(" + circuit.node_name(n) + ") " + format_g17(op.v(n)));
     }
   };
   hooks.dc = [&](const netlist::AnalysisCard&,
                  const spice::DcSweepResult& dc) {
     for (std::size_t i = 0; i < dc.values.size(); ++i) {
-      row("DC " + fmt_g17(dc.values[i]),
+      row("DC " + format_g17(dc.values[i]),
           [&](spice::NodeId n) { return dc.solutions[i].v(n); });
     }
   };
   hooks.tran_step = [&](double t, const std::vector<double>& x) {
     if (request.stream_every > 0 && accepted % request.stream_every == 0) {
-      row("WAVE " + fmt_g17(t), [&](spice::NodeId n) { return node_of(x, n); });
+      row("WAVE " + format_g17(t),
+          [&](spice::NodeId n) { return node_of(x, n); });
     }
     ++accepted;
   };
   hooks.tran = [&](const netlist::AnalysisCard&, const spice::Waveform& w) {
     sink("TRAN points " + std::to_string(w.size()));
     for (auto n : nodes) {
-      sink("TRAN v(" + circuit.node_name(n) + ") " + fmt_g17(w.value(n, 0)) +
-           ' ' + fmt_g17(w.minimum(n)) + ' ' + fmt_g17(w.maximum(n)) + ' ' +
-           fmt_g17(w.final_value(n)));
+      sink("TRAN v(" + circuit.node_name(n) + ") " +
+           format_g17(w.value(n, 0)) + ' ' + format_g17(w.minimum(n)) + ' ' +
+           format_g17(w.maximum(n)) + ' ' + format_g17(w.final_value(n)));
     }
   };
   hooks.ac = [&](const netlist::AnalysisCard&, const spice::AcResult& ac) {
     sink("AC points " + std::to_string(ac.size()));
     for (auto n : nodes) {
       sink("AC v(" + circuit.node_name(n) + ") " +
-           fmt_g17(ac.low_frequency_gain(n)) + ' ' +
-           fmt_g17(ac.bandwidth_3db(n)));
+           format_g17(ac.low_frequency_gain(n)) + ' ' +
+           format_g17(ac.bandwidth_3db(n)));
     }
   };
   hooks.measures = [&](const std::vector<netlist::MeasureResult>& results) {

@@ -9,6 +9,7 @@
 #include "serve/protocol.hpp"
 #include "serve/runner.hpp"
 #include "trace/trace.hpp"
+#include "util/units.hpp"
 
 namespace sscl::serve {
 
@@ -180,8 +181,8 @@ std::string Server::metrics_json() const {
   count("serve.jobs.error", s.jobs_error);
   count("serve.jobs.cancelled", s.jobs_cancelled);
   count("serve.jobs.timeout", s.jobs_timeout);
-  os << ",\"serve.latency.p50_ms\":" << fmt_g17(s.latency_p50_ms);
-  os << ",\"serve.latency.p95_ms\":" << fmt_g17(s.latency_p95_ms);
+  os << ",\"serve.latency.p50_ms\":" << util::format_g17(s.latency_p50_ms);
+  os << ",\"serve.latency.p95_ms\":" << util::format_g17(s.latency_p95_ms);
   os << '}';
   return os.str();
 }

@@ -8,6 +8,7 @@
 
 #include "util/json.hpp"
 #include "util/log.hpp"
+#include "util/units.hpp"
 
 namespace sscl::trace {
 
@@ -20,12 +21,6 @@ void print_us(std::ostream& os, std::uint64_t ns) {
   std::snprintf(buf, sizeof(buf), "%llu.%03u",
                 static_cast<unsigned long long>(ns / 1000),
                 static_cast<unsigned>(ns % 1000));
-  os << buf;
-}
-
-void print_double(std::ostream& os, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
   os << buf;
 }
 
@@ -79,8 +74,7 @@ void write_metrics_json(std::ostream& os, const Snapshot& snap) {
   first = true;
   for (const auto& [name, value] : snap.gauges) {
     os << (first ? "\n" : ",\n") << "    \"" << util::json_escape(name)
-       << "\": ";
-    print_double(os, value);
+       << "\": " << util::format_g17(value);
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"trace\": {\n"
@@ -95,9 +89,7 @@ void write_metrics_csv(std::ostream& os, const Snapshot& snap) {
     os << name << ",counter," << value << "\n";
   }
   for (const auto& [name, value] : snap.gauges) {
-    os << name << ",gauge,";
-    print_double(os, value);
-    os << "\n";
+    os << name << ",gauge," << util::format_g17(value) << "\n";
   }
   os << "trace.threads,counter," << snap.threads.size() << "\n";
   os << "trace.events,counter," << snap.total_events() << "\n";

@@ -49,6 +49,12 @@ std::string format_si(double value, std::string_view unit, int digits) {
   return format_si(value, digits) + std::string(unit);
 }
 
+std::string format_g17(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  return buf;
+}
+
 std::optional<double> parse_si(std::string_view text) {
   if (text.empty()) return std::nullopt;
 

@@ -3,8 +3,8 @@
 /// \file units.hpp
 /// Engineering-notation formatting and parsing ("4.7n", "1.2meg", "800m")
 /// as used by the SPICE-style netlist parser and by all result tables,
-/// plus the strict decimal counts of command-line flags and the serve
-/// wire protocol.
+/// the round-trippable form of byte-stable outputs, plus the strict
+/// decimal counts of command-line flags and the serve wire protocol.
 
 #include <cstdint>
 #include <optional>
@@ -19,6 +19,11 @@ std::string format_si(double value, int digits = 4);
 
 /// Format \p value with an SI prefix followed by \p unit, e.g. "4.7nA".
 std::string format_si(double value, std::string_view unit, int digits);
+
+/// Format \p value with "%.17g", which round-trips every double: the
+/// form of every number in the byte-comparable outputs (measure and
+/// Monte-Carlo CSVs, serve payloads, trace exports).
+std::string format_g17(double value);
 
 /// Parse a SPICE-style engineering number: an optional sign, mantissa and
 /// either an exponent ("1e-9") or an SI suffix. Recognised suffixes

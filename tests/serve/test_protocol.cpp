@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/units.hpp"
+
 namespace {
 
 using namespace sscl;
@@ -81,7 +83,7 @@ TEST(Protocol, StatusNamesMatchTheWireWords) {
 TEST(Protocol, FmtG17RoundTripsDoubles) {
   for (double v : {0.0, 1.0, 0.39999948642046418, 6.3341822670592159e-07,
                    -1.5e300}) {
-    EXPECT_EQ(std::stod(serve::fmt_g17(v)), v);
+    EXPECT_EQ(std::stod(util::format_g17(v)), v);
   }
 }
 
