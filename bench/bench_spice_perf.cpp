@@ -103,6 +103,7 @@ void BM_SparseLu(benchmark::State& state) {
     sys.solve(x);
     benchmark::DoNotOptimize(x);
   }
+  state.counters["lu_nnz"] = static_cast<double>(sys.factor_nonzeros());
 }
 BENCHMARK(BM_SparseLu)->Arg(64)->Arg(256)->Arg(1024);
 

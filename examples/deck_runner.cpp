@@ -13,8 +13,8 @@
 ///
 /// Extra arguments name the nodes to report (default: all). With
 /// --stats, an engine-pipeline report (Newton iterations, device
-/// evaluations vs bypass hits, factorisation mix, phase times) is
-/// printed after the analyses. --trace writes a Chrome trace-event /
+/// evaluations vs bypass hits, factorisation mix, phase times, LU fill)
+/// is printed after the analyses. --trace writes a Chrome trace-event /
 /// Perfetto JSON timeline of the run (newton, device-eval, factor,
 /// timestep spans); --metrics writes the flat counter/gauge registry as
 /// JSON (or CSV for a .csv path). See docs/OBSERVABILITY.md.
@@ -360,6 +360,11 @@ int main(int argc, char** argv) {
                   "%.3f ms solve\n",
                   1e3 * st.seconds_baseline, 1e3 * st.seconds_assemble,
                   1e3 * st.seconds_solve);
+      const spice::LinearSystem& sys = engine.linear_system();
+      std::printf("  LU fill             %zu nonzeros in L+U for %zu pattern "
+                  "entries (%d unknowns)\n",
+                  sys.factor_nonzeros(), sys.pattern_entries(),
+                  engine.unknown_count());
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -63,16 +63,30 @@ class LineReader {
   std::string buffer_;
 };
 
+/// True for a line the client may act on before its reply ends (QUEUED
+/// carries the id CANCEL needs, BEGIN and streamed WAVE points report
+/// progress) and for the END line that ends every reply.
+bool pushes(const std::string& line) {
+  for (const char* tag : {"END ", "QUEUED ", "BEGIN ", "WAVE "}) {
+    if (line.rfind(tag, 0) == 0) return true;
+  }
+  return false;
+}
+
 /// Write everything; best-effort (a vanished client is not an error the
-/// server can act on).
+/// server can act on). Accepted sockets run with TCP_NODELAY, so a line
+/// that pushes leaves at once, together with the lines corked before it
+/// under MSG_MORE: a reply goes out in a few segments, and none waits
+/// for the client's delayed ACK.
 void send_line(int fd, std::mutex& write_mu, const std::string& line) {
   std::lock_guard<std::mutex> lock(write_mu);
   std::string framed = line;
   framed.push_back('\n');
+  const int flags = MSG_NOSIGNAL | (pushes(line) ? 0 : MSG_MORE);
   std::size_t sent = 0;
   while (sent < framed.size()) {
-    const ssize_t n = ::send(fd, framed.data() + sent, framed.size() - sent,
-                             MSG_NOSIGNAL);
+    const ssize_t n =
+        ::send(fd, framed.data() + sent, framed.size() - sent, flags);
     if (n <= 0) return;
     sent += static_cast<std::size_t>(n);
   }
@@ -124,6 +138,8 @@ void SocketServer::run() {
       if (errno == EINTR) continue;
       break;
     }
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     fds.push_back(fd);
     std::lock_guard<std::mutex> lock(threads_mu_);
     connections_.emplace_back([this, fd] { handle_connection(fd); });

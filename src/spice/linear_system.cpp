@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <numeric>
+#include <queue>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace sscl::spice {
 
@@ -14,16 +18,104 @@ namespace {
 constexpr double kPivotTiny = 1e-300;
 constexpr double kPivotReuseThreshold = 1e-3;
 
+// AMD's dense-node rule: an unknown coupled to more than
+// max(16, kDenseDegree * sqrt(n)) others (a supply or bias rail on a
+// large deck) is left out of the minimum-degree graph and eliminated
+// last. Kept in, every elimination next to it would rewrite its long
+// adjacency list.
+constexpr double kDenseDegree = 10.0;
+
 std::uint64_t slot_key(int r, int c) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(r)) << 32) |
          static_cast<std::uint32_t>(c);
+}
+
+/// Minimum-degree elimination order of the graph of A + A^T (diagonal
+/// ignored) for the pattern entries (rows[k], cols[k]). Eliminating a
+/// node joins its remaining neighbours into a clique; the next node is
+/// the one of least degree, ties to the lowest index, so the order is a
+/// pure function of the pattern. Dense nodes go last, in index order.
+std::vector<int> minimum_degree_order(int n, const std::vector<int>& rows,
+                                      const std::vector<int>& cols) {
+  std::vector<int> count(n, 0);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    if (rows[k] == cols[k]) continue;
+    ++count[rows[k]];
+    ++count[cols[k]];
+  }
+  std::vector<std::vector<int>> adj(n);
+  for (int i = 0; i < n; ++i) adj[i].reserve(count[i]);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    if (rows[k] == cols[k]) continue;
+    adj[rows[k]].push_back(cols[k]);
+    adj[cols[k]].push_back(rows[k]);
+  }
+  // mark[w] == tag: w is already in the list being built or scanned.
+  std::vector<int> mark(n, -1);
+  int tag = 0;
+  const double dense_degree = std::max(16.0, kDenseDegree * std::sqrt(n));
+  std::vector<char> dense(n, 0);
+  for (int i = 0; i < n; ++i) {
+    ++tag;
+    // An entry stamped both ways, (i, j) and (j, i), is listed twice.
+    std::erase_if(adj[i], [&](int j) {
+      const bool repeated = mark[j] == tag;
+      mark[j] = tag;
+      return repeated;
+    });
+    dense[i] = static_cast<double>(adj[i].size()) > dense_degree;
+  }
+
+  // Adjacency lists hold only nodes still in the graph, so a node's
+  // degree is the size of its list. Every node in the graph has a heap
+  // entry keyed by its current degree (one is pushed whenever the
+  // degree changes); entries left behind by a change are skipped.
+  using Key = std::pair<int, int>;  // (degree, node)
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> heap;
+  for (int i = 0; i < n; ++i) {
+    if (dense[i]) continue;
+    std::erase_if(adj[i], [&](int j) { return dense[j] != 0; });
+    heap.emplace(static_cast<int>(adj[i].size()), i);
+  }
+  std::vector<int> order;
+  order.reserve(n);
+  std::vector<char> eliminated(n, 0);
+  while (!heap.empty()) {
+    const auto [degree, v] = heap.top();
+    heap.pop();
+    if (eliminated[v] || degree != static_cast<int>(adj[v].size())) continue;
+    eliminated[v] = 1;
+    order.push_back(v);
+    for (const int u : adj[v]) {
+      std::vector<int>& au = adj[u];
+      const std::size_t degree_before = au.size();
+      au.erase(std::find(au.begin(), au.end(), v));
+      ++tag;
+      mark[u] = tag;
+      for (const int w : au) mark[w] = tag;
+      for (const int w : adj[v]) {
+        if (mark[w] != tag) au.push_back(w);
+      }
+      if (au.size() != degree_before) {
+        heap.emplace(static_cast<int>(au.size()), u);
+      }
+    }
+    std::vector<int>().swap(adj[v]);
+  }
+  for (int i = 0; i < n; ++i) {
+    if (dense[i]) order.push_back(i);
+  }
+  return order;
 }
 }  // namespace
 
 // Until finalize_pattern() the system is an empty pattern: every column
 // is empty and the only cell is the trash cell.
 LinearSystem::LinearSystem(int n)
-    : n_(n), ap_(n + 1, 0), ax_(1, 0.0), slot_cell_(1, 0), rhs_(n + 1, 0.0) {}
+    : n_(n), q_(n), ap_(n + 1, 0), ax_(1, 0.0), slot_cell_(1, 0),
+      rhs_(n + 1, 0.0) {
+  std::iota(q_.begin(), q_.end(), 0);
+}
 
 void LinearSystem::clear() {
   std::fill(ax_.begin(), ax_.end(), 0.0);
@@ -54,18 +146,21 @@ MatrixSlot LinearSystem::reserve(int r, int c) {
 void LinearSystem::finalize_pattern() {
   if (pattern_finalized_) return;
   pattern_finalized_ = true;
-  // Stable counting sort by column: rows within a column keep their
-  // reservation order, which fixes the pivot tie-breaks.
+  q_ = minimum_degree_order(n_, rows_, cols_);
+  std::vector<int> step(n_);
+  for (int k = 0; k < n_; ++k) step[q_[k]] = k;
+  // Stable counting sort by elimination step: rows within a column keep
+  // their reservation order, which fixes the pivot tie-breaks.
   const int nnz = static_cast<int>(rows_.size());
   ap_.assign(n_ + 1, 0);
   ai_.assign(nnz, 0);
   ax_.assign(nnz + 1, 0.0);
   slot_cell_.assign(nnz + 1, nnz);  // slot 0 -> the trash cell ax_[nnz]
-  for (int k = 0; k < nnz; ++k) ap_[cols_[k] + 1]++;
+  for (int k = 0; k < nnz; ++k) ap_[step[cols_[k]] + 1]++;
   for (int c = 0; c < n_; ++c) ap_[c + 1] += ap_[c];
   std::vector<int> next(ap_.begin(), ap_.end() - 1);
   for (int k = 0; k < nnz; ++k) {
-    const int dst = next[cols_[k]]++;
+    const int dst = next[step[cols_[k]]]++;
     ai_[dst] = rows_[k];
     slot_cell_[k + 1] = dst;
   }
@@ -102,8 +197,14 @@ double LinearSystem::residual_norm(const std::vector<double>& x) const {
 void LinearSystem::adopt_factorization(const LinearSystem& from) {
   // The replay walks this system's CSC through the donor's pivot
   // sequence and fill pattern: any other layout would drop or misplace
-  // entries.
-  if (!from.symbolic_valid_ || from.ap_ != ap_ || from.ai_ != ai_) return;
+  // entries. The layout and the order together are the pattern; two
+  // different patterns can share a layout under different orders (swap
+  // two columns and their places in the order), and a donor with
+  // another pattern is refused whatever its layout.
+  if (!from.symbolic_valid_ || from.ap_ != ap_ || from.ai_ != ai_ ||
+      from.q_ != q_) {
+    return;
+  }
   lp_ = from.lp_;
   li_ = from.li_;
   lx_ = from.lx_;
@@ -120,21 +221,24 @@ bool LinearSystem::solve(std::vector<double>& x_out) {
   last_factor_numeric_ = symbolic_valid_ && refactor_numeric();
   if (!last_factor_numeric_ && !factor_full()) return false;
 
-  x_out.resize(n_);
-  double* x = x_out.data();
-  // Apply the row permutation: x[pinv[i]] = b[i].
-  for (int i = 0; i < n_; ++i) x[pinv_[i]] = rhs_[i + 1];
-  // L x = b (unit diagonal first in each column).
+  // P A Q = L U: solve L U z = P b in the scratch, then x = Q z.
+  work_.resize(n_);
+  double* z = work_.data();
+  // Apply the row permutation: z[pinv[i]] = b[i].
+  for (int i = 0; i < n_; ++i) z[pinv_[i]] = rhs_[i + 1];
+  // L y = P b (unit diagonal first in each column).
   for (int j = 0; j < n_; ++j) {
-    const double xj = x[j];
-    for (int p = lp_[j] + 1; p < lp_[j + 1]; ++p) x[li_[p]] -= lx_[p] * xj;
+    const double zj = z[j];
+    for (int p = lp_[j] + 1; p < lp_[j + 1]; ++p) z[li_[p]] -= lx_[p] * zj;
   }
-  // U x = y (diagonal stored last in each column).
+  // U z = y (diagonal stored last in each column).
   for (int j = n_ - 1; j >= 0; --j) {
-    x[j] /= ux_[up_[j + 1] - 1];
-    const double xj = x[j];
-    for (int p = up_[j]; p < up_[j + 1] - 1; ++p) x[ui_[p]] -= ux_[p] * xj;
+    z[j] /= ux_[up_[j + 1] - 1];
+    const double zj = z[j];
+    for (int p = up_[j]; p < up_[j + 1] - 1; ++p) z[ui_[p]] -= ux_[p] * zj;
   }
+  x_out.resize(n_);
+  for (int k = 0; k < n_; ++k) x_out[q_[k]] = z[k];
   return true;
 }
 

@@ -3,23 +3,29 @@
 /// \file linear_system.hpp
 /// Real MNA system and its sparse LU, at every size. Left-looking
 /// Gilbert-Peierls factorisation with partial pivoting (the same
-/// algorithm family as SPICE3 / CSparse).
+/// algorithm family as SPICE3 / CSparse) on a fill-reducing column
+/// order: minimum degree on the pattern of A + A^T, the ordering half of
+/// the KLU recipe for circuit matrices.
 ///
 /// Assembly goes through slots only: every matrix entry and rhs row is
 /// reserved once during the elaboration-time pattern pass
-/// (reserve()/reserve_rhs()), finalize_pattern() freezes the pattern and
-/// lays it out once in compressed-column (CSC) form, and per-iteration
-/// stamping becomes add_at()/add_rhs_at(): one indirection straight into
-/// the CSC value the LU reads, no hashing, no ground branches (slot 0 of
-/// the matrix and of the rhs is a trash cell that swallows writes to
-/// ground rows/columns and that the LU, the residual and values_finite()
-/// never read). snapshot_baseline() and restore_baseline() implement the
+/// (reserve()/reserve_rhs()), finalize_pattern() freezes the pattern,
+/// orders the unknowns and lays the columns out once in compressed-column
+/// (CSC) form in elimination order, and per-iteration stamping becomes
+/// add_at()/add_rhs_at(): one indirection straight into the CSC value
+/// the LU reads, no hashing, no ground branches (slot 0 of the matrix and
+/// of the rhs is a trash cell that swallows writes to ground
+/// rows/columns and that the LU, the residual and values_finite() never
+/// read). snapshot_baseline() and restore_baseline() implement the
 /// static-linear stamp cache: the baseline holds everything that is
 /// constant across one Newton solve and each iteration starts from a
 /// copy of it.
 ///
-/// Factorisation is phased: the first solve() performs the full symbolic
-/// + threshold-pivoting pass; later solve() calls replay the stored pivot
+/// The elimination order is a pure function of the frozen pattern, so
+/// it never depends on values or on Newton's history. The row pivot is
+/// still chosen by magnitude within each column. Factorisation is
+/// phased: the first solve() performs the full symbolic +
+/// threshold-pivoting pass; later solve() calls replay the stored pivot
 /// sequence and fill pattern, refreshing numeric values only (a
 /// numeric-only refactorisation, typically 2-5x cheaper). A pivot that
 /// has decayed below the stability threshold triggers an automatic
@@ -63,8 +69,9 @@ class LinearSystem {
   /// Reserve rhs row r and return its slot.
   RhsSlot reserve_rhs(int r) { return r + 1; }
 
-  /// Freeze the pattern after all reservations and lay it out as CSC.
-  /// Must precede stamping and solve(). Idempotent.
+  /// Freeze the pattern after all reservations, compute its
+  /// fill-reducing elimination order and lay the columns out as CSC in
+  /// that order. Must precede stamping and solve(). Idempotent.
   void finalize_pattern();
 
   /// Accumulate into a reserved entry. Slot 0 lands in the trash cell.
@@ -104,11 +111,12 @@ class LinearSystem {
 
   /// Adopt \p from's symbolic factorisation (pivot sequence + fill
   /// pattern). Both systems must have the same frozen pattern (the same
-  /// entries, laid out in the same order); the call is a no-op
-  /// otherwise. After adoption the next solve() replays the donor's
-  /// pivot sequence on this system's values — the ensemble engine uses
-  /// this so every Monte-Carlo lane factors with the shared nominal
-  /// pivot order regardless of which worker solves it.
+  /// entries, laid out in the same order under the same elimination
+  /// order); the call is a no-op otherwise. After adoption the next
+  /// solve() replays the donor's pivot sequence on this system's values
+  /// — the ensemble engine uses this so every Monte-Carlo lane factors
+  /// with the shared nominal pivot order regardless of which worker
+  /// solves it.
   void adopt_factorization(const LinearSystem& from);
 
   /// True when a reusable pivot sequence is stored.
@@ -130,9 +138,14 @@ class LinearSystem {
   std::unordered_map<std::uint64_t, MatrixSlot> slot_map_;
   bool pattern_finalized_ = false;
 
-  // The frozen pattern in CSC form. ax_ holds one value per entry plus
-  // the trailing trash cell; slot_cell_ maps a slot to its cell in ax_.
-  // Rows within a column keep reservation order.
+  // The elimination order: step k eliminates unknown q_[k]. Identity
+  // until finalize_pattern() computes it.
+  std::vector<int> q_;
+
+  // The frozen pattern in CSC form, column k holding A(:, q_[k]). ax_
+  // holds one value per entry plus the trailing trash cell; slot_cell_
+  // maps a slot to its cell in ax_. Rows within a column keep
+  // reservation order.
   std::vector<int> ap_, ai_;
   std::vector<double> ax_;
   std::vector<int> slot_cell_;
@@ -149,7 +162,9 @@ class LinearSystem {
   std::vector<int> up_, ui_;
   std::vector<double> ux_;
   std::vector<int> pinv_;     // original row -> pivot position
-  std::vector<double> work_;  // numeric-refresh scratch (pivot-indexed)
+  // Scratch of the numeric refresh and of solve(), indexed by pivot
+  // position.
+  std::vector<double> work_;
   bool symbolic_valid_ = false;  // pivot sequence + fill pattern reusable
   bool last_factor_numeric_ = false;
 };

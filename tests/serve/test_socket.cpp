@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -84,6 +85,24 @@ TEST_F(SocketServe, SubmitTwiceHitsTheCacheOverTheWire) {
   EXPECT_NE(json.find("\"serve.cache.hit.elab\":1"), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"serve.cache.miss\":1"), std::string::npos);
+}
+
+TEST_F(SocketServe, RoundTripIsNotHeldByDelayedAck) {
+  // A reply written as several small segments waits one delayed-ACK
+  // timeout (40 ms or more on Linux) for a client that delays its ACKs,
+  // as serve::Client does. Load can only slow a round trip, so the
+  // fastest of ten keeps the verdict independent of load.
+  serve::Client client(transport_->port());
+  for (int i = 0; i < 3; ++i) ASSERT_EQ(client.command("PING").status, "ok");
+  double fastest_ms = 1e9;
+  for (int i = 0; i < 10; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_EQ(client.command("PING").status, "ok");
+    const std::chrono::duration<double, std::milli> took =
+        std::chrono::steady_clock::now() - start;
+    fastest_ms = std::min(fastest_ms, took.count());
+  }
+  EXPECT_LT(fastest_ms, 20.0);
 }
 
 TEST_F(SocketServe, StatsLinesAreTagged) {

@@ -185,6 +185,117 @@ TEST(LinearSystem, AdoptionNeedsTheSamePattern) {
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
+/// Arrowhead with the hub reserved first: unknown 0 is coupled to every
+/// other unknown, and every unknown has a dominant diagonal. Eliminated
+/// in assembly order the hub fills L and U completely.
+std::vector<Entry> hub_first_arrowhead(int n, util::Rng& rng) {
+  std::vector<Entry> entries;
+  entries.push_back({0, 0, n + rng.uniform()});
+  for (int i = 1; i < n; ++i) {
+    entries.push_back({0, i, -rng.uniform()});
+    entries.push_back({i, 0, -rng.uniform()});
+    entries.push_back({i, i, 2.0 + rng.uniform()});
+  }
+  return entries;
+}
+
+void expect_arrowhead_stays_sparse(int n) {
+  util::Rng rng(7 + n);
+  const std::vector<Entry> entries = hub_first_arrowhead(n, rng);
+  std::vector<std::vector<double>> dense(n, std::vector<double>(n, 0.0));
+  for (const Entry& e : entries) dense[e.r][e.c] += e.v;
+  std::vector<double> x_true(n);
+  for (double& v : x_true) v = rng.uniform(-1, 1);
+  std::vector<double> b(n, 0.0);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) b[i] += dense[i][j] * x_true[j];
+  }
+
+  LinearSystem sys(n);
+  stamp(sys, entries);
+  stamp_rhs(sys, b);
+  std::vector<double> x;
+  ASSERT_TRUE(sys.solve(x));
+  // The hub is eliminated last: each spoke keeps its diagonal and one
+  // hub entry, and only the hub's own row and column fill.
+  EXPECT_LE(sys.factor_nonzeros(), 4u * static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-12) << "i=" << i;
+}
+
+TEST(LinearSystem, HubFirstArrowheadStaysSparse) {
+  expect_arrowhead_stays_sparse(64);
+}
+
+// At n = 400 the hub's 399 neighbours exceed the dense-node threshold
+// (10 sqrt(n) = 200), so it leaves the minimum-degree graph and is
+// ordered last by that rule instead.
+TEST(LinearSystem, DenseHubArrowheadStaysSparse) {
+  expect_arrowhead_stays_sparse(400);
+}
+
+TEST(LinearSystem, AdoptionSharesTheColumnOrder) {
+  // A hub-first arrowhead is eliminated in a non-identity order. The
+  // twin adopts the donor's factorisation, replays it numerically and
+  // returns the donor's x bit for bit.
+  constexpr int n = 16;
+  util::Rng rng(3);
+  const std::vector<Entry> entries = hub_first_arrowhead(n, rng);
+  std::vector<double> b(n);
+  for (double& v : b) v = rng.uniform(-1, 1);
+
+  LinearSystem donor(n);
+  stamp(donor, entries);
+  stamp_rhs(donor, b);
+  std::vector<double> x_donor;
+  ASSERT_TRUE(donor.solve(x_donor));
+  ASSERT_LE(donor.factor_nonzeros(), 4u * n);
+
+  LinearSystem twin(n);
+  stamp(twin, entries);
+  stamp_rhs(twin, b);
+  twin.adopt_factorization(donor);
+  EXPECT_TRUE(twin.has_symbolic_factorization());
+  std::vector<double> x_twin;
+  ASSERT_TRUE(twin.solve(x_twin));
+  EXPECT_TRUE(twin.last_factor_was_numeric());
+  EXPECT_EQ(x_twin, x_donor);
+}
+
+TEST(LinearSystem, AdoptionNeedsTheSameColumnOrder) {
+  // Two patterns that differ by swapping columns 0 and 1:
+  //   first  [x x .; x x .; . x x]  order (0, 1, 2)
+  //   second [x x .; x x .; x . x]  order (1, 0, 2)
+  // Each lays out the column it eliminates at step 0 with rows (0, 1),
+  // at step 1 with rows (1, 0, 2) and at step 2 with row 2, so the CSC
+  // layouts are equal and only the orders differ.
+  LinearSystem donor(3);
+  stamp(donor, {{0, 0, 4.0},
+                {1, 1, 5.0},
+                {2, 2, 6.0},
+                {0, 1, 1.0},
+                {1, 0, 1.0},
+                {2, 1, 1.0}});
+  std::vector<double> x;
+  ASSERT_TRUE(donor.solve(x));
+
+  // x = (1, 2, 3): rows 4 + 4, 1 + 10, 1 + 18.
+  LinearSystem receiver(3);
+  stamp(receiver, {{0, 1, 2.0},
+                   {1, 1, 5.0},
+                   {1, 0, 1.0},
+                   {0, 0, 4.0},
+                   {2, 0, 1.0},
+                   {2, 2, 6.0}});
+  stamp_rhs(receiver, {8.0, 11.0, 19.0});
+  receiver.adopt_factorization(donor);
+  EXPECT_FALSE(receiver.has_symbolic_factorization());
+  ASSERT_TRUE(receiver.solve(x));
+  EXPECT_FALSE(receiver.last_factor_was_numeric());
+  EXPECT_NEAR(x[0], 1.0, 1e-12);
+  EXPECT_NEAR(x[1], 2.0, 1e-12);
+  EXPECT_NEAR(x[2], 3.0, 1e-12);
+}
+
 TEST(LinearSystem, MovedSystemKeepsItsSlots) {
   LinearSystem first(2);
   const MatrixSlot s00 = first.reserve(0, 0);
