@@ -1,14 +1,20 @@
 /// Experiment P1 (infrastructure): google-benchmark microbenchmarks of
 /// the simulation kernels every experiment above runs on -- dense and
 /// sparse LU, DC operating points of STSCL cells, transient steps, and
-/// the gate-level event simulator.
+/// the gate-level event simulator, and the netlist front end.
 
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <fstream>
+#include <sstream>
 
 #include "adc/ensemble.hpp"
 #include "analog/preamp.hpp"
 #include "device/mosfet.hpp"
 #include "digital/fmax.hpp"
+#include "netlist/expr.hpp"
+#include "netlist/netlist.hpp"
 #include "spice/elements.hpp"
 #include "spice/engine.hpp"
 #include "spice/ensemble.hpp"
@@ -303,6 +309,56 @@ BENCHMARK(BM_SpiceEnsembleOp)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
+
+// The netlist front end on serve_bench.sp: 584 subckt instances whose
+// 2,050 elements read 2,635 expression values.
+std::string serve_bench_text() {
+  std::ifstream in(std::string(SSCL_EXAMPLE_DECK_DIR) + "/serve_bench.sp");
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+void BM_ElaborateServeBench(benchmark::State& state) {
+  const std::string text = serve_bench_text();
+  std::size_t elements = 0;
+  std::chrono::duration<double, std::micro> spent{0};
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    const netlist::Deck deck = netlist::parse_netlist(text);
+    spent += std::chrono::steady_clock::now() - start;
+    elements = deck.circuit->devices().size();
+  }
+  state.counters["elements"] = static_cast<double>(elements);
+  state.counters["us_per_element"] =
+      spent.count() / static_cast<double>(state.iterations() * elements);
+}
+BENCHMARK(BM_ElaborateServeBench)->Unit(benchmark::kMillisecond);
+
+// serve_bench.sp's four seg expressions in a seg instance's scope. Arm 0
+// reads each text once, the way a top-level card is read; arm 1 is the
+// per-instance reuse of a subckt body. The interpreter keeps no compiled
+// form, so both arms evaluate the text.
+void BM_ExprEval(benchmark::State& state) {
+  netlist::ParamEnv globals;
+  globals.set("rbase", 1e3);
+  globals.set("rstep", 1e3 / 3 + 17);
+  netlist::ParamEnv seg(&globals);
+  seg.set("r", 1.01e3);
+  const std::string texts[] = {
+      "r*1.25 + rbase/64 + sqrt(r)*0.01",
+      "r*2 + rbase/100 + rstep/8",
+      "max(r*4, rbase) + exp(min(r, 2k)/1k)",
+      "r*8 + log10(max(r, 10))*7 + pow(r/1k, 2)",
+  };
+  for (auto _ : state) {
+    for (const std::string& text : texts) {
+      benchmark::DoNotOptimize(netlist::eval_expr(text, seg));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 4);
+}
+BENCHMARK(BM_ExprEval)->ArgName("cached")->Arg(0)->Arg(1);
 
 }  // namespace
 

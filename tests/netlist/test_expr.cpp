@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <vector>
 
 namespace sscl::netlist {
 namespace {
@@ -97,6 +101,58 @@ TEST(Expr, ErrorsCarryPositions) {
   EXPECT_THROW(ev(""), ExprError);
   EXPECT_THROW(ev("blorp(3)"), ExprError);
   EXPECT_THROW(ev("min(1)"), ExprError);
+}
+
+/// One line of expr_cases.golden: the value as a hex float, "nan" for
+/// any NaN (x86 gives the sign of whichever NaN operand came first), or
+/// "E <pos> <message>".
+std::string outcome(const std::string& text, const ParamEnv& env) {
+  try {
+    const double v = eval_expr(text, env);
+    if (std::isnan(v)) return "nan";
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+  } catch (const ExprError& e) {
+    return "E " + std::to_string(e.pos()) + " " + e.what();
+  }
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(Expr, CasesMatchTheirGolden) {
+  // The scope expr_cases.txt documents in its header.
+  ParamEnv globals;
+  for (const auto& [name, value] :
+       {std::pair<const char*, double>{"a", 1.5}, {"b", -2.25}, {"w", 2e-6},
+        {"vdd", 0.4}, {"e", 7.0}, {"zero", 0.0}, {"big", 1e300},
+        {"tiny", 1e-300}, {"x.y", 5.0}}) {
+    globals.set(name, value);
+  }
+  ParamEnv inner(&globals);
+  inner.set("r", 1e3);
+  inner.set("n", 3.0);
+  inner.set("a", 2.5);
+  inner.set("_u", 0.125);
+
+  const std::string dir = SSCL_NETLIST_GOLDEN_DIR;
+  std::vector<std::string> cases;
+  for (const std::string& line : read_lines(dir + "/expr_cases.txt")) {
+    if (!line.empty() && line[0] == '|') cases.push_back(line.substr(1));
+  }
+  const std::vector<std::string> golden = read_lines(dir + "/expr_cases.golden");
+  ASSERT_GE(cases.size(), 500u);
+  ASSERT_EQ(golden.size(), cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(outcome(cases[i], inner), golden[i])
+        << "case " << i + 1 << ": '" << cases[i] << "'";
+  }
 }
 
 }  // namespace
