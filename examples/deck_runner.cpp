@@ -12,9 +12,10 @@
 ///                              [--measure-csv FILE] [deck.sp] [node ...]
 ///
 /// Extra arguments name the nodes to report (default: all). With
-/// --stats, an engine-pipeline report (Newton iterations, device
-/// evaluations vs bypass hits, factorisation mix, phase times, LU fill)
-/// is printed after the analyses. --trace writes a Chrome trace-event /
+/// --stats, a pipeline report (front-end elements and expression
+/// evaluations, Newton iterations, device evaluations vs bypass hits,
+/// factorisation mix, phase times, LU fill) is printed after the
+/// analyses. --trace writes a Chrome trace-event /
 /// Perfetto JSON timeline of the run (newton, device-eval, factor,
 /// timestep spans); --metrics writes the flat counter/gauge registry as
 /// JSON (or CSV for a .csv path). See docs/OBSERVABILITY.md.
@@ -340,6 +341,11 @@ int main(int argc, char** argv) {
     if (want_stats) {
       const spice::EngineStats& st = engine.stats();
       std::printf("\nengine pipeline stats\n");
+      const netlist::FrontEndStats& fe = deck.front_end;
+      std::printf("  front end           %zu elements, %zu expression "
+                  "evaluations of %zu compiled expressions\n",
+                  fe.elements, fe.expression_evaluations,
+                  fe.compiled_expressions);
       std::printf("  newton iterations   %lld (%lld assemblies, %lld baselines)\n",
                   st.newton_iterations, st.assemblies, st.baseline_builds);
       std::printf("  device loads        %lld dynamic + %lld static\n",

@@ -3,6 +3,8 @@
 #include <climits>
 #include <cmath>
 #include <set>
+#include <unordered_map>
+#include <variant>
 
 #include "device/diode.hpp"
 #include "device/mosfet.hpp"
@@ -54,6 +56,34 @@ struct Frame {
   std::string inst;    // hierarchical instance name ("xtop.xinv1")
   std::string subckt;  // definition name
 };
+
+/// One port of a subckt instance: the caller's node it is wired to.
+/// The NodeId is looked up on first use, so Circuit::node meets every
+/// flat node name first where a by-name mapping would, and node
+/// numbering does not depend on this bookkeeping.
+struct Port {
+  std::optional<NodeId> id;
+  Port* caller_port = nullptr;  // wired to a port of the enclosing instance
+  std::string name;             // else the caller's flat node name
+};
+
+/// A subckt expansion in progress.
+struct Instance {
+  const SubcktDef* def;
+  std::string prefix;       // hierarchical instance name ("xtop.xinv1")
+  std::vector<Port> ports;  // in the definition's port order
+};
+
+/// A node token of a .subckt body, classified once per definition.
+struct NodeRef {
+  enum class Kind { kGround, kPort, kGlobal, kLocal } kind = Kind::kLocal;
+  std::size_t port = 0;  // kPort: position in the port list
+  std::string name;      // kGlobal, kLocal: the lowercased name
+};
+
+/// A value token compiled: the number an unquoted token spells
+/// (util::parse_si), or the code of its expression.
+using CompiledValue = std::variant<double, CompiledExpr>;
 
 class Elaborator {
  public:
@@ -109,7 +139,7 @@ class Elaborator {
     for (const Card& card : ast_.cards) {
       switch (card.kind) {
         case CardKind::kElement:
-          parse_element(card.line, "", {}, global_scope_);
+          parse_element(card.line, nullptr, global_scope_);
           break;
         case CardKind::kOp:
         case CardKind::kTran:
@@ -149,6 +179,7 @@ class Elaborator {
     for (const auto& [name, value] : global_scope_.env.local()) {
       deck_.params[name] = value;
     }
+    deck_.front_end.elements = deck_.circuit->devices().size();
     return std::move(deck_);
   }
 
@@ -173,14 +204,37 @@ class Elaborator {
 
   // ---- token evaluation ----------------------------------------------
 
-  /// Evaluate a value token (number, parameter reference or quoted/
-  /// unquoted expression) in \p env. Hard failure on malformed values.
-  double eval_tok(const Token& tok, const ParamEnv& env) {
+  CompiledValue compile(const Token& tok) {
     if (!tok.quoted) {
       if (const std::optional<double> v = util::parse_si(tok.text)) return *v;
     }
+    ++deck_.front_end.compiled_expressions;
+    return CompiledExpr(tok.text);
+  }
+
+  double run(const CompiledValue& value, const ParamEnv& env) {
+    if (const double* number = std::get_if<double>(&value)) return *number;
+    ++deck_.front_end.expression_evaluations;
+    return std::get<CompiledExpr>(value).eval(env);
+  }
+
+  /// The value of \p tok in \p env; throws ExprError. Top-level tokens,
+  /// the only ones read in the global scope, are read once: compiled,
+  /// run and dropped. A .subckt's tokens run once per instance, so each
+  /// is compiled on its first use and its code kept until elaboration
+  /// ends; a definition never instantiated is never compiled.
+  double value_of(const Token& tok, const ParamEnv& env) {
+    if (&env == &global_scope_.env) return run(compile(tok), env);
+    auto it = compiled_.find(&tok);
+    if (it == compiled_.end()) it = compiled_.emplace(&tok, compile(tok)).first;
+    return run(it->second, env);
+  }
+
+  /// Evaluate a value token (number, parameter reference or quoted/
+  /// unquoted expression) in \p env. Hard failure on malformed values.
+  double eval_tok(const Token& tok, const ParamEnv& env) {
     try {
-      return eval_expr(tok.text, env);
+      return value_of(tok, env);
     } catch (const ExprError& e) {
       // Plain malformed numbers keep the legacy message; anything that
       // looks like an expression or a parameter reference reports the
@@ -200,9 +254,8 @@ class Elaborator {
   /// failure to evaluate one is a hard error.
   std::optional<double> try_eval(const Token& tok, const ParamEnv& env) {
     if (tok.quoted) return eval_tok(tok, env);
-    if (const std::optional<double> v = util::parse_si(tok.text)) return *v;
     try {
-      return eval_expr(tok.text, env);
+      return value_of(tok, env);
     } catch (const ExprError&) {
       return std::nullopt;
     }
@@ -344,18 +397,79 @@ class Elaborator {
 
   // ---- nodes ----------------------------------------------------------
 
-  /// Map a node name through the subckt port map, the .global list and
-  /// the hierarchical prefix.
-  std::string map_node(const std::string& name, const std::string& prefix,
-                       const std::map<std::string, std::string>& port_map) {
-    const std::string key = lowercase(name);
-    // Every Circuit ground alias must stay global, or subckt expansion
-    // would prefix it into a phantom floating local node ("x1.vss!").
-    if (spice::is_ground_name(key)) return "0";
-    const auto it = port_map.find(key);
-    if (it != port_map.end()) return it->second;
-    if (globals_.count(key)) return key;
-    return prefix.empty() ? key : prefix + "." + key;
+  /// Classify a node token of \p def's body. Every Circuit ground alias
+  /// stays global first, or subckt expansion would prefix it into a
+  /// phantom floating local node ("x1.vss!"); then a port (the last of
+  /// duplicate port names); then a .global name; else a node local to
+  /// the instance.
+  const NodeRef& node_ref(const Token& tok, const SubcktDef& def) {
+    auto it = node_refs_.find(&tok);
+    if (it != node_refs_.end()) return it->second;
+    NodeRef ref;
+    if (spice::is_ground_name(tok.text)) {
+      ref.kind = NodeRef::Kind::kGround;
+    } else {
+      ref.name = lowercase(tok.text);
+      const auto port = std::find(def.ports.rbegin(), def.ports.rend(), ref.name);
+      if (port != def.ports.rend()) {
+        ref.kind = NodeRef::Kind::kPort;
+        ref.port = static_cast<std::size_t>(def.ports.rend() - port) - 1;
+      } else if (globals_.count(ref.name)) {
+        ref.kind = NodeRef::Kind::kGlobal;
+      }
+    }
+    return node_refs_.emplace(&tok, std::move(ref)).first->second;
+  }
+
+  NodeId resolve(Port& port) {
+    if (!port.id) {
+      port.id = port.caller_port ? resolve(*port.caller_port)
+                                 : deck_.circuit->node(port.name);
+    }
+    return *port.id;
+  }
+
+  /// The node \p tok names in \p inst (at the top level when null).
+  NodeId node_of(const Token& tok, Instance* inst) {
+    if (!inst) return deck_.circuit->node(tok.text);
+    const NodeRef& ref = node_ref(tok, *inst->def);
+    switch (ref.kind) {
+      case NodeRef::Kind::kGround:
+        return spice::kGround;
+      case NodeRef::Kind::kPort:
+        return resolve(inst->ports[ref.port]);
+      case NodeRef::Kind::kGlobal:
+        return deck_.circuit->node(ref.name);
+      case NodeRef::Kind::kLocal:
+        break;
+    }
+    return deck_.circuit->node(inst->prefix + "." + ref.name);
+  }
+
+  /// The port an X card's node token \p tok wires in \p caller (at the
+  /// top level when null). Nothing is created until the port is used.
+  Port port_of(const Token& tok, Instance* caller) {
+    Port port;
+    if (!caller) {
+      port.name = tok.text;
+      return port;
+    }
+    const NodeRef& ref = node_ref(tok, *caller->def);
+    switch (ref.kind) {
+      case NodeRef::Kind::kGround:
+        port.id = spice::kGround;
+        break;
+      case NodeRef::Kind::kPort:
+        port.caller_port = &caller->ports[ref.port];
+        break;
+      case NodeRef::Kind::kGlobal:
+        port.name = ref.name;
+        break;
+      case NodeRef::Kind::kLocal:
+        port.name = caller->prefix + "." + ref.name;
+        break;
+    }
+    return port;
   }
 
   // ---- sources --------------------------------------------------------
@@ -461,8 +575,9 @@ class Elaborator {
 
   // ---- elements -------------------------------------------------------
 
-  void parse_element(const LogicalLine& line, const std::string& prefix,
-                     const std::map<std::string, std::string>& port_map,
+  /// One element card, at the top level (\p inst null) or in the body
+  /// of the subckt instance \p inst.
+  void parse_element(const LogicalLine& line, Instance* inst,
                      const Scope& scope) {
     const auto& tok = line.tokens;
     if (tok.empty()) return;
@@ -470,13 +585,12 @@ class Elaborator {
     const ParamEnv& env = scope.env;
     const char kind = static_cast<char>(
         std::tolower(static_cast<unsigned char>(tok[0].text[0])));
-    const std::string name = prefix.empty()
-                                 ? tok[0].text
-                                 : prefix + "." + lowercase(tok[0].text);
+    const std::string name =
+        inst ? inst->prefix + "." + lowercase(tok[0].text) : tok[0].text;
 
     auto node = [&](std::size_t i) -> NodeId {
       if (i >= tok.size()) fail(line.loc, "missing node");
-      return c.node(map_node(tok[i].text, prefix, port_map));
+      return node_of(tok[i], inst);
     };
     auto value = [&](std::size_t i) -> double {
       if (i >= tok.size()) fail(line.loc, "missing value");
@@ -562,7 +676,7 @@ class Elaborator {
       }
       case 'x': {
         if (tok.size() < 3) fail(line.loc, "X needs nodes + subckt name");
-        expand_subckt(line, prefix, port_map, scope);
+        expand_subckt(line, inst, scope);
         return;
       }
       default:
@@ -572,8 +686,7 @@ class Elaborator {
 
   // ---- hierarchy ------------------------------------------------------
 
-  void expand_subckt(const LogicalLine& line, const std::string& outer_prefix,
-                     const std::map<std::string, std::string>& outer_map,
+  void expand_subckt(const LogicalLine& line, Instance* outer,
                      const Scope& caller) {
     const auto& tok = line.tokens;
     // Split "Xname n1 ... nk subname [p=v ...]": the subckt name is the
@@ -598,9 +711,9 @@ class Elaborator {
       fail(line.loc, "subckt '" + sub_name + "' expects " +
                          std::to_string(sub.ports.size()) + " nodes");
     }
-    const std::string inst = lowercase(tok[0].text);
-    const std::string prefix =
-        outer_prefix.empty() ? inst : outer_prefix + "." + inst;
+    Instance inst{&sub, lowercase(tok[0].text), {}};
+    if (outer) inst.prefix = outer->prefix + "." + inst.prefix;
+    const std::string& prefix = inst.prefix;
 
     if (static_cast<int>(path_.size()) >= options_.max_subckt_depth) {
       std::string chain;
@@ -614,10 +727,9 @@ class Elaborator {
                          "); raise max_subckt_depth if intended");
     }
 
-    std::map<std::string, std::string> port_map;
+    inst.ports.reserve(n_nodes);
     for (std::size_t k = 0; k < n_nodes; ++k) {
-      port_map[sub.ports[k]] =
-          map_node(tok[1 + k].text, outer_prefix, outer_map);
+      inst.ports.push_back(port_of(tok[1 + k], outer));
     }
 
     // Parameter environment: defaults evaluate in the subckt's lexical
@@ -638,7 +750,7 @@ class Elaborator {
     for (const Card& card : sub.body) {
       switch (card.kind) {
         case CardKind::kElement:
-          parse_element(card.line, prefix, port_map, child);
+          parse_element(card.line, &inst, child);
           break;
         case CardKind::kParam:
           parse_param_card(card.line, child.env);
@@ -882,6 +994,8 @@ class Elaborator {
   std::set<std::string> globals_;
   std::map<std::string, ModelCard> builtin_models_;
   std::vector<Frame> path_;
+  std::unordered_map<const Token*, CompiledValue> compiled_;
+  std::unordered_map<const Token*, NodeRef> node_refs_;
 };
 
 }  // namespace

@@ -1,49 +1,109 @@
 #include "netlist/expr.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <memory>
 
 #include "util/units.hpp"
 
 namespace sscl::netlist {
 
-void ParamEnv::set(const std::string& name, double value) {
-  std::string key = name;
-  for (char& c : key) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  values_[key] = value;
+namespace {
+
+char lower(char c) {
+  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+}
+
+bool is_digit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
+bool is_alpha(char c) { return std::isalpha(static_cast<unsigned char>(c)); }
+
+}  // namespace
+
+void ParamEnv::set(std::string name, double value) {
+  for (char& c : name) c = lower(c);
+  values_.insert_or_assign(std::move(name), value);
 }
 
 std::optional<double> ParamEnv::lookup(std::string_view name) const {
-  std::string key(name);
-  for (char& c : key) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  std::string folded;
+  if (std::any_of(name.begin(), name.end(),
+                  [](char c) { return lower(c) != c; })) {
+    folded = name;
+    for (char& c : folded) c = lower(c);
+    name = folded;
+  }
   for (const ParamEnv* env = this; env; env = env->parent_) {
-    const auto it = env->values_.find(key);
+    const auto it = env->values_.find(name);
     if (it != env->values_.end()) return it->second;
   }
   return std::nullopt;
 }
 
-namespace {
-
-class Parser {
+/// The recursive-descent parser of the grammar in expr.hpp, emitting
+/// postfix code in reading order. A syntax error throws out of the
+/// parse; CompiledExpr keeps it with the code emitted before it.
+class ExprCompiler {
  public:
-  Parser(std::string_view text, const ParamEnv& env) : text_(text), env_(env) {}
+  ExprCompiler(std::string_view text, CompiledExpr& out)
+      : text_(text), out_(out) {}
 
-  double run() {
+  void run() {
     skip_ws();
     if (at_end()) throw ExprError(0, "empty expression");
-    const double v = parse_expr();
+    parse_expr();
     skip_ws();
     if (!at_end()) {
       throw ExprError(pos_, "unexpected '" + std::string(1, text_[pos_]) +
                                 "' in expression");
     }
-    return v;
   }
 
  private:
+  using Op = CompiledExpr::Op;
+
+  struct Function {
+    std::string_view name;
+    Op op;
+    bool binary;
+  };
+
+  static const Function* find_function(std::string_view name) {
+    static constexpr Function kFunctions[] = {
+        {"abs", Op::kAbs, false},     {"sqrt", Op::kSqrt, false},
+        {"exp", Op::kExp, false},     {"ln", Op::kLn, false},
+        {"log", Op::kLn, false},      {"log10", Op::kLog10, false},
+        {"db", Op::kDb, false},       {"sin", Op::kSin, false},
+        {"cos", Op::kCos, false},     {"tan", Op::kTan, false},
+        {"atan", Op::kAtan, false},   {"floor", Op::kFloor, false},
+        {"ceil", Op::kCeil, false},   {"int", Op::kInt, false},
+        {"sgn", Op::kSgn, false},     {"pow", Op::kPow, true},
+        {"min", Op::kMin, true},      {"max", Op::kMax, true},
+    };
+    for (const Function& f : kFunctions) {
+      if (f.name == name) return &f;
+    }
+    return nullptr;
+  }
+
+  // ---- code ------------------------------------------------------------
+
+  void push(const CompiledExpr::Instr& instr) {
+    out_.code_.push_back(instr);
+    out_.stack_depth_ = std::max(out_.stack_depth_, ++depth_);
+  }
+  /// An operator or function: binary ones pop two values and push one.
+  void apply(Op op, bool binary) {
+    out_.code_.push_back({op});
+    if (binary) --depth_;
+  }
+
+  // ---- text ------------------------------------------------------------
+
   bool at_end() const { return pos_ >= text_.size(); }
-  char peek() const { return at_end() ? '\0' : text_[pos_]; }
+  char peek(std::size_t ahead = 0) const {
+    return pos_ + ahead < text_.size() ? text_[pos_ + ahead] : '\0';
+  }
   void skip_ws() {
     while (!at_end() && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
@@ -55,184 +115,239 @@ class Parser {
     ++pos_;
     return true;
   }
+  /// One '(' deeper, grouping or call; the bound keeps the recursion
+  /// below off the end of any thread's stack.
+  void open_paren() {
+    if (++nesting_ > kMaxExprDepth) {
+      throw ExprError(pos_, "expression nested deeper than " +
+                                std::to_string(kMaxExprDepth) + " levels");
+    }
+    ++pos_;
+  }
 
-  double parse_expr() {
-    double v = parse_term();
+  // ---- grammar ---------------------------------------------------------
+
+  void parse_expr() {
+    parse_term();
     for (;;) {
-      skip_ws();
       if (consume('+')) {
-        v += parse_term();
+        parse_term();
+        apply(Op::kAdd, true);
       } else if (consume('-')) {
-        v -= parse_term();
+        parse_term();
+        apply(Op::kSub, true);
       } else {
-        return v;
+        return;
       }
     }
   }
 
-  double parse_term() {
-    double v = parse_power();
+  void parse_term() {
+    parse_power();
+    for (;;) {
+      if (consume('*')) {
+        parse_power();
+        apply(Op::kMul, true);
+      } else if (consume('/')) {
+        parse_power();
+        apply(Op::kDiv, true);
+      } else if (consume('%')) {
+        parse_power();
+        apply(Op::kMod, true);
+      } else {
+        return;
+      }
+    }
+  }
+
+  /// a^b^c reads its operands in a loop and then applies the powers
+  /// right to left, pow(a, pow(b, c)), so a long chain costs no stack.
+  void parse_power() {
+    parse_unary();
+    std::size_t powers = 0;
     for (;;) {
       skip_ws();
-      // '**' is exponentiation, handled in parse_power; a single '*'
-      // followed by '*' must not be eaten as multiplication.
-      if (peek() == '*' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '*') {
-        return v;
-      }
-      if (consume('*')) {
-        v *= parse_power();
-      } else if (consume('/')) {
-        v /= parse_power();
-      } else if (consume('%')) {
-        v = std::fmod(v, parse_power());
+      if (peek() == '^') {
+        ++pos_;
+      } else if (peek() == '*' && peek(1) == '*') {
+        pos_ += 2;
       } else {
-        return v;
+        break;
+      }
+      parse_unary();
+      ++powers;
+    }
+    for (; powers > 0; --powers) apply(Op::kPow, true);
+  }
+
+  /// A run of signs is a loop too: each '-' flips the sign bit, so an
+  /// even count leaves the operand exactly as it was.
+  void parse_unary() {
+    bool negate = false;
+    for (;; ++pos_) {
+      skip_ws();
+      if (peek() == '-') {
+        negate = !negate;
+      } else if (peek() != '+') {
+        break;
       }
     }
+    parse_primary();
+    if (negate) apply(Op::kNeg, false);
   }
 
-  double parse_power() {
-    const double base = parse_unary();
-    skip_ws();
-    if (peek() == '^') {
-      ++pos_;
-      return std::pow(base, parse_power());
-    }
-    if (peek() == '*' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '*') {
-      pos_ += 2;
-      return std::pow(base, parse_power());
-    }
-    return base;
-  }
-
-  double parse_unary() {
-    skip_ws();
-    if (consume('-')) return -parse_unary();
-    if (consume('+')) return parse_unary();
-    return parse_primary();
-  }
-
-  double parse_primary() {
+  void parse_primary() {
     skip_ws();
     if (at_end()) throw ExprError(pos_, "expression ends unexpectedly");
     const char c = peek();
     if (c == '(') {
-      ++pos_;
-      const double v = parse_expr();
+      open_paren();
+      parse_expr();
       if (!consume(')')) throw ExprError(pos_, "missing ')'");
-      return v;
+      --nesting_;
+      return;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && pos_ + 1 < text_.size() &&
-         std::isdigit(static_cast<unsigned char>(text_[pos_ + 1])))) {
-      return parse_number();
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      return parse_ident();
-    }
+    if (is_digit(c) || (c == '.' && is_digit(peek(1)))) return parse_number();
+    if (is_alpha(c) || c == '_') return parse_ident();
     throw ExprError(pos_, std::string("unexpected '") + c + "' in expression");
   }
 
   /// Mantissa, optional exponent, optional SI suffix letters — handed
   /// whole to util::parse_si so deck numbers and expression numbers
   /// agree byte for byte.
-  double parse_number() {
+  void parse_number() {
     const std::size_t start = pos_;
-    while (!at_end() && (std::isdigit(static_cast<unsigned char>(peek())) ||
-                         peek() == '.')) {
-      ++pos_;
-    }
-    if (!at_end() && (peek() == 'e' || peek() == 'E')) {
+    while (!at_end() && (is_digit(peek()) || peek() == '.')) ++pos_;
+    if (peek() == 'e' || peek() == 'E') {
       // Exponent only when followed by a digit or a signed digit;
       // otherwise the letters are an SI suffix ("1e-9" vs "2exp"...).
-      std::size_t look = pos_ + 1;
-      if (look < text_.size() && (text_[look] == '+' || text_[look] == '-')) {
-        ++look;
-      }
-      if (look < text_.size() &&
-          std::isdigit(static_cast<unsigned char>(text_[look]))) {
-        pos_ = look;
-        while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) {
-          ++pos_;
-        }
+      std::size_t ahead = 1;
+      if (peek(ahead) == '+' || peek(ahead) == '-') ++ahead;
+      if (is_digit(peek(ahead))) {
+        pos_ += ahead;
+        while (is_digit(peek())) ++pos_;
       }
     }
     // SI suffix letters ("n", "meg", "k"...).
-    while (!at_end() && std::isalpha(static_cast<unsigned char>(peek()))) {
-      ++pos_;
-    }
+    while (is_alpha(peek())) ++pos_;
     const std::string_view slice = text_.substr(start, pos_ - start);
     const std::optional<double> v = util::parse_si(slice);
     if (!v) throw ExprError(start, "bad number '" + std::string(slice) + "'");
-    return *v;
+    push({Op::kConst, *v});
   }
 
-  double parse_ident() {
+  void parse_ident() {
     const std::size_t start = pos_;
-    while (!at_end() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                         peek() == '_' || peek() == '.')) {
+    while (!at_end() &&
+           (std::isalnum(static_cast<unsigned char>(peek())) ||
+            peek() == '_' || peek() == '.')) {
       ++pos_;
     }
     std::string name(text_.substr(start, pos_ - start));
-    for (char& ch : name) {
-      ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-    }
+    for (char& ch : name) ch = lower(ch);
     skip_ws();
     if (peek() == '(') return parse_call(start, name);
 
-    if (name == "pi") return M_PI;
-    if (name == "e") return M_E;
-    const std::optional<double> v = env_.lookup(name);
-    if (!v) throw ExprError(start, "unknown parameter '" + name + "'");
-    return *v;
+    if (name == "pi") return push({Op::kConst, M_PI});
+    if (name == "e") return push({Op::kConst, M_E});
+    push({Op::kLoad, 0.0, start, out_.names_.size(), name.size()});
+    out_.names_ += name;
   }
 
-  double parse_call(std::size_t start, const std::string& name) {
-    ++pos_;  // '('
-    const double a = parse_expr();
-    double b = 0.0;
-    bool have_b = false;
-    if (consume(',')) {
-      b = parse_expr();
-      have_b = true;
-    }
+  void parse_call(std::size_t start, const std::string& name) {
+    open_paren();
+    parse_expr();
+    const bool two = consume(',');
+    if (two) parse_expr();
     if (!consume(')')) throw ExprError(pos_, "missing ')' after " + name);
-
-    auto need2 = [&](bool want) {
-      if (want != have_b) {
-        throw ExprError(start, name + " expects " + (want ? "two arguments"
-                                                         : "one argument"));
-      }
-    };
-    if (name == "abs") return need2(false), std::fabs(a);
-    if (name == "sqrt") return need2(false), std::sqrt(a);
-    if (name == "exp") return need2(false), std::exp(a);
-    if (name == "ln" || name == "log") return need2(false), std::log(a);
-    if (name == "log10") return need2(false), std::log10(a);
-    if (name == "db") return need2(false), 20.0 * std::log10(std::fabs(a));
-    if (name == "sin") return need2(false), std::sin(a);
-    if (name == "cos") return need2(false), std::cos(a);
-    if (name == "tan") return need2(false), std::tan(a);
-    if (name == "atan") return need2(false), std::atan(a);
-    if (name == "floor") return need2(false), std::floor(a);
-    if (name == "ceil") return need2(false), std::ceil(a);
-    if (name == "int") return need2(false), std::trunc(a);
-    if (name == "sgn") return need2(false), a > 0 ? 1.0 : a < 0 ? -1.0 : 0.0;
-    if (name == "pow") return need2(true), std::pow(a, b);
-    if (name == "min") return need2(true), std::min(a, b);
-    if (name == "max") return need2(true), std::max(a, b);
-    throw ExprError(start, "unknown function '" + name + "'");
+    --nesting_;
+    const Function* f = find_function(name);
+    if (!f) throw ExprError(start, "unknown function '" + name + "'");
+    if (f->binary != two) {
+      throw ExprError(start, name + " expects " +
+                                 (f->binary ? "two arguments" : "one argument"));
+    }
+    apply(f->op, f->binary);
   }
 
   std::string_view text_;
-  const ParamEnv& env_;
+  CompiledExpr& out_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< values on the evaluation stack
+  int nesting_ = 0;        ///< open parentheses
 };
 
-}  // namespace
+CompiledExpr::CompiledExpr(std::string_view text) {
+  // Never more instructions than characters.
+  code_.reserve(std::min<std::size_t>(text.size(), 32));
+  try {
+    ExprCompiler(text, *this).run();
+  } catch (const ExprError& e) {
+    error_ = e;
+  }
+}
+
+double CompiledExpr::eval(const ParamEnv& env) const {
+  constexpr std::size_t kInlineStack = 32;
+  double inline_stack[kInlineStack];
+  std::unique_ptr<double[]> heap_stack;
+  double* base = inline_stack;
+  if (stack_depth_ > kInlineStack) {
+    heap_stack = std::make_unique_for_overwrite<double[]>(stack_depth_);
+    base = heap_stack.get();
+  }
+  double* top = base;  // one past the top value
+  for (const Instr& in : code_) {
+    if (in.op == Op::kConst) {
+      *top++ = in.value;
+      continue;
+    }
+    if (in.op == Op::kLoad) {
+      const std::string_view name(names_.data() + in.name, in.len);
+      const std::optional<double> v = env.lookup(name);
+      if (!v) {
+        throw ExprError(in.pos, "unknown parameter '" + std::string(name) + "'");
+      }
+      *top++ = *v;
+      continue;
+    }
+    double& x = top[-1];  // the operand, or a binary's right operand
+    switch (in.op) {
+      case Op::kNeg: x = -x; break;
+      case Op::kAbs: x = std::fabs(x); break;
+      case Op::kSqrt: x = std::sqrt(x); break;
+      case Op::kExp: x = std::exp(x); break;
+      case Op::kLn: x = std::log(x); break;
+      case Op::kLog10: x = std::log10(x); break;
+      case Op::kDb: x = 20.0 * std::log10(std::fabs(x)); break;
+      case Op::kSin: x = std::sin(x); break;
+      case Op::kCos: x = std::cos(x); break;
+      case Op::kTan: x = std::tan(x); break;
+      case Op::kAtan: x = std::atan(x); break;
+      case Op::kFloor: x = std::floor(x); break;
+      case Op::kCeil: x = std::ceil(x); break;
+      case Op::kInt: x = std::trunc(x); break;
+      case Op::kSgn: x = x > 0 ? 1.0 : x < 0 ? -1.0 : 0.0; break;
+      // Binary: pop x and combine it into the left operand.
+      case Op::kAdd: --top; top[-1] = top[-1] + x; break;
+      case Op::kSub: --top; top[-1] = top[-1] - x; break;
+      case Op::kMul: --top; top[-1] = top[-1] * x; break;
+      case Op::kDiv: --top; top[-1] = top[-1] / x; break;
+      case Op::kMod: --top; top[-1] = std::fmod(top[-1], x); break;
+      case Op::kPow: --top; top[-1] = std::pow(top[-1], x); break;
+      case Op::kMin: --top; top[-1] = std::min(top[-1], x); break;
+      case Op::kMax: --top; top[-1] = std::max(top[-1], x); break;
+      case Op::kConst:
+      case Op::kLoad:
+        break;  // handled above
+    }
+  }
+  if (error_) throw *error_;
+  return base[0];
+}
 
 double eval_expr(std::string_view text, const ParamEnv& env) {
-  return Parser(text, env).run();
+  return CompiledExpr(text).eval(env);
 }
 
 }  // namespace sscl::netlist

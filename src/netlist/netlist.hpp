@@ -44,6 +44,13 @@ struct ParseOptions {
   std::string name = "<deck>";
 };
 
+/// What elaboration did (deck_runner --stats).
+struct FrontEndStats {
+  std::size_t elements = 0;                ///< devices in the flat circuit
+  std::size_t expression_evaluations = 0;  ///< expression code runs
+  std::size_t compiled_expressions = 0;    ///< expressions compiled
+};
+
 /// Everything a runner needs: the flat circuit plus the run requests.
 struct Deck {
   std::string title;
@@ -58,6 +65,7 @@ struct Deck {
   /// .measure param='expr' cards evaluate in.
   std::map<std::string, double> params;
   std::vector<Diagnostic> warnings;
+  FrontEndStats front_end;
 };
 
 /// Run the full pipeline. Throws NetlistError (with file:line:col in

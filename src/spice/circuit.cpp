@@ -1,29 +1,51 @@
 #include "spice/circuit.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <stdexcept>
 
 namespace sscl::spice {
 
 namespace {
+char lower(char c) {
+  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+}
+
 std::string lowercase(std::string_view s) {
   std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = lower(c);
   return out;
+}
+
+/// \p name lowercased: itself when it already is, else a copy in
+/// \p storage.
+std::string_view folded(std::string_view name, std::string& storage) {
+  if (std::none_of(name.begin(), name.end(),
+                   [](char c) { return lower(c) != c; })) {
+    return name;
+  }
+  storage = lowercase(name);
+  return storage;
 }
 
 const std::string kGroundName = "0";
 }  // namespace
 
 bool is_ground_name(std::string_view name) {
-  const std::string lower = lowercase(name);
-  return lower == "0" || lower == "gnd" || lower == "gnd!" ||
-         lower == "ground" || lower == "vss!";
+  for (const std::string_view alias : {"0", "gnd", "gnd!", "ground", "vss!"}) {
+    if (name.size() == alias.size() &&
+        std::equal(name.begin(), name.end(), alias.begin(),
+                   [](char a, char b) { return lower(a) == b; })) {
+      return true;
+    }
+  }
+  return false;
 }
 
 NodeId Circuit::node(std::string_view name) {
   if (is_ground_name(name)) return kGround;
-  const std::string key = lowercase(name);
+  std::string storage;
+  const std::string_view key = folded(name, storage);
   auto it = node_ids_.find(key);
   if (it != node_ids_.end()) return it->second;
   const NodeId id = static_cast<NodeId>(node_names_.size());
@@ -41,8 +63,8 @@ NodeId Circuit::internal_node(std::string_view prefix) {
 
 std::optional<NodeId> Circuit::find_node(std::string_view name) const {
   if (is_ground_name(name)) return kGround;
-  const std::string key = lowercase(name);
-  auto it = node_ids_.find(key);
+  std::string storage;
+  auto it = node_ids_.find(folded(name, storage));
   if (it == node_ids_.end()) return std::nullopt;
   return it->second;
 }

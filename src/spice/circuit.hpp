@@ -4,6 +4,7 @@
 /// Circuit: the netlist container. Owns devices, maps node names to
 /// NodeIds and performs elaboration (branch/state allocation).
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -42,6 +43,15 @@ class Solution {
 /// parser so hierarchical netlist expansion cannot turn a ground alias
 /// into a phantom local node.
 bool is_ground_name(std::string_view name);
+
+/// Hashes std::string and std::string_view alike, so an unordered_map
+/// keyed by std::string is searched by view without building a key.
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 class Circuit {
  public:
@@ -93,7 +103,7 @@ class Circuit {
 
  private:
   std::vector<std::unique_ptr<Device>> devices_;
-  std::unordered_map<std::string, NodeId> node_ids_;
+  std::unordered_map<std::string, NodeId, NameHash, std::equal_to<>> node_ids_;
   std::vector<std::string> node_names_;
   std::size_t elaborated_upto_ = 0;
   int branch_count_ = 0;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
+#include "netlist/expr.hpp"
 #include "spice/device.hpp"
 
 namespace sscl::netlist {
@@ -14,6 +18,37 @@ spice::DeviceInfo mos_info(const spice::Circuit& c, const std::string& name) {
   EXPECT_TRUE(dev->describe(info));
   EXPECT_TRUE(info.is_mosfet) << name;
   return info;
+}
+
+spice::DeviceInfo info_of(const spice::Circuit& c, const std::string& name) {
+  const spice::Device* dev = c.find_device(name);
+  spice::DeviceInfo info;
+  EXPECT_TRUE(dev != nullptr && dev->describe(info)) << name;
+  return info;
+}
+
+double resistance(const spice::Circuit& c, const std::string& name) {
+  const spice::DeviceInfo info = info_of(c, name);
+  return info.edges.empty() ? 0.0 : info.edges[0].value;
+}
+
+/// The nodes of a two-terminal device, in terminal order.
+std::pair<spice::NodeId, spice::NodeId> ends_of(const spice::Circuit& c,
+                                                const std::string& name) {
+  const spice::DeviceInfo info = info_of(c, name);
+  if (info.terminals.size() != 2) return {-2, -2};
+  return {info.terminals[0].node, info.terminals[1].node};
+}
+
+/// The NetlistError a deck fails with.
+NetlistError error_of(const std::string& text) {
+  try {
+    parse_netlist(text);
+  } catch (const NetlistError& e) {
+    return e;
+  }
+  ADD_FAILURE() << "expected NetlistError";
+  return NetlistError({}, "", "");
 }
 
 TEST(Elaborate, HierarchicalNamesAndPortMapping) {
@@ -299,6 +334,123 @@ TEST(Elaborate, LegacyErrorMessagesSurviveTheShim) {
   } catch (const NetlistError& e) {
     EXPECT_EQ(e.message(), "unknown subckt 'nosuchsub'");
   }
+}
+
+TEST(Elaborate, OneBodyTokenEvaluatesPerInstance) {
+  // The body token is compiled once; its code, not a value, is reused.
+  const Deck deck = parse_netlist(R"(per-instance values
+.param g=2
+.subckt seg a b r=1k
+R1 a b {r*g + 1}
+.ends
+X1 n1 0 seg r=10
+X2 n1 0 seg r={g*10}
+X3 n1 0 seg
+V1 n1 0 1
+.end
+)");
+  const spice::Circuit& c = *deck.circuit;
+  EXPECT_DOUBLE_EQ(resistance(c, "x1.r1"), 21.0);
+  EXPECT_DOUBLE_EQ(resistance(c, "x2.r1"), 41.0);
+  EXPECT_DOUBLE_EQ(resistance(c, "x3.r1"), 2001.0);
+  // {r*g + 1} compiled once and run three times; {g*10} compiled and
+  // run once; the numbers (10, 1k, 1) are no expressions.
+  EXPECT_EQ(deck.front_end.elements, 4u);
+  EXPECT_EQ(deck.front_end.compiled_expressions, 2u);
+  EXPECT_EQ(deck.front_end.expression_evaluations, 4u);
+}
+
+TEST(Elaborate, ServeBenchFrontEndCounts) {
+  std::ifstream in(std::string(SSCL_EXAMPLE_DECK_DIR) + "/serve_bench.sp");
+  std::ostringstream os;
+  os << in.rdbuf();
+  const Deck deck = parse_netlist(os.str());
+  EXPECT_EQ(deck.front_end.elements, 2050u);
+  EXPECT_EQ(deck.front_end.expression_evaluations, 2635u);
+  EXPECT_EQ(deck.front_end.compiled_expressions, 31u);
+}
+
+TEST(Elaborate, SyntaxErrorsInABodyWaitForAnInstance) {
+  const std::string defs = R"(lazy bodies
+.subckt never a b
+R1 a b {1 + * 2}
+.ends
+R1 a 0 1k
+)";
+  // Never instantiated: never compiled, so never reported.
+  EXPECT_NO_THROW(parse_netlist(defs + ".end\n"));
+  const NetlistError e = error_of(defs + "X1 a 0 never\n.end\n");
+  EXPECT_EQ(e.location(), "<deck>:3:8");
+  EXPECT_EQ(e.message(), "in '1 + * 2': unexpected '*' in expression");
+}
+
+TEST(Elaborate, ExpressionErrorsInABodyKeepTheirOrder) {
+  struct Case {
+    const char* value;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"{foo(zz)}", "in 'foo(zz)': unknown parameter 'zz'"},
+      {"{q + (}", "in 'q + (': unknown parameter 'q'"},
+      {"{sqrt(1, zz)}", "in 'sqrt(1, zz)': unknown parameter 'zz'"},
+      {"{sqrt(1, k)}", "in 'sqrt(1, k)': sqrt expects one argument"},
+  };
+  for (const Case& c : cases) {
+    // Two instances: the error is the same on the first use of the
+    // compiled code and would be on any later one.
+    const std::string text = std::string("t\n.subckt s a b k=1\nR1 a b ") +
+                             c.value + "\n.ends\nX1 n1 0 s\nX2 n1 0 s\n.end\n";
+    const NetlistError e = error_of(text);
+    EXPECT_EQ(e.location(), "<deck>:3:8") << c.value;
+    EXPECT_EQ(e.message(), c.message);
+  }
+}
+
+TEST(Elaborate, DeepExpressionIsALocatedError) {
+  // 30,000 levels overflowed the stack of the recursive interpreter.
+  const std::string deep = std::string(30000, '(') + "1" + std::string(30000, ')');
+  const NetlistError e = error_of("deep\nR1 a 0 {" + deep + "}\n.end\n");
+  EXPECT_EQ(e.location(), "<deck>:2:8");
+  const std::string tail = "': expression nested deeper than 1000 levels";
+  ASSERT_GE(e.message().size(), tail.size());
+  EXPECT_EQ(e.message().substr(e.message().size() - tail.size()), tail);
+}
+
+TEST(Elaborate, PortsClassifyLikeAByNameMap) {
+  const Deck deck = parse_netlist(R"(port classification
+.global vdd!
+* duplicate port name: the last one wins
+.subckt dup a a b
+R1 a b 1k
+.ends
+* a port named like a ground alias is ground
+.subckt gp gnd x
+R1 gnd x 1k
+.ends
+* a port that is also .global: the port wins
+.subckt gl vdd! x
+R1 vdd! x 1k
+.ends
+* body references fold case onto the ports
+.subckt mc IN out
+R1 In OUT 1k
+.ends
+X1 n1 n2 n3 dup
+X2 n4 n5 gp
+X3 n6 n7 gl
+X4 P Q mc
+V1 n1 0 1
+.end
+)");
+  const spice::Circuit& c = *deck.circuit;
+  auto id = [&](const char* name) { return c.find_node(name).value_or(-2); };
+  EXPECT_EQ(ends_of(c, "x1.r1"), std::make_pair(id("n2"), id("n3")));
+  EXPECT_EQ(ends_of(c, "x2.r1"), std::make_pair(spice::kGround, id("n5")));
+  EXPECT_FALSE(c.find_node("n4").has_value());  // an unused port creates nothing
+  EXPECT_EQ(ends_of(c, "x3.r1"), std::make_pair(id("n6"), id("n7")));
+  EXPECT_FALSE(c.find_node("vdd!").has_value());
+  EXPECT_EQ(ends_of(c, "x4.r1"), std::make_pair(id("p"), id("q")));
+  EXPECT_FALSE(c.find_node("x4.in").has_value());
 }
 
 }  // namespace

@@ -103,6 +103,94 @@ TEST(Expr, ErrorsCarryPositions) {
   EXPECT_THROW(ev("min(1)"), ExprError);
 }
 
+std::string error_of(const std::string& text, const ParamEnv& env,
+                     std::size_t* pos = nullptr) {
+  try {
+    eval_expr(text, env);
+  } catch (const ExprError& e) {
+    if (pos) *pos = e.pos();
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(Expr, CompiledCodeRunsInEveryEnvironment) {
+  // The code holds loads, not values: one compile, two scopes.
+  const CompiledExpr code("r*2 + rbase");
+  ParamEnv globals;
+  globals.set("rbase", 100.0);
+  ParamEnv first(&globals);
+  first.set("R", 1.0);
+  ParamEnv second(&globals);
+  second.set("r", 5.0);
+  EXPECT_DOUBLE_EQ(code.eval(first), 102.0);
+  EXPECT_DOUBLE_EQ(code.eval(second), 110.0);
+  EXPECT_THROW(code.eval(globals), ExprError);  // no r out there
+}
+
+TEST(Expr, AnUnknownParameterBeforeASyntaxErrorIsReportedFirst) {
+  ParamEnv env;
+  env.set("q", 1.0);
+  ParamEnv empty;
+  std::size_t pos = 0;
+  // The argument is read before the function name is looked up.
+  EXPECT_EQ(error_of("foo(zz)", empty, &pos), "unknown parameter 'zz'");
+  EXPECT_EQ(pos, 4u);
+  EXPECT_EQ(error_of("foo(1)", empty, &pos), "unknown function 'foo'");
+  EXPECT_EQ(pos, 0u);
+  // The syntax error is kept until the code before it has run.
+  EXPECT_EQ(error_of("q + (", empty, &pos), "unknown parameter 'q'");
+  EXPECT_EQ(pos, 0u);
+  EXPECT_EQ(error_of("q + (", env, &pos), "expression ends unexpectedly");
+  EXPECT_EQ(pos, 5u);
+  // An arity error comes after its arguments are read.
+  EXPECT_EQ(error_of("sqrt(1, zz)", empty, &pos), "unknown parameter 'zz'");
+  EXPECT_EQ(pos, 8u);
+  EXPECT_EQ(error_of("sqrt(1, q)", env, &pos), "sqrt expects one argument");
+  EXPECT_EQ(pos, 0u);
+  // A compiled syntax error throws on every run, the same each time.
+  const CompiledExpr broken("q + (");
+  for (int run = 0; run < 2; ++run) {
+    try {
+      broken.eval(env);
+      ADD_FAILURE() << "expected ExprError";
+    } catch (const ExprError& e) {
+      EXPECT_EQ(e.pos(), 5u);
+    }
+  }
+}
+
+TEST(Expr, NestingDeeperThanTheBoundIsALocatedError) {
+  ParamEnv env;
+  auto nested = [](int levels) {
+    return std::string(static_cast<std::size_t>(levels), '(') + "1" +
+           std::string(static_cast<std::size_t>(levels), ')');
+  };
+  EXPECT_DOUBLE_EQ(eval_expr(nested(kMaxExprDepth), env), 1.0);
+  std::size_t pos = 0;
+  EXPECT_EQ(error_of(nested(kMaxExprDepth + 1), env, &pos),
+            "expression nested deeper than 1000 levels");
+  EXPECT_EQ(pos, 1000u);  // the '(' that opens level 1001
+  // Function calls count as levels too.
+  std::string calls;
+  for (int i = 0; i <= kMaxExprDepth; ++i) calls += "abs(";
+  calls += "1" + std::string(kMaxExprDepth + 1, ')');
+  EXPECT_EQ(error_of(calls, env, &pos),
+            "expression nested deeper than 1000 levels");
+  EXPECT_EQ(pos, 4u * 1000u + 3u);
+  // Deep enough to overflow the stack of a recursive parser.
+  EXPECT_EQ(error_of(nested(30000), env, &pos),
+            "expression nested deeper than 1000 levels");
+  EXPECT_EQ(pos, 1000u);
+  // Sign runs and power chains are loops: no bound, same values.
+  EXPECT_DOUBLE_EQ(eval_expr(std::string(3000000, '-') + "2", env), 2.0);
+  EXPECT_DOUBLE_EQ(eval_expr(std::string(3000001, '-') + "2", env), -2.0);
+  std::string chain = "2";
+  for (int i = 0; i < 100000; ++i) chain += "^1";
+  EXPECT_DOUBLE_EQ(eval_expr(chain, env), 2.0);
+  EXPECT_DOUBLE_EQ(eval_expr("2^3^2", env), 512.0);
+}
+
 /// One line of expr_cases.golden: the value as a hex float, "nan" for
 /// any NaN (x86 gives the sign of whichever NaN operand came first), or
 /// "E <pos> <message>".

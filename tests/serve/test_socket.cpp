@@ -119,6 +119,23 @@ TEST_F(SocketServe, StatsLinesAreTagged) {
   EXPECT_TRUE(saw_requests);
 }
 
+TEST_F(SocketServe, DeepExpressionEndsInErrorAndTheDaemonServesOn) {
+  // 30,000 nested parentheses (60 KB) used to overflow the expression
+  // parser's stack and take the daemon down with the job.
+  serve::Client client(transport_->port());
+  serve::JobRequest request;
+  request.deck_text = "deep\nR1 a 0 {" + std::string(30000, '(') + "1" +
+                      std::string(30000, ')') + "}\nV1 a 0 1\n.op\n.end\n";
+  const auto reply = client.submit(request);
+  EXPECT_EQ(reply.status, "error");
+  EXPECT_NE(envelope_of(reply, "ERROR")
+                .find("expression nested deeper than 1000 levels"),
+            std::string::npos);
+  EXPECT_EQ(client.command("PING").status, "ok");
+  serve::Client next(transport_->port());
+  EXPECT_EQ(next.command("PING").status, "ok");
+}
+
 TEST_F(SocketServe, TwoConnectionsShareTheCache) {
   serve::Client first(transport_->port());
   serve::JobRequest request;
