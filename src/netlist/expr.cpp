@@ -26,15 +26,18 @@ void ParamEnv::set(std::string name, double value) {
 }
 
 std::optional<double> ParamEnv::lookup(std::string_view name) const {
-  std::string folded;
-  if (std::any_of(name.begin(), name.end(),
-                  [](char c) { return lower(c) != c; })) {
-    folded = name;
-    for (char& c : folded) c = lower(c);
-    name = folded;
+  if (std::none_of(name.begin(), name.end(),
+                   [](char c) { return lower(c) != c; })) {
+    return find(name);
   }
+  std::string folded(name);
+  for (char& c : folded) c = lower(c);
+  return find(folded);
+}
+
+std::optional<double> ParamEnv::find(std::string_view lowercase_name) const {
   for (const ParamEnv* env = this; env; env = env->parent_) {
-    const auto it = env->values_.find(name);
+    const auto it = env->values_.find(lowercase_name);
     if (it != env->values_.end()) return it->second;
   }
   return std::nullopt;
@@ -130,33 +133,25 @@ class ExprCompiler {
   void parse_expr() {
     parse_term();
     for (;;) {
-      if (consume('+')) {
-        parse_term();
-        apply(Op::kAdd, true);
-      } else if (consume('-')) {
-        parse_term();
-        apply(Op::kSub, true);
-      } else {
-        return;
-      }
+      skip_ws();
+      const char c = peek();
+      if (c != '+' && c != '-') return;
+      ++pos_;
+      parse_term();
+      apply(c == '+' ? Op::kAdd : Op::kSub, true);
     }
   }
 
+  /// A '*' here is never the first of a '**': parse_power took those.
   void parse_term() {
     parse_power();
     for (;;) {
-      if (consume('*')) {
-        parse_power();
-        apply(Op::kMul, true);
-      } else if (consume('/')) {
-        parse_power();
-        apply(Op::kDiv, true);
-      } else if (consume('%')) {
-        parse_power();
-        apply(Op::kMod, true);
-      } else {
-        return;
-      }
+      skip_ws();
+      const char c = peek();
+      if (c != '*' && c != '/' && c != '%') return;
+      ++pos_;
+      parse_power();
+      apply(c == '*' ? Op::kMul : c == '/' ? Op::kDiv : Op::kMod, true);
     }
   }
 
@@ -196,8 +191,8 @@ class ExprCompiler {
     if (negate) apply(Op::kNeg, false);
   }
 
+  /// Called by parse_unary, which has skipped the whitespace.
   void parse_primary() {
-    skip_ws();
     if (at_end()) throw ExprError(pos_, "expression ends unexpectedly");
     const char c = peek();
     if (c == '(') {
@@ -233,38 +228,56 @@ class ExprCompiler {
     const std::string_view slice = text_.substr(start, pos_ - start);
     const std::optional<double> v = util::parse_si(slice);
     if (!v) throw ExprError(start, "bad number '" + std::string(slice) + "'");
-    push({Op::kConst, *v});
+    push({.op = Op::kConst, .value = *v});
   }
 
+  /// An identifier is lowercased straight into names_; a function name
+  /// or constant is taken back out again.
   void parse_ident() {
     const std::size_t start = pos_;
+    std::string& names = out_.names_;
+    const std::size_t name = names.size();
     while (!at_end() &&
            (std::isalnum(static_cast<unsigned char>(peek())) ||
             peek() == '_' || peek() == '.')) {
-      ++pos_;
+      names += lower(text_[pos_++]);
     }
-    std::string name(text_.substr(start, pos_ - start));
-    for (char& ch : name) ch = lower(ch);
+    const std::size_t len = pos_ - start;
+    const std::string_view lowered(names.data() + name, len);
     skip_ws();
-    if (peek() == '(') return parse_call(start, name);
-
-    if (name == "pi") return push({Op::kConst, M_PI});
-    if (name == "e") return push({Op::kConst, M_E});
-    push({Op::kLoad, 0.0, start, out_.names_.size(), name.size()});
-    out_.names_ += name;
+    if (peek() == '(') {
+      const Function* f = find_function(lowered);
+      names.resize(name);
+      return parse_call(start, len, f);
+    }
+    if (lowered == "pi" || lowered == "e") {
+      const double value = lowered == "pi" ? M_PI : M_E;
+      names.resize(name);
+      return push({.op = Op::kConst, .value = value});
+    }
+    push({.op = Op::kLoad,
+          .len = static_cast<std::uint32_t>(len),
+          .name = name,
+          .pos = start});
   }
 
-  void parse_call(std::size_t start, const std::string& name) {
+  /// The call of function \p f (null when unknown) named by the
+  /// identifier at [start, start + len).
+  void parse_call(std::size_t start, std::size_t len, const Function* f) {
     open_paren();
     parse_expr();
     const bool two = consume(',');
     if (two) parse_expr();
-    if (!consume(')')) throw ExprError(pos_, "missing ')' after " + name);
+    auto name = [&] {
+      std::string lowered(text_.substr(start, len));
+      for (char& c : lowered) c = lower(c);
+      return lowered;
+    };
+    if (!consume(')')) throw ExprError(pos_, "missing ')' after " + name());
     --nesting_;
-    const Function* f = find_function(name);
-    if (!f) throw ExprError(start, "unknown function '" + name + "'");
+    if (!f) throw ExprError(start, "unknown function '" + name() + "'");
     if (f->binary != two) {
-      throw ExprError(start, name + " expects " +
+      throw ExprError(start, name() + " expects " +
                                  (f->binary ? "two arguments" : "one argument"));
     }
     apply(f->op, f->binary);
@@ -278,8 +291,8 @@ class ExprCompiler {
 };
 
 CompiledExpr::CompiledExpr(std::string_view text) {
-  // Never more instructions than characters.
-  code_.reserve(std::min<std::size_t>(text.size(), 32));
+  // About one instruction per two characters; at most one per character.
+  code_.reserve(std::min<std::size_t>(text.size() / 2 + 2, 32));
   try {
     ExprCompiler(text, *this).run();
   } catch (const ExprError& e) {
@@ -304,7 +317,7 @@ double CompiledExpr::eval(const ParamEnv& env) const {
     }
     if (in.op == Op::kLoad) {
       const std::string_view name(names_.data() + in.name, in.len);
-      const std::optional<double> v = env.lookup(name);
+      const std::optional<double> v = env.find(name);
       if (!v) {
         throw ExprError(in.pos, "unknown parameter '" + std::string(name) + "'");
       }

@@ -60,6 +60,11 @@ class ParamEnv {
   const Map& local() const { return values_; }
 
  private:
+  friend class CompiledExpr;
+
+  /// lookup() of a name that is already lowercase.
+  std::optional<double> find(std::string_view lowercase_name) const;
+
   const ParamEnv* parent_;
   Map values_;
 };
@@ -98,10 +103,10 @@ class CompiledExpr {
   };
   struct Instr {
     Op op;
-    double value = 0.0;    ///< kConst
-    std::size_t pos = 0;   ///< kLoad: offset of the name in the text
-    std::size_t name = 0;  ///< kLoad: the lowercased name is
-    std::size_t len = 0;   ///< names_[name, name + len)
+    std::uint32_t len = 0;  ///< kLoad: the lowercased name is
+    std::size_t name = 0;   ///< names_[name, name + len)
+    std::size_t pos = 0;    ///< kLoad: offset of the name in the text
+    double value = 0.0;     ///< kConst
   };
 
   std::vector<Instr> code_;
