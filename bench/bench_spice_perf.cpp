@@ -328,6 +328,7 @@ void BM_ElaborateServeBench(benchmark::State& state) {
     const netlist::Deck deck = netlist::parse_netlist(text);
     spent += std::chrono::steady_clock::now() - start;
     elements = deck.circuit->devices().size();
+    benchmark::DoNotOptimize(elements);
   }
   state.counters["elements"] = static_cast<double>(elements);
   state.counters["us_per_element"] =

@@ -301,12 +301,12 @@ CompiledExpr::CompiledExpr(std::string_view text) {
 }
 
 double CompiledExpr::eval(const ParamEnv& env) const {
-  constexpr std::size_t kInlineStack = 32;
-  double inline_stack[kInlineStack];
+  constexpr std::size_t kInlineStack = 16;
+  double inline_stack[kInlineStack] = {};
   std::unique_ptr<double[]> heap_stack;
   double* base = inline_stack;
   if (stack_depth_ > kInlineStack) {
-    heap_stack = std::make_unique_for_overwrite<double[]>(stack_depth_);
+    heap_stack = std::make_unique<double[]>(stack_depth_);
     base = heap_stack.get();
   }
   double* top = base;  // one past the top value
