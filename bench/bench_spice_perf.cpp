@@ -1,7 +1,7 @@
 /// Experiment P1 (infrastructure): google-benchmark microbenchmarks of
 /// the simulation kernels every experiment above runs on -- dense and
-/// sparse LU, DC operating points of STSCL cells, transient steps, and
-/// the gate-level event simulator, and the netlist front end.
+/// sparse LU, DC operating points of STSCL cells, transient steps, the
+/// gate-level event simulator and the netlist front end.
 
 #include <benchmark/benchmark.h>
 
@@ -310,8 +310,8 @@ BENCHMARK(BM_SpiceEnsembleOp)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-// The netlist front end on serve_bench.sp: 584 subckt instances whose
-// 2,050 elements read 2,635 expression values.
+// The netlist front end on serve_bench.sp: 584 subckt instances expand
+// to 2,050 elements with 2,635 expression evaluations.
 std::string serve_bench_text() {
   std::ifstream in(std::string(SSCL_EXAMPLE_DECK_DIR) + "/serve_bench.sp");
   std::ostringstream os;
