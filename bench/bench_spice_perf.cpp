@@ -15,12 +15,14 @@
 #include "digital/fmax.hpp"
 #include "netlist/expr.hpp"
 #include "netlist/netlist.hpp"
+#include "spice/ac.hpp"
 #include "spice/elements.hpp"
 #include "spice/engine.hpp"
 #include "spice/ensemble.hpp"
 #include "spice/linear_system.hpp"
 #include "spice/transient.hpp"
 #include "stscl/fabric.hpp"
+#include "util/numeric.hpp"
 #include "util/rng.hpp"
 
 using namespace sscl;
@@ -335,6 +337,28 @@ void BM_ElaborateServeBench(benchmark::State& state) {
       spent.count() / static_cast<double>(state.iterations() * elements);
 }
 BENCHMARK(BM_ElaborateServeBench)->Unit(benchmark::kMillisecond);
+
+// serve_bench.sp (1,026 unknowns) under `.ac dec 10 1k 10k`: its op plus
+// eleven AC points per iteration. run_ac solves the op first, so one
+// separately timed op is subtracted from each AC run.
+void BM_AcServeBench(benchmark::State& state) {
+  netlist::Deck deck = netlist::parse_netlist(serve_bench_text());
+  spice::Engine engine(*deck.circuit);
+  const std::vector<double> freqs = util::logspace(1e3, 1e4, 11);
+  std::chrono::duration<double, std::micro> ac{0}, op{0};
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(spice::run_ac(engine, freqs));
+    const auto mid = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(engine.solve_op());
+    ac += mid - start;
+    op += std::chrono::steady_clock::now() - mid;
+  }
+  state.counters["us_per_point"] =
+      (ac - op).count() /
+      static_cast<double>(state.iterations() * freqs.size());
+}
+BENCHMARK(BM_AcServeBench)->Unit(benchmark::kMillisecond);
 
 // serve_bench.sp's four seg expressions in a seg instance's scope. Arm 0
 // compiles and runs each text, the way a top-level card is read once;
