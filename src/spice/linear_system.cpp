@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <functional>
 #include <numeric>
 #include <queue>
@@ -17,6 +18,10 @@ namespace {
 // too far relative to its column and the full pivot search must rerun.
 constexpr double kPivotTiny = 1e-300;
 constexpr double kPivotReuseThreshold = 1e-3;
+
+// Pivot magnitude: |v| for real values, the modulus for complex ones.
+double magnitude(double v) { return std::fabs(v); }
+double magnitude(const std::complex<double>& v) { return std::abs(v); }
 
 // AMD's dense-node rule: an unknown coupled to more than
 // max(16, kDenseDegree * sqrt(n)) others (a supply or bias rail on a
@@ -201,58 +206,68 @@ void LinearSystem::adopt_factorization(const LinearSystem& from) {
   // different patterns can share a layout under different orders (swap
   // two columns and their places in the order), and a donor with
   // another pattern is refused whatever its layout.
-  if (!from.symbolic_valid_ || from.ap_ != ap_ || from.ai_ != ai_ ||
+  if (!from.lu_.symbolic_valid || from.ap_ != ap_ || from.ai_ != ai_ ||
       from.q_ != q_) {
     return;
   }
-  lp_ = from.lp_;
-  li_ = from.li_;
-  lx_ = from.lx_;
-  up_ = from.up_;
-  ui_ = from.ui_;
-  ux_ = from.ux_;
-  pinv_ = from.pinv_;
-  symbolic_valid_ = true;
+  lu_ = from.lu_;
 }
 
 bool LinearSystem::solve(std::vector<double>& x_out) {
-  // A pivot that decayed (or went singular) under the stored ordering
-  // falls through to the full threshold-pivoting pass.
-  last_factor_numeric_ = symbolic_valid_ && refactor_numeric();
-  if (!last_factor_numeric_ && !factor_full()) return false;
-
-  // P A Q = L U: solve L U z = P b in the scratch, then x = Q z.
-  work_.resize(n_);
-  double* z = work_.data();
-  // Apply the row permutation: z[pinv[i]] = b[i].
-  for (int i = 0; i < n_; ++i) z[pinv_[i]] = rhs_[i + 1];
-  // L y = P b (unit diagonal first in each column).
-  for (int j = 0; j < n_; ++j) {
-    const double zj = z[j];
-    for (int p = lp_[j] + 1; p < lp_[j + 1]; ++p) z[li_[p]] -= lx_[p] * zj;
-  }
-  // U z = y (diagonal stored last in each column).
-  for (int j = n_ - 1; j >= 0; --j) {
-    z[j] /= ux_[up_[j + 1] - 1];
-    const double zj = z[j];
-    for (int p = up_[j]; p < up_[j + 1] - 1; ++p) z[ui_[p]] -= ux_[p] * zj;
-  }
-  x_out.resize(n_);
-  for (int k = 0; k < n_; ++k) x_out[q_[k]] = z[k];
+  if (!factor(ax_, lu_)) return false;
+  substitute(lu_, rhs_, x_out);
   return true;
 }
 
-bool LinearSystem::factor_full() {
-  lp_.assign(1, 0);
-  li_.clear();
-  lx_.clear();
-  up_.assign(1, 0);
-  ui_.clear();
-  ux_.clear();
-  pinv_.assign(n_, -1);
-  symbolic_valid_ = false;
+template <typename T>
+bool LinearSystem::factor(const std::vector<T>& ax, Factors<T>& lu) const {
+  // A pivot that decayed (or went singular) under the stored ordering
+  // falls through to the full threshold-pivoting pass.
+  lu.last_numeric = lu.symbolic_valid && refactor_numeric(ax, lu);
+  return lu.last_numeric || factor_full(ax, lu);
+}
 
-  std::vector<double> x(n_, 0.0);
+template <typename T>
+void LinearSystem::substitute(Factors<T>& lu, const std::vector<T>& rhs,
+                              std::vector<T>& x_out) const {
+  // P A Q = L U: solve L U z = P b in the scratch, then x = Q z.
+  lu.work.resize(n_);
+  T* z = lu.work.data();
+  // Apply the row permutation: z[pinv[i]] = b[i].
+  for (int i = 0; i < n_; ++i) z[lu.pinv[i]] = rhs[i + 1];
+  // L y = P b (unit diagonal first in each column).
+  for (int j = 0; j < n_; ++j) {
+    const T zj = z[j];
+    for (int p = lu.lp[j] + 1; p < lu.lp[j + 1]; ++p) {
+      z[lu.li[p]] -= lu.lx[p] * zj;
+    }
+  }
+  // U z = y (diagonal stored last in each column).
+  for (int j = n_ - 1; j >= 0; --j) {
+    z[j] /= lu.ux[lu.up[j + 1] - 1];
+    const T zj = z[j];
+    for (int p = lu.up[j]; p < lu.up[j + 1] - 1; ++p) {
+      z[lu.ui[p]] -= lu.ux[p] * zj;
+    }
+  }
+  x_out.resize(n_);
+  for (int k = 0; k < n_; ++k) x_out[q_[k]] = z[k];
+}
+
+template <typename T>
+bool LinearSystem::factor_full(const std::vector<T>& ax,
+                               Factors<T>& lu) const {
+  lu.lp.assign(1, 0);
+  lu.li.clear();
+  lu.lx.clear();
+  lu.up.assign(1, 0);
+  lu.ui.clear();
+  lu.ux.clear();
+  lu.pinv.assign(n_, -1);
+  lu.symbolic_valid = false;
+  std::vector<int>& pinv = lu.pinv;
+
+  std::vector<T> x(n_, T{});
   std::vector<char> marked(n_, 0);
   std::vector<int> reach_stack(n_), dfs_stack(n_), dfs_ptr(n_);
 
@@ -273,13 +288,13 @@ bool LinearSystem::factor_full() {
           marked[j] = 1;
           // Children of j exist only if row j has been pivoted: they are
           // the subdiagonal rows of L(:, pinv[j]).
-          dfs_ptr[head] = (pinv_[j] >= 0) ? lp_[pinv_[j]] + 1 : -1;
+          dfs_ptr[head] = (pinv[j] >= 0) ? lu.lp[pinv[j]] + 1 : -1;
         }
         bool descended = false;
-        if (pinv_[j] >= 0) {
-          const int pend = lp_[pinv_[j] + 1];
+        if (pinv[j] >= 0) {
+          const int pend = lu.lp[pinv[j] + 1];
           while (dfs_ptr[head] < pend) {
-            const int child = li_[dfs_ptr[head]++];
+            const int child = lu.li[dfs_ptr[head]++];
             if (!marked[child]) {
               dfs_stack[++head] = child;
               descended = true;
@@ -296,15 +311,15 @@ bool LinearSystem::factor_full() {
     }
 
     // --- Numeric: scatter A(:,k) and do the sparse triangular solve.
-    for (int p = ap_[k]; p < ap_[k + 1]; ++p) x[ai_[p]] += ax_[p];
+    for (int p = ap_[k]; p < ap_[k + 1]; ++p) x[ai_[p]] += ax[p];
     for (int px = top; px < n_; ++px) {
       const int j = reach_stack[px];
-      const int jnew = pinv_[j];
+      const int jnew = pinv[j];
       if (jnew < 0) continue;
       // Unit diagonal of L, so no division for x[j] itself.
-      const double xj = x[j];
-      for (int p = lp_[jnew] + 1; p < lp_[jnew + 1]; ++p) {
-        x[li_[p]] -= lx_[p] * xj;
+      const T xj = x[j];
+      for (int p = lu.lp[jnew] + 1; p < lu.lp[jnew + 1]; ++p) {
+        x[lu.li[p]] -= lu.lx[p] * xj;
       }
     }
 
@@ -313,8 +328,8 @@ bool LinearSystem::factor_full() {
     double pivot_mag = -1.0;
     for (int px = top; px < n_; ++px) {
       const int i = reach_stack[px];
-      if (pinv_[i] < 0) {
-        const double m = std::fabs(x[i]);
+      if (pinv[i] < 0) {
+        const double m = magnitude(x[i]);
         if (m > pivot_mag) {
           pivot_mag = m;
           ipiv = i;
@@ -323,89 +338,107 @@ bool LinearSystem::factor_full() {
     }
     if (ipiv < 0 || pivot_mag <= kPivotTiny) {
       for (int px = top; px < n_; ++px) {
-        x[reach_stack[px]] = 0.0;
+        x[reach_stack[px]] = T{};
         marked[reach_stack[px]] = 0;
       }
       return false;
     }
-    const double pivot = x[ipiv];
-    pinv_[ipiv] = k;
+    const T pivot = x[ipiv];
+    pinv[ipiv] = k;
 
     // --- Emit U(:,k): solved rows, then the diagonal last.
     for (int px = top; px < n_; ++px) {
       const int i = reach_stack[px];
-      if (pinv_[i] >= 0 && i != ipiv) {
-        ui_.push_back(pinv_[i]);
-        ux_.push_back(x[i]);
+      if (pinv[i] >= 0 && i != ipiv) {
+        lu.ui.push_back(pinv[i]);
+        lu.ux.push_back(x[i]);
       }
     }
-    ui_.push_back(k);
-    ux_.push_back(pivot);
-    up_.push_back(static_cast<int>(ui_.size()));
+    lu.ui.push_back(k);
+    lu.ux.push_back(pivot);
+    lu.up.push_back(static_cast<int>(lu.ui.size()));
 
     // --- Emit L(:,k): unit diagonal first, then scaled subdiagonal.
-    li_.push_back(ipiv);
-    lx_.push_back(1.0);
+    lu.li.push_back(ipiv);
+    lu.lx.push_back(T(1.0));
     for (int px = top; px < n_; ++px) {
       const int i = reach_stack[px];
-      if (pinv_[i] < 0) {
-        li_.push_back(i);
-        lx_.push_back(x[i] / pivot);
+      if (pinv[i] < 0) {
+        lu.li.push_back(i);
+        lu.lx.push_back(x[i] / pivot);
       }
-      x[i] = 0.0;
+      x[i] = T{};
       marked[i] = 0;
     }
-    lp_.push_back(static_cast<int>(li_.size()));
+    lu.lp.push_back(static_cast<int>(lu.li.size()));
   }
 
   // Remap L's row indices from original numbering to pivot positions.
-  for (int& row : li_) row = pinv_[row];
-  symbolic_valid_ = true;
+  for (int& row : lu.li) row = pinv[row];
+  lu.symbolic_valid = true;
   return true;
 }
 
-bool LinearSystem::refactor_numeric() {
+template <typename T>
+bool LinearSystem::refactor_numeric(const std::vector<T>& ax,
+                                    Factors<T>& lu) const {
   // Replay the stored pivot sequence and fill pattern, refreshing numeric
-  // values only. All indices below are pivot positions: li_ was remapped
-  // after the full factor, ui_ stores pivot positions by construction,
-  // and A's rows map through pinv_. The stored U order per column is the
+  // values only. All indices below are pivot positions: li was remapped
+  // after the full factor, ui stores pivot positions by construction,
+  // and A's rows map through pinv. The stored U order per column is the
   // topological elimination order of the original pass, so replaying it
   // performs the identical arithmetic when the pivots stay sound.
-  work_.assign(n_, 0.0);
-  double* w = work_.data();
+  lu.work.assign(n_, T{});
+  T* w = lu.work.data();
 
   for (int k = 0; k < n_; ++k) {
-    for (int p = ap_[k]; p < ap_[k + 1]; ++p) w[pinv_[ai_[p]]] += ax_[p];
+    for (int p = ap_[k]; p < ap_[k + 1]; ++p) w[lu.pinv[ai_[p]]] += ax[p];
 
-    for (int p = up_[k]; p < up_[k + 1] - 1; ++p) {
-      const int j = ui_[p];
-      const double xj = w[j];
-      ux_[p] = xj;
-      w[j] = 0.0;
-      for (int q = lp_[j] + 1; q < lp_[j + 1]; ++q) w[li_[q]] -= lx_[q] * xj;
+    for (int p = lu.up[k]; p < lu.up[k + 1] - 1; ++p) {
+      const int j = lu.ui[p];
+      const T xj = w[j];
+      lu.ux[p] = xj;
+      w[j] = T{};
+      for (int q = lu.lp[j] + 1; q < lu.lp[j + 1]; ++q) {
+        w[lu.li[q]] -= lu.lx[q] * xj;
+      }
     }
 
-    const double pivot = w[k];
-    double cand_max = std::fabs(pivot);
-    for (int p = lp_[k] + 1; p < lp_[k + 1]; ++p) {
-      cand_max = std::max(cand_max, std::fabs(w[li_[p]]));
+    const T pivot = w[k];
+    double cand_max = magnitude(pivot);
+    for (int p = lu.lp[k] + 1; p < lu.lp[k + 1]; ++p) {
+      cand_max = std::max(cand_max, magnitude(w[lu.li[p]]));
     }
-    if (std::fabs(pivot) <= kPivotTiny ||
-        std::fabs(pivot) < kPivotReuseThreshold * cand_max) {
+    if (magnitude(pivot) <= kPivotTiny ||
+        magnitude(pivot) < kPivotReuseThreshold * cand_max) {
       // Old pivot no longer dominates its column: clear the workspace and
       // let the caller rerun the full pivot search.
-      w[k] = 0.0;
-      for (int p = lp_[k] + 1; p < lp_[k + 1]; ++p) w[li_[p]] = 0.0;
+      w[k] = T{};
+      for (int p = lu.lp[k] + 1; p < lu.lp[k + 1]; ++p) w[lu.li[p]] = T{};
       return false;
     }
-    ux_[up_[k + 1] - 1] = pivot;
-    w[k] = 0.0;
-    for (int p = lp_[k] + 1; p < lp_[k + 1]; ++p) {
-      lx_[p] = w[li_[p]] / pivot;
-      w[li_[p]] = 0.0;
+    lu.ux[lu.up[k + 1] - 1] = pivot;
+    w[k] = T{};
+    for (int p = lu.lp[k] + 1; p < lu.lp[k + 1]; ++p) {
+      lu.lx[p] = w[lu.li[p]] / pivot;
+      w[lu.li[p]] = T{};
     }
   }
   return true;
 }
+
+// One kernel set, two scalars: the real values of every MNA solve and
+// the complex values of the AC and noise systems on the same pattern.
+using Complex = std::complex<double>;
+template bool LinearSystem::factor(const std::vector<double>&,
+                                   Factors<double>&) const;
+template bool LinearSystem::factor(const std::vector<Complex>&,
+                                   Factors<Complex>&) const;
+template void LinearSystem::substitute(Factors<double>&,
+                                       const std::vector<double>&,
+                                       std::vector<double>&) const;
+template void LinearSystem::substitute(Factors<Complex>&,
+                                       const std::vector<Complex>&,
+                                       std::vector<Complex>&) const;
 
 }  // namespace sscl::spice

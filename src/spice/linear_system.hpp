@@ -83,7 +83,9 @@ class LinearSystem {
   std::size_t pattern_entries() const { return rows_.size(); }
 
   /// Fill-in of the factors (for diagnostics/benchmarks).
-  std::size_t factor_nonzeros() const { return li_.size() + ui_.size(); }
+  std::size_t factor_nonzeros() const {
+    return lu_.li.size() + lu_.ui.size();
+  }
 
   // ---- baseline (static-linear stamp cache) ---------------------------
 
@@ -120,15 +122,47 @@ class LinearSystem {
   void adopt_factorization(const LinearSystem& from);
 
   /// True when a reusable pivot sequence is stored.
-  bool has_symbolic_factorization() const { return symbolic_valid_; }
+  bool has_symbolic_factorization() const { return lu_.symbolic_valid; }
 
   /// True when the last successful solve() replayed the stored pivot
   /// sequence (a numeric-only refactorisation).
-  bool last_factor_was_numeric() const { return last_factor_numeric_; }
+  bool last_factor_was_numeric() const { return lu_.last_numeric; }
 
  private:
-  bool factor_full();
-  bool refactor_numeric();
+  /// LU factors of one scalar type on the frozen pattern, in CSC form.
+  /// L has a unit diagonal stored explicitly as the first entry of each
+  /// column; U stores its diagonal last. Pivots are chosen on the
+  /// values, so each set of values keeps its own pivot sequence.
+  template <typename T>
+  struct Factors {
+    std::vector<int> lp, li;
+    std::vector<T> lx;
+    std::vector<int> up, ui;
+    std::vector<T> ux;
+    std::vector<int> pinv;  // original row -> pivot position
+    // Scratch of the numeric refresh and of the substitution, indexed
+    // by pivot position.
+    std::vector<T> work;
+    bool symbolic_valid = false;  // pivot sequence + fill pattern reusable
+    bool last_numeric = false;    // the last factor() replayed them
+  };
+
+  // The kernels on this pattern, one template over the scalar type of
+  // the values (instantiated for double and std::complex<double>).
+
+  /// Replay \p lu's pivot sequence on \p ax (one value per CSC cell),
+  /// or run the full pivoting pass when there is none or a pivot has
+  /// decayed. Returns false on a singular matrix.
+  template <typename T>
+  bool factor(const std::vector<T>& ax, Factors<T>& lu) const;
+  template <typename T>
+  bool factor_full(const std::vector<T>& ax, Factors<T>& lu) const;
+  template <typename T>
+  bool refactor_numeric(const std::vector<T>& ax, Factors<T>& lu) const;
+  /// Solve with \p lu for \p rhs (row r at rhs[r + 1]) into \p x_out.
+  template <typename T>
+  void substitute(Factors<T>& lu, const std::vector<T>& rhs,
+                  std::vector<T>& x_out) const;
 
   int n_ = 0;
 
@@ -155,18 +189,7 @@ class LinearSystem {
   std::vector<double> baseline_ax_;
   std::vector<double> baseline_rhs_;
 
-  // LU factors in CSC form. L has a unit diagonal stored explicitly as
-  // the first entry of each column; U stores its diagonal last.
-  std::vector<int> lp_, li_;
-  std::vector<double> lx_;
-  std::vector<int> up_, ui_;
-  std::vector<double> ux_;
-  std::vector<int> pinv_;     // original row -> pivot position
-  // Scratch of the numeric refresh and of solve(), indexed by pivot
-  // position.
-  std::vector<double> work_;
-  bool symbolic_valid_ = false;  // pivot sequence + fill pattern reusable
-  bool last_factor_numeric_ = false;
+  Factors<double> lu_;
 };
 
 }  // namespace sscl::spice
