@@ -1,7 +1,7 @@
 /// Experiment P1 (infrastructure): google-benchmark microbenchmarks of
-/// the simulation kernels every experiment above runs on -- dense and
-/// sparse LU, DC operating points of STSCL cells, transient steps, the
-/// gate-level event simulator and the netlist front end.
+/// the simulation kernels every experiment above runs on -- the sparse
+/// LU, DC operating points of STSCL cells, transient steps, AC points,
+/// the gate-level event simulator and the netlist front end.
 
 #include <benchmark/benchmark.h>
 
@@ -65,25 +65,6 @@ double build_ring(spice::Circuit& c, const device::Process& proc,
                                2.0 * td0));
   return td0;
 }
-
-void BM_DenseLu(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  util::Rng rng(1);
-  spice::DenseMatrix<double> m(n);
-  std::vector<double> base(static_cast<std::size_t>(n) * n);
-  for (auto& v : base) v = rng.uniform(-1, 1);
-  for (auto _ : state) {
-    m.clear();
-    for (int r = 0; r < n; ++r) {
-      for (int c = 0; c < n; ++c) m.add(r, c, base[r * n + c]);
-      m.add(r, r, 4.0);
-    }
-    std::vector<double> b(n, 1.0);
-    m.factor_and_solve(b);
-    benchmark::DoNotOptimize(b);
-  }
-}
-BENCHMARK(BM_DenseLu)->Arg(16)->Arg(64)->Arg(128);
 
 void BM_SparseLu(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -340,7 +321,8 @@ BENCHMARK(BM_ElaborateServeBench)->Unit(benchmark::kMillisecond);
 
 // serve_bench.sp (1,026 unknowns) under `.ac dec 10 1k 10k`: its op plus
 // eleven AC points per iteration. run_ac solves the op first, so one
-// separately timed op is subtracted from each AC run.
+// separately timed op is subtracted from each AC run. lu_nnz is the fill
+// of the complex factors.
 void BM_AcServeBench(benchmark::State& state) {
   netlist::Deck deck = netlist::parse_netlist(serve_bench_text());
   spice::Engine engine(*deck.circuit);
@@ -357,6 +339,9 @@ void BM_AcServeBench(benchmark::State& state) {
   state.counters["us_per_point"] =
       (ac - op).count() /
       static_cast<double>(state.iterations() * freqs.size());
+  spice::ComplexSystem system(engine.linear_system());
+  spice::factor_ac_system(engine, system, freqs.front());
+  state.counters["lu_nnz"] = static_cast<double>(system.factor_nonzeros());
 }
 BENCHMARK(BM_AcServeBench)->Unit(benchmark::kMillisecond);
 

@@ -3,31 +3,41 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "spice/matrix.hpp"
+#include "spice/linear_system.hpp"
 
 namespace sscl::analysis {
 
 namespace {
 
-/// Solve the small normal-equation system with the dense LU.
+/// Solve the small normal equations on the MNA system's LU, over a
+/// dense m x m pattern.
 std::vector<double> least_squares(
     const std::vector<std::vector<double>>& columns,
     const std::vector<double>& y) {
-  const std::size_t m = columns.size();
-  spice::DenseMatrix<double> ata(static_cast<int>(m));
-  std::vector<double> aty(m, 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
+  const int m = static_cast<int>(columns.size());
+  spice::LinearSystem ata(m);
+  std::vector<spice::MatrixSlot> slots;
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < m; ++j) slots.push_back(ata.reserve(i, j));
+  }
+  ata.finalize_pattern();
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < m; ++j) {
       double s = 0;
       for (std::size_t k = 0; k < y.size(); ++k) {
         s += columns[i][k] * columns[j][k];
       }
-      ata.add(static_cast<int>(i), static_cast<int>(j), s);
+      ata.add_at(slots[i * m + j], s);
     }
-    for (std::size_t k = 0; k < y.size(); ++k) aty[i] += columns[i][k] * y[k];
+    double aty = 0;
+    for (std::size_t k = 0; k < y.size(); ++k) aty += columns[i][k] * y[k];
+    ata.add_rhs_at(ata.reserve_rhs(i), aty);
   }
-  ata.factor_and_solve(aty);
-  return aty;
+  std::vector<double> x;
+  if (!ata.solve(x)) {
+    throw std::runtime_error("sine_fit: singular normal equations");
+  }
+  return x;
 }
 
 void finalize(SineFit& fit, const std::vector<double>& samples, double a,

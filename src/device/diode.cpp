@@ -138,7 +138,7 @@ void Diode::load(spice::LoadContext& ctx) {
 }
 
 void Diode::load_ac(spice::AcContext& ctx) const {
-  ctx.stamp_admittance(anode_, cathode_, {last_g_, ctx.omega() * last_c_});
+  ctx.stamp_admittance(np_.g, {last_g_, ctx.omega() * last_c_});
 }
 
 void Diode::add_noise(spice::NoiseContext& ctx) const {

@@ -282,21 +282,24 @@ void Mosfet::load_ac(spice::AcContext& ctx) const {
   const double gms = last_.gms;
   const double gmb = last_.gmb;
 
-  ctx.a_nn(d_, g_, {gm, 0});
-  ctx.a_nn(d_, d_, {gds, 0});
-  ctx.a_nn(d_, s_, {-gms, 0});
-  ctx.a_nn(d_, b_, {gmb, 0});
-  ctx.a_nn(s_, g_, {-gm, 0});
-  ctx.a_nn(s_, d_, {-gds, 0});
-  ctx.a_nn(s_, s_, {gms, 0});
-  ctx.a_nn(s_, b_, {-gmb, 0});
+  ctx.add_at(m_dg_, gm);
+  ctx.add_at(m_dd_, gds);
+  ctx.add_at(m_ds_, -gms);
+  ctx.add_at(m_db_, gmb);
+  ctx.add_at(m_sg_, -gm);
+  ctx.add_at(m_sd_, -gds);
+  ctx.add_at(m_ss_, gms);
+  ctx.add_at(m_sb_, -gmb);
 
   const double w = ctx.omega();
-  ctx.stamp_admittance(g_, s_, {0, w * cgs_});
-  ctx.stamp_admittance(g_, d_, {0, w * cgd_});
-  ctx.stamp_admittance(g_, b_, {0, w * cgb_});
-  if (jgs_ > 0 || cbs_ > 0) ctx.stamp_admittance(b_, s_, {jgs_, w * cbs_});
-  if (jgd_ > 0 || cbd_ > 0) ctx.stamp_admittance(b_, d_, {jgd_, w * cbd_});
+  ctx.stamp_admittance(cp_gs_.g, {0, w * cgs_});
+  ctx.stamp_admittance(cp_gd_.g, {0, w * cgd_});
+  ctx.stamp_admittance(cp_gb_.g, {0, w * cgb_});
+  // The junction slots are reserved (and jgs_/cbs_ nonzero) only with
+  // diffusion areas; a stamp is symmetric, so the PMOS orientation of
+  // the reserved pattern writes the same four entries.
+  if (jgs_ > 0 || cbs_ > 0) ctx.stamp_admittance(jp_s_.g, {jgs_, w * cbs_});
+  if (jgd_ > 0 || cbd_ > 0) ctx.stamp_admittance(jp_d_.g, {jgd_, w * cbd_});
 }
 
 bool Mosfet::describe(spice::DeviceInfo& info) const {

@@ -1,6 +1,7 @@
 #include "spice/ac.hpp"
 
 #include <cmath>
+#include <sstream>
 
 #include "trace/trace.hpp"
 #include "util/numeric.hpp"
@@ -60,38 +61,41 @@ double AcResult::bandwidth_3db(NodeId node) const {
   return 0.0;
 }
 
+void factor_ac_system(Engine& engine, ComplexSystem& system,
+                      double frequency) {
+  system.clear();
+  AcContext ctx(system, 2.0 * M_PI * frequency);
+  for (const auto& device : engine.circuit().devices()) device->load_ac(ctx);
+  // Same diagonal floor as the DC solve.
+  for (const MatrixSlot s : engine.gmin_slots()) {
+    system.add_at(s, engine.options().gmin);
+  }
+  if (!system.factor()) {
+    std::ostringstream what;
+    what << "AC analysis: singular small-signal system at " << frequency
+         << " Hz";
+    throw ConvergenceError(what.str());
+  }
+}
+
 AcResult run_ac(Engine& engine, const std::vector<double>& frequencies) {
-  Circuit& circuit = engine.circuit();
   trace::Span analysis_span("ac", "analysis");
   StatsPublisher publish(engine.stats());
   // Operating point first: devices cache small-signal parameters during
   // their final load() call.
   engine.solve_op();
 
-  const int n = circuit.unknown_count();
-  const int nodes = circuit.node_count();
-  AcResult result(nodes);
-  DenseMatrix<std::complex<double>> system(n);
-  std::vector<std::complex<double>> rhs(n);
-
+  AcResult result;
+  ComplexSystem system(engine.linear_system());
   long long index = 0;
   for (double f : frequencies) {
     trace::Span point_span("ac_point", "timestep", "point", index++);
-    system.clear();
-    std::fill(rhs.begin(), rhs.end(), std::complex<double>(0.0));
-    AcContext ctx(system, rhs, nodes, 2.0 * M_PI * f);
-    for (const auto& device : circuit.devices()) device->load_ac(ctx);
-    // Same diagonal floor as the DC solve.
-    for (int i = 0; i < nodes; ++i) {
-      system.add(i, i, {engine.options().gmin, 0.0});
-    }
-    system.factor_and_solve(rhs);
-    ++engine.stats().ac_points;
+    factor_ac_system(engine, system, f);
     AcPoint point;
     point.frequency = f;
-    point.x = std::move(rhs);
+    system.solve(point.x);
+    ++engine.stats().ac_points;
     result.append(std::move(point));
-    rhs.assign(n, std::complex<double>(0.0));
   }
   return result;
 }

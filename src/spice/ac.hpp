@@ -2,7 +2,8 @@
 
 /// \file ac.hpp
 /// Small-signal AC analysis: linearise every device at the DC operating
-/// point and solve the complex MNA system per frequency point.
+/// point and solve the complex MNA system per frequency point, on the
+/// frozen pattern and sparse LU of the engine's LinearSystem.
 
 #include <complex>
 #include <vector>
@@ -24,8 +25,6 @@ struct AcPoint {
 /// AC sweep result with gain/phase convenience accessors.
 class AcResult {
  public:
-  explicit AcResult(int node_count) : node_count_(node_count) {}
-
   void append(AcPoint point) { points_.push_back(std::move(point)); }
   std::size_t size() const { return points_.size(); }
   const AcPoint& operator[](std::size_t i) const { return points_[i]; }
@@ -46,7 +45,6 @@ class AcResult {
   double low_frequency_gain(NodeId node) const;
 
  private:
-  int node_count_;
   std::vector<AcPoint> points_;
 };
 
@@ -54,6 +52,13 @@ class AcResult {
 /// their small-signal parameters during that load), then factors the
 /// complex system at each of \p frequencies.
 AcResult run_ac(Engine& engine, const std::vector<double>& frequencies);
+
+/// The small-signal step run_ac and run_noise share: clear \p system,
+/// stamp every device's admittances at \p frequency and the gmin floor
+/// through the slots of the engine's pattern pass, and factor. Throws
+/// ConvergenceError naming the frequency when the system is singular.
+void factor_ac_system(Engine& engine, ComplexSystem& system,
+                      double frequency);
 
 /// Convenience: logarithmic sweep from f_start to f_stop with
 /// points_per_decade points.

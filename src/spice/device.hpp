@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "spice/linear_system.hpp"
-#include "spice/matrix.hpp"
 #include "spice/stats.hpp"
 #include "spice/types.hpp"
 
@@ -286,49 +285,30 @@ class LoadContext {
 
 /// Handed to Device::load_ac(). Devices stamp complex admittances using
 /// small-signal parameters cached during the preceding DC operating
-/// point load.
+/// point load, through the slots their reserve() took: the AC system
+/// lives on the frozen pattern of the engine's LinearSystem.
 class AcContext {
  public:
-  AcContext(DenseMatrix<std::complex<double>>& system,
-            std::vector<std::complex<double>>& rhs, int node_count,
-            double omega)
-      : system_(system), rhs_(rhs), node_count_(node_count), omega_(omega) {}
+  AcContext(ComplexSystem& system, double omega)
+      : system_(system), omega_(omega) {}
 
   double omega() const { return omega_; }
 
-  void a_nn(NodeId r, NodeId c, std::complex<double> v) {
-    if (r == kGround || c == kGround) return;
-    system_.add(r, c, v);
+  void add_at(MatrixSlot s, std::complex<double> v) { system_.add_at(s, v); }
+  void add_rhs_at(RhsSlot s, std::complex<double> v) {
+    system_.add_rhs_at(s, v);
   }
-  void a_nb(NodeId r, BranchId b, std::complex<double> v) {
-    if (r == kGround) return;
-    system_.add(r, node_count_ + b, v);
-  }
-  void a_bn(BranchId b, NodeId c, std::complex<double> v) {
-    if (c == kGround) return;
-    system_.add(node_count_ + b, c, v);
-  }
-  void a_bb(BranchId r, BranchId c, std::complex<double> v) {
-    system_.add(node_count_ + r, node_count_ + c, v);
-  }
-  void rhs_n(NodeId r, std::complex<double> v) {
-    if (r == kGround) return;
-    rhs_[r] += v;
-  }
-  void rhs_b(BranchId b, std::complex<double> v) { rhs_[node_count_ + b] += v; }
 
-  /// Complex admittance y between nodes a and b.
-  void stamp_admittance(NodeId a, NodeId b, std::complex<double> y) {
-    a_nn(a, a, y);
-    a_nn(b, b, y);
-    a_nn(a, b, -y);
-    a_nn(b, a, -y);
+  /// Complex admittance y between the pattern's nodes a and b.
+  void stamp_admittance(const ConductancePattern& p, std::complex<double> y) {
+    system_.add_at(p.aa, y);
+    system_.add_at(p.bb, y);
+    system_.add_at(p.ab, -y);
+    system_.add_at(p.ba, -y);
   }
 
  private:
-  DenseMatrix<std::complex<double>>& system_;
-  std::vector<std::complex<double>>& rhs_;
-  int node_count_;
+  ComplexSystem& system_;
   double omega_;
 };
 

@@ -32,7 +32,7 @@ void Resistor::load(LoadContext& ctx) {
 }
 
 void Resistor::load_ac(AcContext& ctx) const {
-  ctx.stamp_admittance(a_, b_, {1.0 / resistance_, 0.0});
+  ctx.stamp_admittance(gp_, {1.0 / resistance_, 0.0});
 }
 
 void Resistor::add_noise(NoiseContext& ctx) const {
@@ -84,7 +84,7 @@ void Capacitor::load(LoadContext& ctx) {
 }
 
 void Capacitor::load_ac(AcContext& ctx) const {
-  ctx.stamp_admittance(a_, b_, {0.0, ctx.omega() * capacitance_});
+  ctx.stamp_admittance(np_.g, {0.0, ctx.omega() * capacitance_});
 }
 
 // ---------------------------------------------------------------- Inductor
@@ -149,11 +149,11 @@ void Inductor::load(LoadContext& ctx) {
 }
 
 void Inductor::load_ac(AcContext& ctx) const {
-  ctx.a_nb(a_, branch_, {1.0, 0.0});
-  ctx.a_nb(b_, branch_, {-1.0, 0.0});
-  ctx.a_bn(branch_, a_, {1.0, 0.0});
-  ctx.a_bn(branch_, b_, {-1.0, 0.0});
-  ctx.a_bb(branch_, branch_, {0.0, -ctx.omega() * inductance_});
+  ctx.add_at(kcl_a_, 1.0);
+  ctx.add_at(kcl_b_, -1.0);
+  ctx.add_at(br_a_, 1.0);
+  ctx.add_at(br_b_, -1.0);
+  ctx.add_at(br_br_, {0.0, -ctx.omega() * inductance_});
 }
 
 // ------------------------------------------------------------ VoltageSource
@@ -191,13 +191,13 @@ void VoltageSource::load(LoadContext& ctx) {
 }
 
 void VoltageSource::load_ac(AcContext& ctx) const {
-  ctx.a_nb(pos_, branch_, {1.0, 0.0});
-  ctx.a_nb(neg_, branch_, {-1.0, 0.0});
-  ctx.a_bn(branch_, pos_, {1.0, 0.0});
-  ctx.a_bn(branch_, neg_, {-1.0, 0.0});
+  ctx.add_at(kcl_p_, 1.0);
+  ctx.add_at(kcl_n_, -1.0);
+  ctx.add_at(br_p_, 1.0);
+  ctx.add_at(br_n_, -1.0);
   if (spec_.ac_magnitude() != 0.0) {
     const double phase = spec_.ac_phase_deg() * M_PI / 180.0;
-    ctx.rhs_b(branch_, std::polar(spec_.ac_magnitude(), phase));
+    ctx.add_rhs_at(rhs_br_, std::polar(spec_.ac_magnitude(), phase));
   }
 }
 
@@ -230,8 +230,8 @@ void CurrentSource::load_ac(AcContext& ctx) const {
   if (spec_.ac_magnitude() != 0.0) {
     const double phase = spec_.ac_phase_deg() * M_PI / 180.0;
     const std::complex<double> i = std::polar(spec_.ac_magnitude(), phase);
-    ctx.rhs_n(pos_, -i);
-    ctx.rhs_n(neg_, i);
+    ctx.add_rhs_at(ip_.a, -i);
+    ctx.add_rhs_at(ip_.b, i);
   }
 }
 
@@ -275,12 +275,12 @@ void Vcvs::load(LoadContext& ctx) {
 }
 
 void Vcvs::load_ac(AcContext& ctx) const {
-  ctx.a_nb(op_, branch_, {1.0, 0.0});
-  ctx.a_nb(on_, branch_, {-1.0, 0.0});
-  ctx.a_bn(branch_, op_, {1.0, 0.0});
-  ctx.a_bn(branch_, on_, {-1.0, 0.0});
-  ctx.a_bn(branch_, cp_, {-gain_, 0.0});
-  ctx.a_bn(branch_, cn_, {gain_, 0.0});
+  ctx.add_at(kcl_p_, 1.0);
+  ctx.add_at(kcl_n_, -1.0);
+  ctx.add_at(br_p_, 1.0);
+  ctx.add_at(br_n_, -1.0);
+  ctx.add_at(br_cp_, -gain_);
+  ctx.add_at(br_cn_, gain_);
 }
 
 // --------------------------------------------------------------------- Vccs
@@ -312,10 +312,10 @@ void Vccs::load(LoadContext& ctx) {
 }
 
 void Vccs::load_ac(AcContext& ctx) const {
-  ctx.a_nn(op_, cp_, {gm_, 0.0});
-  ctx.a_nn(op_, cn_, {-gm_, 0.0});
-  ctx.a_nn(on_, cp_, {-gm_, 0.0});
-  ctx.a_nn(on_, cn_, {gm_, 0.0});
+  ctx.add_at(op_cp_, gm_);
+  ctx.add_at(op_cn_, -gm_);
+  ctx.add_at(on_cp_, -gm_);
+  ctx.add_at(on_cn_, gm_);
 }
 
 // --------------------------------------------------------------------- Cccs
@@ -344,8 +344,8 @@ void Cccs::load(LoadContext& ctx) {
 }
 
 void Cccs::load_ac(AcContext& ctx) const {
-  ctx.a_nb(op_, sense_->branch(), {gain_, 0.0});
-  ctx.a_nb(on_, sense_->branch(), {-gain_, 0.0});
+  ctx.add_at(op_s_, gain_);
+  ctx.add_at(on_s_, -gain_);
 }
 
 // --------------------------------------------------------------------- Ccvs
@@ -382,11 +382,11 @@ void Ccvs::load(LoadContext& ctx) {
 }
 
 void Ccvs::load_ac(AcContext& ctx) const {
-  ctx.a_nb(op_, branch_, {1.0, 0.0});
-  ctx.a_nb(on_, branch_, {-1.0, 0.0});
-  ctx.a_bn(branch_, op_, {1.0, 0.0});
-  ctx.a_bn(branch_, on_, {-1.0, 0.0});
-  ctx.a_bb(branch_, sense_->branch(), {-r_, 0.0});
+  ctx.add_at(kcl_p_, 1.0);
+  ctx.add_at(kcl_n_, -1.0);
+  ctx.add_at(br_p_, 1.0);
+  ctx.add_at(br_n_, -1.0);
+  ctx.add_at(br_s_, -r_);
 }
 
 // ---------------------------------------------------------------- SoftOpamp
@@ -442,11 +442,11 @@ void SoftOpamp::load(LoadContext& ctx) {
 }
 
 void SoftOpamp::load_ac(AcContext& ctx) const {
-  ctx.a_nb(out_, branch_, {1.0, 0.0});
-  ctx.a_bn(branch_, out_, {1.0, 0.0});
-  ctx.a_bb(branch_, branch_, {-r_out_, 0.0});
-  ctx.a_bn(branch_, ip_, {-ac_gain_, 0.0});
-  ctx.a_bn(branch_, in_, {ac_gain_, 0.0});
+  ctx.add_at(out_br_, 1.0);
+  ctx.add_at(br_out_, 1.0);
+  ctx.add_at(br_br_, -r_out_);
+  ctx.add_at(br_ip_, -ac_gain_);
+  ctx.add_at(br_in_, ac_gain_);
 }
 
 // ---- ERC self-descriptions -------------------------------------------

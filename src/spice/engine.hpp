@@ -108,6 +108,10 @@ class Engine {
   LinearSystem& linear_system() { return system_; }
   const LinearSystem& linear_system() const { return system_; }
 
+  /// The reserved gmin diagonal slots, one per node (the AC system
+  /// floors its diagonal through them as the DC solve does).
+  const std::vector<MatrixSlot>& gmin_slots() const { return gmin_slots_; }
+
  private:
   bool converged(const std::vector<double>& x,
                  const std::vector<double>& x_old) const;

@@ -219,6 +219,20 @@ bool LinearSystem::solve(std::vector<double>& x_out) {
   return true;
 }
 
+ComplexSystem::ComplexSystem(const LinearSystem& pattern)
+    : pattern_(pattern),
+      ax_(pattern.ax_.size()),
+      rhs_(pattern.rhs_.size()) {}
+
+void ComplexSystem::clear() {
+  std::fill(ax_.begin(), ax_.end(), Complex{});
+  clear_rhs();
+}
+
+void ComplexSystem::clear_rhs() {
+  std::fill(rhs_.begin(), rhs_.end(), Complex{});
+}
+
 template <typename T>
 bool LinearSystem::factor(const std::vector<T>& ax, Factors<T>& lu) const {
   // A pivot that decayed (or went singular) under the stored ordering

@@ -31,6 +31,7 @@
 /// has decayed below the stability threshold triggers an automatic
 /// fallback to the full pivoting pass.
 
+#include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -43,6 +44,8 @@ namespace sscl::spice {
 using MatrixSlot = int;
 /// Handle to a reserved rhs row; same trash-slot convention.
 using RhsSlot = int;
+
+class ComplexSystem;
 
 class LinearSystem {
  public:
@@ -129,6 +132,8 @@ class LinearSystem {
   bool last_factor_was_numeric() const { return lu_.last_numeric; }
 
  private:
+  friend class ComplexSystem;
+
   /// LU factors of one scalar type on the frozen pattern, in CSC form.
   /// L has a unit diagonal stored explicitly as the first entry of each
   /// column; U stores its diagonal last. Pivots are chosen on the
@@ -190,6 +195,50 @@ class LinearSystem {
   std::vector<double> baseline_rhs_;
 
   Factors<double> lu_;
+};
+
+/// Complex values on a finalized LinearSystem's frozen pattern: the
+/// small-signal system of one AC or noise analysis. It holds one value
+/// per CSC cell of \p pattern, written through the same slots and trash
+/// cells, plus a complex rhs, and factors with the same kernels in the
+/// same elimination order. The first factor() runs the full pivoting
+/// pass; later ones replay its pivot sequence and fall back to the full
+/// pass as LinearSystem::solve() does. \p pattern must outlive it.
+class ComplexSystem {
+ public:
+  using Complex = std::complex<double>;
+
+  explicit ComplexSystem(const LinearSystem& pattern);
+
+  /// Zero the values and the rhs (the pivot sequence is kept).
+  void clear();
+  /// Zero the rhs only, to solve the factored matrix for another one.
+  void clear_rhs();
+
+  /// Accumulate into a reserved entry. Slot 0 lands in the trash cell.
+  void add_at(MatrixSlot s, Complex v) { ax_[pattern_.slot_cell_[s]] += v; }
+  /// Accumulate into a reserved rhs row. Slot 0 lands in the trash cell.
+  void add_rhs_at(RhsSlot s, Complex v) { rhs_[s] += v; }
+
+  /// Factor the assembled values. Returns false on a singular matrix.
+  bool factor() { return pattern_.factor(ax_, lu_); }
+  /// Solve the last successfully factored matrix for the current rhs.
+  void solve(std::vector<Complex>& x_out) {
+    pattern_.substitute(lu_, rhs_, x_out);
+  }
+
+  /// Fill-in of the complex factors.
+  std::size_t factor_nonzeros() const {
+    return lu_.li.size() + lu_.ui.size();
+  }
+  /// True when the last factor() replayed the stored pivot sequence.
+  bool last_factor_was_numeric() const { return lu_.last_numeric; }
+
+ private:
+  const LinearSystem& pattern_;
+  std::vector<Complex> ax_;
+  std::vector<Complex> rhs_;
+  LinearSystem::Factors<Complex> lu_;
 };
 
 }  // namespace sscl::spice

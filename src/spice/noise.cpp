@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "spice/ac.hpp"
 #include "util/numeric.hpp"
 
 namespace sscl::spice {
@@ -35,32 +36,29 @@ NoiseResult run_noise(Engine& engine, NodeId out_p, NodeId out_n,
   std::vector<std::vector<double>> per_source(
       sources.size(), std::vector<double>(frequencies.size(), 0.0));
 
-  const int n = circuit.unknown_count();
-  const int nodes = circuit.node_count();
-  DenseMatrix<std::complex<double>> system(n);
-  std::vector<std::complex<double>> rhs(n);
+  // Each source injects a unit current a -> b; its rhs rows come from
+  // the frozen pattern like any current source's.
+  PatternContext pattern(engine.linear_system(), circuit.node_count());
+  std::vector<CurrentPattern> injections;
+  injections.reserve(sources.size());
+  for (const auto& s : sources) {
+    injections.push_back(pattern.current_source(s.a, s.b));
+  }
 
+  ComplexSystem system(engine.linear_system());
+  std::vector<std::complex<double>> x;
   for (std::size_t fi = 0; fi < frequencies.size(); ++fi) {
-    system.clear();
-    std::fill(rhs.begin(), rhs.end(), std::complex<double>(0.0));
-    AcContext ctx(system, rhs, nodes, 2.0 * M_PI * frequencies[fi]);
-    for (const auto& device : circuit.devices()) device->load_ac(ctx);
-    for (int i = 0; i < nodes; ++i) {
-      system.add(i, i, {engine.options().gmin, 0.0});
-    }
-    if (!system.factor()) {
-      throw ConvergenceError("noise analysis: singular AC system");
-    }
+    factor_ac_system(engine, system, frequencies[fi]);
     // One factorisation, one triangular solve per noise source.
     for (std::size_t k = 0; k < sources.size(); ++k) {
-      std::vector<std::complex<double>> b(n, std::complex<double>(0.0));
-      if (sources[k].a != kGround) b[sources[k].a] -= 1.0;
-      if (sources[k].b != kGround) b[sources[k].b] += 1.0;
-      system.solve(b);
+      system.clear_rhs();
+      system.add_rhs_at(injections[k].a, -1.0);
+      system.add_rhs_at(injections[k].b, 1.0);
+      system.solve(x);
       const std::complex<double> vp =
-          out_p == kGround ? std::complex<double>(0.0) : b[out_p];
+          out_p == kGround ? std::complex<double>(0.0) : x[out_p];
       const std::complex<double> vn =
-          out_n == kGround ? std::complex<double>(0.0) : b[out_n];
+          out_n == kGround ? std::complex<double>(0.0) : x[out_n];
       const double h2 = std::norm(vp - vn);
       const double contrib = h2 * sources[k].psd;
       per_source[k][fi] = contrib;

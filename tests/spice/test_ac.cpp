@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "spice/elements.hpp"
+#include "spice/noise.hpp"
 
 namespace sscl::spice {
 namespace {
@@ -94,6 +96,34 @@ TEST(Ac, MagnitudeDbConversion) {
   Engine engine(c);
   AcResult res = run_ac(engine, {1e3});
   EXPECT_NEAR(res.magnitude_db(in)[0], 20.0, 1e-6);
+}
+
+// A lossless LC tank at resonance with no gmin floor: the small-signal
+// system is exactly singular at omega = 1 (L = 2, C = 0.5) while the DC
+// operating point (the inductor a short) is well posed.
+TEST(Ac, SingularSystemNamesTheFrequency) {
+  Circuit c;
+  const NodeId n = c.node("n");
+  c.add<Inductor>("L1", n, kGround, 2.0);
+  c.add<Capacitor>("C1", n, kGround, 0.5);
+  SolverOptions options;
+  options.gmin = 0.0;
+  Engine engine(c, options);
+  const double f = 1.0 / (2.0 * M_PI);
+  ASSERT_EQ(2.0 * M_PI * f, 1.0);
+  for (int analysis = 0; analysis < 2; ++analysis) {
+    try {
+      if (analysis == 0) {
+        run_ac(engine, {f});
+      } else {
+        run_noise(engine, n, kGround, {f});
+      }
+      ADD_FAILURE() << "singular AC system solved";
+    } catch (const ConvergenceError& e) {
+      EXPECT_NE(std::string(e.what()).find("0.159155 Hz"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <complex>
 #include <limits>
+#include <ostream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -105,45 +108,134 @@ TEST(LinearSystem, ClearKeepsPatternAndRefactors) {
 }
 
 // Property-style check: random sparse diagonally dominant systems agree
-// with a brute-force dense solve across a size sweep.
-class SparseRandomTest : public ::testing::TestWithParam<int> {};
+// with a brute-force dense solve across a size sweep, for the real
+// values of a LinearSystem and the complex values of a ComplexSystem on
+// the same frozen pattern.
+struct RandomCase {
+  bool complex;
+  int n;
+};
 
-TEST_P(SparseRandomTest, MatchesDenseReference) {
-  const int n = GetParam();
+// ctest names each case by this text: the size for real values, as
+// before complex values were added, and complex_<size> for complex ones.
+void PrintTo(const RandomCase& c, std::ostream* os) {
+  *os << (c.complex ? "complex_" : "") << c.n;
+}
+
+/// One rng.uniform(lo, hi) per real component.
+template <typename T>
+T draw(util::Rng& rng, double lo, double hi) {
+  if constexpr (std::is_same_v<T, double>) {
+    return rng.uniform(lo, hi);
+  } else {
+    const double re = rng.uniform(lo, hi);
+    return {re, rng.uniform(lo, hi)};
+  }
+}
+
+template <typename T>
+void expect_matches_dense_reference(int n) {
   util::Rng rng(1000 + n);
-  std::vector<Entry> entries;
-  std::vector<std::vector<double>> dense(n, std::vector<double>(n, 0.0));
+  std::vector<MatrixSlot> slots;
+  std::vector<T> values;
+  std::vector<std::vector<T>> dense(n, std::vector<T>(n, T{}));
+  LinearSystem sys(n);
 
   // Tridiagonal-ish plus random fill: resembles an MNA pattern.
   for (int i = 0; i < n; ++i) {
-    auto put = [&](int r, int c, double v) {
-      entries.push_back({r, c, v});
+    auto put = [&](int r, int c, T v) {
+      slots.push_back(sys.reserve(r, c));
+      values.push_back(v);
       dense[r][c] += v;
     };
-    put(i, i, 4.0 + rng.uniform());
-    if (i > 0) put(i, i - 1, -rng.uniform());
-    if (i + 1 < n) put(i, i + 1, -rng.uniform());
+    put(i, i, 4.0 + draw<T>(rng, 0, 1));
+    if (i > 0) put(i, i - 1, -draw<T>(rng, 0, 1));
+    if (i + 1 < n) put(i, i + 1, -draw<T>(rng, 0, 1));
     const int j = static_cast<int>(rng.bounded(n));
-    put(i, j, 0.5 * rng.uniform(-1, 1));
+    put(i, j, 0.5 * draw<T>(rng, -1, 1));
   }
+  sys.finalize_pattern();
 
-  std::vector<double> x_true(n);
-  for (int i = 0; i < n; ++i) x_true[i] = rng.uniform(-1, 1);
-  std::vector<double> b(n, 0.0);
+  std::vector<T> x_true(n);
+  for (int i = 0; i < n; ++i) x_true[i] = draw<T>(rng, -1, 1);
+  std::vector<T> b(n, T{});
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) b[i] += dense[i][j] * x_true[j];
   }
 
-  LinearSystem sys(n);
-  stamp(sys, entries);
-  stamp_rhs(sys, b);
-  std::vector<double> x;
-  ASSERT_TRUE(sys.solve(x));
-  for (int i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-8) << "i=" << i;
+  std::vector<T> x;
+  if constexpr (std::is_same_v<T, double>) {
+    for (std::size_t k = 0; k < slots.size(); ++k) {
+      sys.add_at(slots[k], values[k]);
+    }
+    stamp_rhs(sys, b);
+    ASSERT_TRUE(sys.solve(x));
+  } else {
+    ComplexSystem cs(sys);
+    for (std::size_t k = 0; k < slots.size(); ++k) {
+      cs.add_at(slots[k], values[k]);
+    }
+    for (int r = 0; r < n; ++r) cs.add_rhs_at(sys.reserve_rhs(r), b[r]);
+    ASSERT_TRUE(cs.factor());
+    cs.solve(x);
+  }
+  for (int i = 0; i < n; ++i) {
+    EXPECT_NEAR(std::abs(x[i] - x_true[i]), 0.0, 1e-8) << "i=" << i;
+  }
+}
+
+class SparseRandomTest : public ::testing::TestWithParam<RandomCase> {};
+
+TEST_P(SparseRandomTest, MatchesDenseReference) {
+  const RandomCase c = GetParam();
+  if (c.complex) {
+    expect_matches_dense_reference<std::complex<double>>(c.n);
+  } else {
+    expect_matches_dense_reference<double>(c.n);
+  }
+}
+
+std::vector<RandomCase> random_cases() {
+  std::vector<RandomCase> cases;
+  for (const bool complex : {false, true}) {
+    for (const int n : {1, 2, 5, 17, 64, 200, 500}) cases.push_back({complex, n});
+  }
+  return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SparseRandomTest,
-                         ::testing::Values(1, 2, 5, 17, 64, 200, 500));
+                         ::testing::ValuesIn(random_cases()));
+
+TEST(ComplexSystem, ReplaysItsPivotSequenceOnNewValues) {
+  // [[0, 1], [2, 1]] pivots on row 1 first; scaling the values keeps
+  // that pivot dominant, so the second factor() replays the sequence.
+  using C = std::complex<double>;
+  LinearSystem sys(2);
+  const MatrixSlot s01 = sys.reserve(0, 1);
+  const MatrixSlot s10 = sys.reserve(1, 0);
+  const MatrixSlot s11 = sys.reserve(1, 1);
+  sys.finalize_pattern();
+  ComplexSystem cs(sys);
+  std::vector<C> x;
+  for (const C scale : {C(1, 0), C(0, 2)}) {
+    cs.clear();
+    cs.add_at(s01, scale);
+    cs.add_at(s10, 2.0 * scale);
+    cs.add_at(s11, scale);
+    // x = (1 + i, 2): rows 2 and 2(1 + i) + 2, times the scale.
+    cs.add_rhs_at(sys.reserve_rhs(0), 2.0 * scale);
+    cs.add_rhs_at(sys.reserve_rhs(1), C(4, 2) * scale);
+    ASSERT_TRUE(cs.factor());
+    EXPECT_EQ(cs.last_factor_was_numeric(), scale != C(1, 0));
+    cs.solve(x);
+    EXPECT_NEAR(std::abs(x[0] - C(1, 1)), 0.0, 1e-12);
+    EXPECT_NEAR(std::abs(x[1] - C(2, 0)), 0.0, 1e-12);
+  }
+  // A singular set of values fails the factorisation.
+  cs.clear();
+  cs.add_at(s10, 1.0);
+  EXPECT_FALSE(cs.factor());
+}
 
 TEST(LinearSystem, FactorNonzerosReported) {
   LinearSystem sys(3);
