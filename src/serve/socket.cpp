@@ -7,13 +7,21 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <stdexcept>
 
+#include "util/log.hpp"
+
 namespace sscl::serve {
 
 namespace {
+
+/// How long the accept loop waits before it retries a failed accept():
+/// long enough not to spin while the process is out of descriptors,
+/// short enough that a client barely notices.
+constexpr std::chrono::milliseconds kAcceptRetryPause{100};
 
 void close_quietly(int fd) {
   if (fd >= 0) ::close(fd);
@@ -24,19 +32,25 @@ void close_quietly(int fd) {
 /// buffer, so payload bytes that arrived with the header are not lost.
 class LineReader {
  public:
+  enum class Status { kLine, kClosed, kTooLong };
+
   explicit LineReader(int fd) : fd_(fd) {}
 
-  /// Next line without its '\n'; false on EOF/error.
-  bool line(std::string& out) {
+  /// Next line without its '\n'. kClosed on EOF/error; kTooLong once
+  /// more than kMaxLineBytes have arrived without a '\n'.
+  Status line(std::string& out) {
+    std::size_t scanned = 0;
     for (;;) {
-      const auto nl = buffer_.find('\n');
+      const auto nl = buffer_.find('\n', scanned);
       if (nl != std::string::npos) {
         out = buffer_.substr(0, nl);
         if (!out.empty() && out.back() == '\r') out.pop_back();
         buffer_.erase(0, nl + 1);
-        return true;
+        return Status::kLine;
       }
-      if (!fill()) return false;
+      if (buffer_.size() > kMaxLineBytes) return Status::kTooLong;
+      scanned = buffer_.size();
+      if (!fill()) return Status::kClosed;
     }
   }
 
@@ -130,28 +144,53 @@ void SocketServer::start() {
 }
 
 void SocketServer::run() {
-  std::vector<int> fds;
   while (!stopping_.load()) {
+    join_finished();
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (stopping_.load()) break;
       if (errno == EINTR) continue;
-      break;
+      util::log_error("sscl-serve: accept() failed: ", std::strerror(errno),
+                      "; retrying");
+      std::this_thread::sleep_for(kAcceptRetryPause);
+      continue;
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    fds.push_back(fd);
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    connections_.emplace_back([this, fd] { handle_connection(fd); });
+    std::lock_guard<std::mutex> lock(connections_mu_);
+    open_fds_.insert(fd);
+    const long long id = next_connection_++;
+    connections_.emplace(id, std::thread([this, fd, id] {
+                           handle_connection(fd);
+                           std::lock_guard<std::mutex> done(connections_mu_);
+                           open_fds_.erase(fd);
+                           ::close(fd);
+                           finished_.push_back(id);
+                         }));
   }
   // Kick still-connected clients loose, then wait for their handlers.
-  for (int fd : fds) ::shutdown(fd, SHUT_RDWR);
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  for (std::thread& t : connections_) {
-    if (t.joinable()) t.join();
+  std::map<long long, std::thread> remaining;
+  {
+    std::lock_guard<std::mutex> lock(connections_mu_);
+    for (int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
+    remaining.swap(connections_);
+    finished_.clear();
   }
-  connections_.clear();
-  for (int fd : fds) close_quietly(fd);
+  for (auto& [id, thread] : remaining) thread.join();
+}
+
+void SocketServer::join_finished() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(connections_mu_);
+    for (const long long id : finished_) {
+      const auto it = connections_.find(id);
+      done.push_back(std::move(it->second));
+      connections_.erase(it);
+    }
+    finished_.clear();
+  }
+  for (std::thread& thread : done) thread.join();
 }
 
 void SocketServer::stop() {
@@ -164,7 +203,16 @@ void SocketServer::handle_connection(int fd) {
   LineReader reader(fd);
   std::mutex write_mu;
   std::string line;
-  while (!stopping_.load() && reader.line(line)) {
+  while (!stopping_.load()) {
+    const LineReader::Status status = reader.line(line);
+    if (status == LineReader::Status::kClosed) return;
+    if (status == LineReader::Status::kTooLong) {
+      send_line(fd, write_mu,
+                "ERROR protocol line longer than " +
+                    std::to_string(kMaxLineBytes) + " bytes");
+      send_line(fd, write_mu, "END error");
+      return;
+    }
     const Command cmd = parse_command(line);
     switch (cmd.kind) {
       case Command::Kind::kSubmit: {

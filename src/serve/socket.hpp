@@ -5,12 +5,17 @@
 /// per connection; each connection processes commands sequentially, so
 /// a connection has at most one job in flight and its response lines
 /// never interleave (CANCEL a running job from a second connection).
-/// The daemon binds 127.0.0.1 only — this is a local tool-server
-/// protocol, not an internet-facing service.
+/// A connection's socket is closed when its client leaves, and the
+/// accept loop joins the handlers that have finished. The daemon binds
+/// 127.0.0.1 only — this is a local tool-server protocol, not an
+/// internet-facing service.
 
 #include <atomic>
+#include <cstddef>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +25,12 @@
 #include "serve/server.hpp"
 
 namespace sscl::serve {
+
+/// Longest protocol line the daemon buffers (1 MiB). The longest
+/// legitimate line is a SUBMIT header whose nodes= names every node of
+/// its deck. A longer line gets `ERROR` and `END error`, and the
+/// connection is closed.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 class SocketServer {
  public:
@@ -32,7 +43,8 @@ class SocketServer {
   int port() const { return port_; }
 
   /// Accept loop; returns after stop() or a SHUTDOWN command, once
-  /// every connection thread has been joined.
+  /// every connection thread has been joined. A failed accept() (say,
+  /// out of descriptors) is logged and retried after a short pause.
   void run();
 
   /// run() on a background thread (tests).
@@ -43,13 +55,22 @@ class SocketServer {
 
  private:
   void handle_connection(int fd);
+  /// Join the handlers whose clients have left.
+  void join_finished();
 
   Server& core_;
   int listen_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> stopping_{false};
-  std::mutex threads_mu_;
-  std::vector<std::thread> connections_;
+  // Guards the four members below. A handler drops its fd from
+  // open_fds_ before it closes it, so the shutdown kick, which walks
+  // open_fds_ under this lock, never reaches a descriptor number the
+  // kernel has since handed to a newer connection.
+  std::mutex connections_mu_;
+  std::set<int> open_fds_;
+  std::map<long long, std::thread> connections_;  ///< by connection id
+  std::vector<long long> finished_;  ///< ids whose handler has returned
+  long long next_connection_ = 0;
   std::thread accept_thread_;  ///< set by start()
 };
 

@@ -1,9 +1,16 @@
 #include "serve/socket.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -192,6 +199,72 @@ TEST_F(SocketServe, MalformedCommandGetsErrorLine) {
   const auto reply = client.command("FROBNICATE");
   EXPECT_EQ(reply.status, "error");
   EXPECT_NE(envelope_of(reply, "ERROR"), "");
+}
+
+int open_descriptors() {
+  int n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(SocketServe, ClosedConnectionsReleaseTheirDescriptors) {
+  // Each connection's socket used to stay open until shutdown, so 200
+  // clients left 200 descriptors behind.
+  const int baseline = open_descriptors();
+  for (int i = 0; i < 200; ++i) {
+    serve::Client client(transport_->port());
+    ASSERT_EQ(client.command("PING").status, "ok");
+  }
+  // The last handlers close their sockets once they see their clients
+  // leave; poll for that instead of sleeping a fixed time.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  int open = open_descriptors();
+  while (open > baseline + 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    open = open_descriptors();
+  }
+  EXPECT_LE(open, baseline + 2);
+}
+
+TEST_F(SocketServe, OverlongLineEndsInErrorAndTheDaemonServesOn) {
+  // A client that never sends '\n' used to grow the daemon's line buffer
+  // without limit. A raw socket sends one byte past the bound; the
+  // receive timeout turns a daemon that keeps waiting into a failure.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(transport_->port()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  const std::string line(serve::kMaxLineBytes + 1, 'x');
+  std::size_t sent = 0;
+  while (sent < line.size()) {
+    const ssize_t n = ::send(fd, line.data() + sent, line.size() - sent,
+                             MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string reply;
+  char chunk[256];
+  while (reply.find("END ") == std::string::npos) {
+    const ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
+    if (got <= 0) break;
+    reply.append(chunk, static_cast<std::size_t>(got));
+  }
+  ::close(fd);
+  EXPECT_EQ(reply.rfind("ERROR protocol line longer than", 0), 0u) << reply;
+  EXPECT_NE(reply.find("END error\n"), std::string::npos) << reply;
+
+  serve::Client next(transport_->port());
+  EXPECT_EQ(next.command("PING").status, "ok");
 }
 
 TEST_F(SocketServe, ShutdownStopsTheAcceptLoop) {
