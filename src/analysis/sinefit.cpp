@@ -17,9 +17,7 @@ std::vector<double> least_squares(
   const int m = static_cast<int>(columns.size());
   spice::LinearSystem ata(m);
   std::vector<spice::MatrixSlot> slots;
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < m; ++j) slots.push_back(ata.reserve(i, j));
-  }
+  for (int k = 0; k < m * m; ++k) slots.push_back(ata.reserve(k / m, k % m));
   ata.finalize_pattern();
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < m; ++j) {

@@ -277,27 +277,20 @@ void Mosfet::add_noise(spice::NoiseContext& ctx) const {
 }
 
 void Mosfet::load_ac(spice::AcContext& ctx) const {
-  const double gm = last_.gm;
-  const double gds = last_.gds;
-  const double gms = last_.gms;
-  const double gmb = last_.gmb;
-
-  ctx.add_at(m_dg_, gm);
-  ctx.add_at(m_dd_, gds);
-  ctx.add_at(m_ds_, -gms);
-  ctx.add_at(m_db_, gmb);
-  ctx.add_at(m_sg_, -gm);
-  ctx.add_at(m_sd_, -gds);
-  ctx.add_at(m_ss_, gms);
-  ctx.add_at(m_sb_, -gmb);
+  ctx.add_at(m_dg_, last_.gm);
+  ctx.add_at(m_dd_, last_.gds);
+  ctx.add_at(m_ds_, -last_.gms);
+  ctx.add_at(m_db_, last_.gmb);
+  ctx.add_at(m_sg_, -last_.gm);
+  ctx.add_at(m_sd_, -last_.gds);
+  ctx.add_at(m_ss_, last_.gms);
+  ctx.add_at(m_sb_, -last_.gmb);
 
   const double w = ctx.omega();
   ctx.stamp_admittance(cp_gs_.g, {0, w * cgs_});
   ctx.stamp_admittance(cp_gd_.g, {0, w * cgd_});
   ctx.stamp_admittance(cp_gb_.g, {0, w * cgb_});
-  // The junction slots are reserved (and jgs_/cbs_ nonzero) only with
-  // diffusion areas; a stamp is symmetric, so the PMOS orientation of
-  // the reserved pattern writes the same four entries.
+  // Nonzero only with diffusion areas, which reserve the junction slots.
   if (jgs_ > 0 || cbs_ > 0) ctx.stamp_admittance(jp_s_.g, {jgs_, w * cbs_});
   if (jgd_ > 0 || cbd_ > 0) ctx.stamp_admittance(jp_d_.g, {jgd_, w * cbd_});
 }

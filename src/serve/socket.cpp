@@ -18,9 +18,8 @@ namespace sscl::serve {
 
 namespace {
 
-/// How long the accept loop waits before it retries a failed accept():
-/// long enough not to spin while the process is out of descriptors,
-/// short enough that a client barely notices.
+/// Wait before retrying a failed accept(): no spinning while the process
+/// is out of descriptors, and a delay a client barely notices.
 constexpr std::chrono::milliseconds kAcceptRetryPause{100};
 
 void close_quietly(int fd) {
@@ -158,39 +157,35 @@ void SocketServer::run() {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     std::lock_guard<std::mutex> lock(connections_mu_);
-    open_fds_.insert(fd);
-    const long long id = next_connection_++;
-    connections_.emplace(id, std::thread([this, fd, id] {
-                           handle_connection(fd);
-                           std::lock_guard<std::mutex> done(connections_mu_);
-                           open_fds_.erase(fd);
-                           ::close(fd);
-                           finished_.push_back(id);
-                         }));
+    Connection& c = connections_.emplace_back();
+    c.fd = fd;
+    c.thread = std::thread([this, &c] {
+      handle_connection(c.fd);
+      std::lock_guard<std::mutex> done(connections_mu_);
+      ::close(c.fd);
+      c.fd = -1;
+      c.done = true;
+    });
   }
   // Kick still-connected clients loose, then wait for their handlers.
-  std::map<long long, std::thread> remaining;
   {
     std::lock_guard<std::mutex> lock(connections_mu_);
-    for (int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
-    remaining.swap(connections_);
-    finished_.clear();
+    for (const Connection& c : connections_) {
+      if (c.fd >= 0) ::shutdown(c.fd, SHUT_RDWR);
+    }
   }
-  for (auto& [id, thread] : remaining) thread.join();
+  for (Connection& c : connections_) c.thread.join();
+  connections_.clear();
 }
 
 void SocketServer::join_finished() {
-  std::vector<std::thread> done;
-  {
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    for (const long long id : finished_) {
-      const auto it = connections_.find(id);
-      done.push_back(std::move(it->second));
-      connections_.erase(it);
-    }
-    finished_.clear();
-  }
-  for (std::thread& thread : done) thread.join();
+  // A handler sets done as the last thing it does under the lock, so
+  // joining it here cannot wait on the lock this holds.
+  std::lock_guard<std::mutex> lock(connections_mu_);
+  connections_.remove_if([](Connection& c) {
+    if (c.done) c.thread.join();
+    return c.done;
+  });
 }
 
 void SocketServer::stop() {

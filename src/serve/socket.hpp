@@ -12,10 +12,9 @@
 
 #include <atomic>
 #include <cstddef>
-#include <map>
+#include <list>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,10 +25,9 @@
 
 namespace sscl::serve {
 
-/// Longest protocol line the daemon buffers (1 MiB). The longest
-/// legitimate line is a SUBMIT header whose nodes= names every node of
-/// its deck. A longer line gets `ERROR` and `END error`, and the
-/// connection is closed.
+/// Longest protocol line the daemon reads (the longest legitimate one is
+/// a SUBMIT header naming every node of its deck). A longer line gets
+/// `ERROR` and `END error`, and the connection is closed.
 inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 class SocketServer {
@@ -62,15 +60,16 @@ class SocketServer {
   int listen_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> stopping_{false};
-  // Guards the four members below. A handler drops its fd from
-  // open_fds_ before it closes it, so the shutdown kick, which walks
-  // open_fds_ under this lock, never reaches a descriptor number the
-  // kernel has since handed to a newer connection.
+  // One accepted client. Its handler closes the socket and sets fd to -1
+  // under connections_mu_, so the shutdown kick, which walks the list
+  // under that lock, never shuts down a reused descriptor number.
+  struct Connection {
+    int fd = -1;
+    bool done = false;
+    std::thread thread;
+  };
   std::mutex connections_mu_;
-  std::set<int> open_fds_;
-  std::map<long long, std::thread> connections_;  ///< by connection id
-  std::vector<long long> finished_;  ///< ids whose handler has returned
-  long long next_connection_ = 0;
+  std::list<Connection> connections_;
   std::thread accept_thread_;  ///< set by start()
 };
 

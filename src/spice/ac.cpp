@@ -1,10 +1,10 @@
 #include "spice/ac.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "trace/trace.hpp"
 #include "util/numeric.hpp"
+#include "util/units.hpp"
 
 namespace sscl::spice {
 
@@ -71,10 +71,8 @@ void factor_ac_system(Engine& engine, ComplexSystem& system,
     system.add_at(s, engine.options().gmin);
   }
   if (!system.factor()) {
-    std::ostringstream what;
-    what << "AC analysis: singular small-signal system at " << frequency
-         << " Hz";
-    throw ConvergenceError(what.str());
+    throw ConvergenceError("AC analysis: singular small-signal system at " +
+                           util::format_g17(frequency) + " Hz");
   }
 }
 

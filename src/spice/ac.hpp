@@ -2,8 +2,7 @@
 
 /// \file ac.hpp
 /// Small-signal AC analysis: linearise every device at the DC operating
-/// point and solve the complex MNA system per frequency point, on the
-/// frozen pattern and sparse LU of the engine's LinearSystem.
+/// point and solve the complex MNA system per frequency point.
 
 #include <complex>
 #include <vector>
@@ -53,9 +52,8 @@ class AcResult {
 /// complex system at each of \p frequencies.
 AcResult run_ac(Engine& engine, const std::vector<double>& frequencies);
 
-/// The small-signal step run_ac and run_noise share: clear \p system,
-/// stamp every device's admittances at \p frequency and the gmin floor
-/// through the slots of the engine's pattern pass, and factor. Throws
+/// The step run_ac and run_noise share: clear \p system, stamp every
+/// device and the gmin floor at \p frequency, and factor. Throws
 /// ConvergenceError naming the frequency when the system is singular.
 void factor_ac_system(Engine& engine, ComplexSystem& system,
                       double frequency);

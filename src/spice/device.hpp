@@ -283,10 +283,9 @@ class LoadContext {
   bool limited_ = false;
 };
 
-/// Handed to Device::load_ac(). Devices stamp complex admittances using
+/// Handed to Device::load_ac(). Devices stamp complex admittances, from
 /// small-signal parameters cached during the preceding DC operating
-/// point load, through the slots their reserve() took: the AC system
-/// lives on the frozen pattern of the engine's LinearSystem.
+/// point load, through the slots their reserve() took.
 class AcContext {
  public:
   AcContext(ComplexSystem& system, double omega)

@@ -108,8 +108,7 @@ class Engine {
   LinearSystem& linear_system() { return system_; }
   const LinearSystem& linear_system() const { return system_; }
 
-  /// The reserved gmin diagonal slots, one per node (the AC system
-  /// floors its diagonal through them as the DC solve does).
+  /// The reserved gmin diagonal slots, one per node.
   const std::vector<MatrixSlot>& gmin_slots() const { return gmin_slots_; }
 
  private:

@@ -19,10 +19,6 @@ namespace {
 constexpr double kPivotTiny = 1e-300;
 constexpr double kPivotReuseThreshold = 1e-3;
 
-// Pivot magnitude: |v| for real values, the modulus for complex ones.
-double magnitude(double v) { return std::fabs(v); }
-double magnitude(const std::complex<double>& v) { return std::abs(v); }
-
 // AMD's dense-node rule: an unknown coupled to more than
 // max(16, kDenseDegree * sqrt(n)) others (a supply or bias rail on a
 // large deck) is left out of the minimum-degree graph and eliminated
@@ -214,84 +210,69 @@ void LinearSystem::adopt_factorization(const LinearSystem& from) {
 }
 
 bool LinearSystem::solve(std::vector<double>& x_out) {
-  if (!factor(ax_, lu_)) return false;
-  substitute(lu_, rhs_, x_out);
+  if (!lu_.factor(*this, ax_)) return false;
+  lu_.substitute(*this, rhs_, x_out);
   return true;
 }
 
-ComplexSystem::ComplexSystem(const LinearSystem& pattern)
-    : pattern_(pattern),
-      ax_(pattern.ax_.size()),
-      rhs_(pattern.rhs_.size()) {}
-
-void ComplexSystem::clear() {
-  std::fill(ax_.begin(), ax_.end(), Complex{});
-  clear_rhs();
-}
-
-void ComplexSystem::clear_rhs() {
-  std::fill(rhs_.begin(), rhs_.end(), Complex{});
-}
-
 template <typename T>
-bool LinearSystem::factor(const std::vector<T>& ax, Factors<T>& lu) const {
+bool LinearSystem::Factors<T>::factor(const LinearSystem& a,
+                                      const std::vector<T>& ax) {
   // A pivot that decayed (or went singular) under the stored ordering
   // falls through to the full threshold-pivoting pass.
-  lu.last_numeric = lu.symbolic_valid && refactor_numeric(ax, lu);
-  return lu.last_numeric || factor_full(ax, lu);
+  last_numeric = symbolic_valid && refactor_numeric(a, ax);
+  return last_numeric || factor_full(a, ax);
 }
 
 template <typename T>
-void LinearSystem::substitute(Factors<T>& lu, const std::vector<T>& rhs,
-                              std::vector<T>& x_out) const {
+void LinearSystem::Factors<T>::substitute(const LinearSystem& a,
+                                          const std::vector<T>& rhs,
+                                          std::vector<T>& x_out) {
+  const int n = a.n_;
   // P A Q = L U: solve L U z = P b in the scratch, then x = Q z.
-  lu.work.resize(n_);
-  T* z = lu.work.data();
+  work.resize(n);
+  T* z = work.data();
   // Apply the row permutation: z[pinv[i]] = b[i].
-  for (int i = 0; i < n_; ++i) z[lu.pinv[i]] = rhs[i + 1];
+  for (int i = 0; i < n; ++i) z[pinv[i]] = rhs[i + 1];
   // L y = P b (unit diagonal first in each column).
-  for (int j = 0; j < n_; ++j) {
+  for (int j = 0; j < n; ++j) {
     const T zj = z[j];
-    for (int p = lu.lp[j] + 1; p < lu.lp[j + 1]; ++p) {
-      z[lu.li[p]] -= lu.lx[p] * zj;
-    }
+    for (int p = lp[j] + 1; p < lp[j + 1]; ++p) z[li[p]] -= lx[p] * zj;
   }
   // U z = y (diagonal stored last in each column).
-  for (int j = n_ - 1; j >= 0; --j) {
-    z[j] /= lu.ux[lu.up[j + 1] - 1];
+  for (int j = n - 1; j >= 0; --j) {
+    z[j] /= ux[up[j + 1] - 1];
     const T zj = z[j];
-    for (int p = lu.up[j]; p < lu.up[j + 1] - 1; ++p) {
-      z[lu.ui[p]] -= lu.ux[p] * zj;
-    }
+    for (int p = up[j]; p < up[j + 1] - 1; ++p) z[ui[p]] -= ux[p] * zj;
   }
-  x_out.resize(n_);
-  for (int k = 0; k < n_; ++k) x_out[q_[k]] = z[k];
+  x_out.resize(n);
+  for (int k = 0; k < n; ++k) x_out[a.q_[k]] = z[k];
 }
 
 template <typename T>
-bool LinearSystem::factor_full(const std::vector<T>& ax,
-                               Factors<T>& lu) const {
-  lu.lp.assign(1, 0);
-  lu.li.clear();
-  lu.lx.clear();
-  lu.up.assign(1, 0);
-  lu.ui.clear();
-  lu.ux.clear();
-  lu.pinv.assign(n_, -1);
-  lu.symbolic_valid = false;
-  std::vector<int>& pinv = lu.pinv;
+bool LinearSystem::Factors<T>::factor_full(const LinearSystem& a,
+                                           const std::vector<T>& ax) {
+  const int n = a.n_;
+  lp.assign(1, 0);
+  li.clear();
+  lx.clear();
+  up.assign(1, 0);
+  ui.clear();
+  ux.clear();
+  pinv.assign(n, -1);
+  symbolic_valid = false;
 
-  std::vector<T> x(n_, T{});
-  std::vector<char> marked(n_, 0);
-  std::vector<int> reach_stack(n_), dfs_stack(n_), dfs_ptr(n_);
+  std::vector<T> x(n, T{});
+  std::vector<char> marked(n, 0);
+  std::vector<int> reach_stack(n), dfs_stack(n), dfs_ptr(n);
 
-  for (int k = 0; k < n_; ++k) {
+  for (int k = 0; k < n; ++k) {
     // --- Symbolic: DFS from the pattern of A(:,k) through solved columns
     // of L to get the reach set in topological order at the bottom of
-    // reach_stack[top..n_-1].
-    int top = n_;
-    for (int p = ap_[k]; p < ap_[k + 1]; ++p) {
-      const int start = ai_[p];
+    // reach_stack[top..n-1].
+    int top = n;
+    for (int p = a.ap_[k]; p < a.ap_[k + 1]; ++p) {
+      const int start = a.ai_[p];
       if (marked[start]) continue;
       // Iterative DFS.
       int head = 0;
@@ -302,13 +283,13 @@ bool LinearSystem::factor_full(const std::vector<T>& ax,
           marked[j] = 1;
           // Children of j exist only if row j has been pivoted: they are
           // the subdiagonal rows of L(:, pinv[j]).
-          dfs_ptr[head] = (pinv[j] >= 0) ? lu.lp[pinv[j]] + 1 : -1;
+          dfs_ptr[head] = (pinv[j] >= 0) ? lp[pinv[j]] + 1 : -1;
         }
         bool descended = false;
         if (pinv[j] >= 0) {
-          const int pend = lu.lp[pinv[j] + 1];
+          const int pend = lp[pinv[j] + 1];
           while (dfs_ptr[head] < pend) {
-            const int child = lu.li[dfs_ptr[head]++];
+            const int child = li[dfs_ptr[head]++];
             if (!marked[child]) {
               dfs_stack[++head] = child;
               descended = true;
@@ -325,25 +306,26 @@ bool LinearSystem::factor_full(const std::vector<T>& ax,
     }
 
     // --- Numeric: scatter A(:,k) and do the sparse triangular solve.
-    for (int p = ap_[k]; p < ap_[k + 1]; ++p) x[ai_[p]] += ax[p];
-    for (int px = top; px < n_; ++px) {
+    for (int p = a.ap_[k]; p < a.ap_[k + 1]; ++p) x[a.ai_[p]] += ax[p];
+    for (int px = top; px < n; ++px) {
       const int j = reach_stack[px];
       const int jnew = pinv[j];
       if (jnew < 0) continue;
       // Unit diagonal of L, so no division for x[j] itself.
       const T xj = x[j];
-      for (int p = lu.lp[jnew] + 1; p < lu.lp[jnew + 1]; ++p) {
-        x[lu.li[p]] -= lu.lx[p] * xj;
+      for (int p = lp[jnew] + 1; p < lp[jnew + 1]; ++p) {
+        x[li[p]] -= lx[p] * xj;
       }
     }
 
-    // --- Pivot: largest magnitude among not-yet-pivoted rows.
+    // --- Pivot: largest magnitude among not-yet-pivoted rows (std::abs
+    // is std::fabs on real values and the modulus on complex ones).
     int ipiv = -1;
     double pivot_mag = -1.0;
-    for (int px = top; px < n_; ++px) {
+    for (int px = top; px < n; ++px) {
       const int i = reach_stack[px];
       if (pinv[i] < 0) {
-        const double m = magnitude(x[i]);
+        const double m = std::abs(x[i]);
         if (m > pivot_mag) {
           pivot_mag = m;
           ipiv = i;
@@ -351,7 +333,7 @@ bool LinearSystem::factor_full(const std::vector<T>& ax,
       }
     }
     if (ipiv < 0 || pivot_mag <= kPivotTiny) {
-      for (int px = top; px < n_; ++px) {
+      for (int px = top; px < n; ++px) {
         x[reach_stack[px]] = T{};
         marked[reach_stack[px]] = 0;
       }
@@ -361,98 +343,88 @@ bool LinearSystem::factor_full(const std::vector<T>& ax,
     pinv[ipiv] = k;
 
     // --- Emit U(:,k): solved rows, then the diagonal last.
-    for (int px = top; px < n_; ++px) {
+    for (int px = top; px < n; ++px) {
       const int i = reach_stack[px];
       if (pinv[i] >= 0 && i != ipiv) {
-        lu.ui.push_back(pinv[i]);
-        lu.ux.push_back(x[i]);
+        ui.push_back(pinv[i]);
+        ux.push_back(x[i]);
       }
     }
-    lu.ui.push_back(k);
-    lu.ux.push_back(pivot);
-    lu.up.push_back(static_cast<int>(lu.ui.size()));
+    ui.push_back(k);
+    ux.push_back(pivot);
+    up.push_back(static_cast<int>(ui.size()));
 
     // --- Emit L(:,k): unit diagonal first, then scaled subdiagonal.
-    lu.li.push_back(ipiv);
-    lu.lx.push_back(T(1.0));
-    for (int px = top; px < n_; ++px) {
+    li.push_back(ipiv);
+    lx.push_back(T(1.0));
+    for (int px = top; px < n; ++px) {
       const int i = reach_stack[px];
       if (pinv[i] < 0) {
-        lu.li.push_back(i);
-        lu.lx.push_back(x[i] / pivot);
+        li.push_back(i);
+        lx.push_back(x[i] / pivot);
       }
       x[i] = T{};
       marked[i] = 0;
     }
-    lu.lp.push_back(static_cast<int>(lu.li.size()));
+    lp.push_back(static_cast<int>(li.size()));
   }
 
   // Remap L's row indices from original numbering to pivot positions.
-  for (int& row : lu.li) row = pinv[row];
-  lu.symbolic_valid = true;
+  for (int& row : li) row = pinv[row];
+  symbolic_valid = true;
   return true;
 }
 
 template <typename T>
-bool LinearSystem::refactor_numeric(const std::vector<T>& ax,
-                                    Factors<T>& lu) const {
+bool LinearSystem::Factors<T>::refactor_numeric(const LinearSystem& a,
+                                                const std::vector<T>& ax) {
   // Replay the stored pivot sequence and fill pattern, refreshing numeric
   // values only. All indices below are pivot positions: li was remapped
   // after the full factor, ui stores pivot positions by construction,
   // and A's rows map through pinv. The stored U order per column is the
   // topological elimination order of the original pass, so replaying it
   // performs the identical arithmetic when the pivots stay sound.
-  lu.work.assign(n_, T{});
-  T* w = lu.work.data();
+  const int n = a.n_;
+  work.assign(n, T{});
+  T* w = work.data();
 
-  for (int k = 0; k < n_; ++k) {
-    for (int p = ap_[k]; p < ap_[k + 1]; ++p) w[lu.pinv[ai_[p]]] += ax[p];
+  for (int k = 0; k < n; ++k) {
+    for (int p = a.ap_[k]; p < a.ap_[k + 1]; ++p) w[pinv[a.ai_[p]]] += ax[p];
 
-    for (int p = lu.up[k]; p < lu.up[k + 1] - 1; ++p) {
-      const int j = lu.ui[p];
+    for (int p = up[k]; p < up[k + 1] - 1; ++p) {
+      const int j = ui[p];
       const T xj = w[j];
-      lu.ux[p] = xj;
+      ux[p] = xj;
       w[j] = T{};
-      for (int q = lu.lp[j] + 1; q < lu.lp[j + 1]; ++q) {
-        w[lu.li[q]] -= lu.lx[q] * xj;
-      }
+      for (int q = lp[j] + 1; q < lp[j + 1]; ++q) w[li[q]] -= lx[q] * xj;
     }
 
     const T pivot = w[k];
-    double cand_max = magnitude(pivot);
-    for (int p = lu.lp[k] + 1; p < lu.lp[k + 1]; ++p) {
-      cand_max = std::max(cand_max, magnitude(w[lu.li[p]]));
+    double cand_max = std::abs(pivot);
+    for (int p = lp[k] + 1; p < lp[k + 1]; ++p) {
+      cand_max = std::max(cand_max, std::abs(w[li[p]]));
     }
-    if (magnitude(pivot) <= kPivotTiny ||
-        magnitude(pivot) < kPivotReuseThreshold * cand_max) {
+    if (std::abs(pivot) <= kPivotTiny ||
+        std::abs(pivot) < kPivotReuseThreshold * cand_max) {
       // Old pivot no longer dominates its column: clear the workspace and
       // let the caller rerun the full pivot search.
       w[k] = T{};
-      for (int p = lu.lp[k] + 1; p < lu.lp[k + 1]; ++p) w[lu.li[p]] = T{};
+      for (int p = lp[k] + 1; p < lp[k + 1]; ++p) w[li[p]] = T{};
       return false;
     }
-    lu.ux[lu.up[k + 1] - 1] = pivot;
+    ux[up[k + 1] - 1] = pivot;
     w[k] = T{};
-    for (int p = lu.lp[k] + 1; p < lu.lp[k + 1]; ++p) {
-      lu.lx[p] = w[lu.li[p]] / pivot;
-      w[lu.li[p]] = T{};
+    for (int p = lp[k] + 1; p < lp[k + 1]; ++p) {
+      lx[p] = w[li[p]] / pivot;
+      w[li[p]] = T{};
     }
   }
   return true;
 }
 
-// One kernel set, two scalars: the real values of every MNA solve and
-// the complex values of the AC and noise systems on the same pattern.
-using Complex = std::complex<double>;
-template bool LinearSystem::factor(const std::vector<double>&,
-                                   Factors<double>&) const;
-template bool LinearSystem::factor(const std::vector<Complex>&,
-                                   Factors<Complex>&) const;
-template void LinearSystem::substitute(Factors<double>&,
-                                       const std::vector<double>&,
-                                       std::vector<double>&) const;
-template void LinearSystem::substitute(Factors<Complex>&,
-                                       const std::vector<Complex>&,
-                                       std::vector<Complex>&) const;
+// One kernel set, two scalars: the real values of every DC and transient
+// solve and the complex values of AC and noise on the same pattern.
+template struct LinearSystem::Factors<double>;
+template struct LinearSystem::Factors<std::complex<double>>;
 
 }  // namespace sscl::spice

@@ -1,11 +1,12 @@
 #pragma once
 
 /// \file linear_system.hpp
-/// Real MNA system and its sparse LU, at every size. Left-looking
-/// Gilbert-Peierls factorisation with partial pivoting (the same
-/// algorithm family as SPICE3 / CSparse) on a fill-reducing column
-/// order: minimum degree on the pattern of A + A^T, the ordering half of
-/// the KLU recipe for circuit matrices.
+/// The MNA system and its sparse LU, at every size, for real values
+/// (LinearSystem) and the complex values of AC and noise on the same
+/// pattern (ComplexSystem). Left-looking Gilbert-Peierls factorisation
+/// with partial pivoting (the same algorithm family as SPICE3 / CSparse)
+/// on a fill-reducing column order: minimum degree on the pattern of
+/// A + A^T, the ordering half of the KLU recipe for circuit matrices.
 ///
 /// Assembly goes through slots only: every matrix entry and rhs row is
 /// reserved once during the elaboration-time pattern pass
@@ -86,9 +87,7 @@ class LinearSystem {
   std::size_t pattern_entries() const { return rows_.size(); }
 
   /// Fill-in of the factors (for diagnostics/benchmarks).
-  std::size_t factor_nonzeros() const {
-    return lu_.li.size() + lu_.ui.size();
-  }
+  std::size_t factor_nonzeros() const { return lu_.nonzeros(); }
 
   // ---- baseline (static-linear stamp cache) ---------------------------
 
@@ -134,40 +133,33 @@ class LinearSystem {
  private:
   friend class ComplexSystem;
 
-  /// LU factors of one scalar type on the frozen pattern, in CSC form.
-  /// L has a unit diagonal stored explicitly as the first entry of each
-  /// column; U stores its diagonal last. Pivots are chosen on the
-  /// values, so each set of values keeps its own pivot sequence.
+  /// The LU of one set of values (real or complex) on the frozen
+  /// pattern, with its own pivot sequence, in CSC form: L has a unit
+  /// diagonal stored first in each column; U stores its diagonal last.
   template <typename T>
   struct Factors {
+    /// Replay the stored pivot sequence on \p ax (one value per CSC cell
+    /// of \p a), or run the full pivoting pass when there is none or a
+    /// pivot has decayed. Returns false on a singular matrix.
+    bool factor(const LinearSystem& a, const std::vector<T>& ax);
+    /// Solve for \p rhs (row r at rhs[r + 1]) into \p x_out.
+    void substitute(const LinearSystem& a, const std::vector<T>& rhs,
+                    std::vector<T>& x_out);
+    bool factor_full(const LinearSystem& a, const std::vector<T>& ax);
+    bool refactor_numeric(const LinearSystem& a, const std::vector<T>& ax);
+    std::size_t nonzeros() const { return li.size() + ui.size(); }
+
     std::vector<int> lp, li;
     std::vector<T> lx;
     std::vector<int> up, ui;
     std::vector<T> ux;
     std::vector<int> pinv;  // original row -> pivot position
-    // Scratch of the numeric refresh and of the substitution, indexed
-    // by pivot position.
+    // Scratch of the numeric refresh and of substitute(), indexed by
+    // pivot position.
     std::vector<T> work;
     bool symbolic_valid = false;  // pivot sequence + fill pattern reusable
     bool last_numeric = false;    // the last factor() replayed them
   };
-
-  // The kernels on this pattern, one template over the scalar type of
-  // the values (instantiated for double and std::complex<double>).
-
-  /// Replay \p lu's pivot sequence on \p ax (one value per CSC cell),
-  /// or run the full pivoting pass when there is none or a pivot has
-  /// decayed. Returns false on a singular matrix.
-  template <typename T>
-  bool factor(const std::vector<T>& ax, Factors<T>& lu) const;
-  template <typename T>
-  bool factor_full(const std::vector<T>& ax, Factors<T>& lu) const;
-  template <typename T>
-  bool refactor_numeric(const std::vector<T>& ax, Factors<T>& lu) const;
-  /// Solve with \p lu for \p rhs (row r at rhs[r + 1]) into \p x_out.
-  template <typename T>
-  void substitute(Factors<T>& lu, const std::vector<T>& rhs,
-                  std::vector<T>& x_out) const;
 
   int n_ = 0;
 
@@ -197,41 +189,38 @@ class LinearSystem {
   Factors<double> lu_;
 };
 
-/// Complex values on a finalized LinearSystem's frozen pattern: the
-/// small-signal system of one AC or noise analysis. It holds one value
-/// per CSC cell of \p pattern, written through the same slots and trash
-/// cells, plus a complex rhs, and factors with the same kernels in the
-/// same elimination order. The first factor() runs the full pivoting
-/// pass; later ones replay its pivot sequence and fall back to the full
-/// pass as LinearSystem::solve() does. \p pattern must outlive it.
+/// Complex values on a finalized LinearSystem's frozen pattern, for one
+/// AC or noise analysis: one value per CSC cell, written through the
+/// same slots and trash cells, plus a complex rhs. factor() replays the
+/// last pivot sequence or falls back to the full pass, as
+/// LinearSystem::solve() does. \p pattern must outlive it.
 class ComplexSystem {
  public:
   using Complex = std::complex<double>;
 
-  explicit ComplexSystem(const LinearSystem& pattern);
+  explicit ComplexSystem(const LinearSystem& pattern)
+      : pattern_(pattern), ax_(pattern.ax_.size()), rhs_(pattern.rhs_.size()) {}
 
-  /// Zero the values and the rhs (the pivot sequence is kept).
-  void clear();
-  /// Zero the rhs only, to solve the factored matrix for another one.
-  void clear_rhs();
+  /// Zero the values and the rhs; clear_rhs() zeroes the rhs only, to
+  /// solve the factored matrix for another rhs.
+  void clear() {
+    ax_.assign(ax_.size(), Complex{});
+    clear_rhs();
+  }
+  void clear_rhs() { rhs_.assign(rhs_.size(), Complex{}); }
 
-  /// Accumulate into a reserved entry. Slot 0 lands in the trash cell.
+  /// Accumulate into a reserved entry or rhs row; slot 0 is a trash cell.
   void add_at(MatrixSlot s, Complex v) { ax_[pattern_.slot_cell_[s]] += v; }
-  /// Accumulate into a reserved rhs row. Slot 0 lands in the trash cell.
   void add_rhs_at(RhsSlot s, Complex v) { rhs_[s] += v; }
 
-  /// Factor the assembled values. Returns false on a singular matrix.
-  bool factor() { return pattern_.factor(ax_, lu_); }
+  /// Factor the assembled values; false on a singular matrix.
+  bool factor() { return lu_.factor(pattern_, ax_); }
   /// Solve the last successfully factored matrix for the current rhs.
   void solve(std::vector<Complex>& x_out) {
-    pattern_.substitute(lu_, rhs_, x_out);
+    lu_.substitute(pattern_, rhs_, x_out);
   }
 
-  /// Fill-in of the complex factors.
-  std::size_t factor_nonzeros() const {
-    return lu_.li.size() + lu_.ui.size();
-  }
-  /// True when the last factor() replayed the stored pivot sequence.
+  std::size_t factor_nonzeros() const { return lu_.nonzeros(); }
   bool last_factor_was_numeric() const { return lu_.last_numeric; }
 
  private:

@@ -36,8 +36,7 @@ NoiseResult run_noise(Engine& engine, NodeId out_p, NodeId out_n,
   std::vector<std::vector<double>> per_source(
       sources.size(), std::vector<double>(frequencies.size(), 0.0));
 
-  // Each source injects a unit current a -> b; its rhs rows come from
-  // the frozen pattern like any current source's.
+  // Each source injects a unit current a -> b through its rhs slots.
   PatternContext pattern(engine.linear_system(), circuit.node_count());
   std::vector<CurrentPattern> injections;
   injections.reserve(sources.size());

@@ -198,7 +198,9 @@ TEST_P(SparseRandomTest, MatchesDenseReference) {
 std::vector<RandomCase> random_cases() {
   std::vector<RandomCase> cases;
   for (const bool complex : {false, true}) {
-    for (const int n : {1, 2, 5, 17, 64, 200, 500}) cases.push_back({complex, n});
+    for (const int n : {1, 2, 5, 17, 64, 200, 500}) {
+      cases.push_back({complex, n});
+    }
   }
   return cases;
 }
