@@ -48,13 +48,12 @@ struct AcGoldenRow {
   std::complex<double> value;
 };
 
-inline std::pair<NodeId, NodeId> build_rc_divider(Circuit& c, double r,
-                                                  double cap, double ac) {
+inline std::pair<NodeId, NodeId> build_rc_low_pass(Circuit& c) {
   const NodeId in = c.node("in");
   const NodeId out = c.node("out");
-  c.add<VoltageSource>("V1", in, kGround, SourceSpec::dc(0.0).with_ac(ac));
-  c.add<Resistor>("R1", in, out, r);
-  c.add<Capacitor>("C1", out, kGround, cap);
+  c.add<VoltageSource>("V1", in, kGround, SourceSpec::dc(0.0).with_ac(1.0));
+  c.add<Resistor>("R1", in, out, 1e3);
+  c.add<Capacitor>("C1", out, kGround, 1e-9);
   return {out, kGround};
 }
 
@@ -154,10 +153,8 @@ inline std::vector<AcGoldenCase> ac_golden_cases() {
 
   // test_ac.cpp
   const double f_rc = 1.0 / (2 * M_PI * 1e3 * 1e-9);
-  ac("rc_low_pass", decade(f_rc / 1000, f_rc * 1000, 20),
-     [](Circuit& c) { return build_rc_divider(c, 1e3, 1e-9, 1.0); });
-  ac("rc_phase_at_pole", {1.0 / (2 * M_PI * 1e-6)},
-     [](Circuit& c) { return build_rc_divider(c, 1e3, 1e-9, 1.0); });
+  ac("rc_low_pass", decade(f_rc / 1000, f_rc * 1000, 20), build_rc_low_pass);
+  ac("rc_phase_at_pole", {1.0 / (2 * M_PI * 1e-6)}, build_rc_low_pass);
   const double f_lc = 1.0 / (2 * M_PI * std::sqrt(1e-3 * 1e-9));
   ac("rlc_resonance", decade(f_lc / 100, f_lc * 100, 40), [](Circuit& c) {
     const NodeId in = c.node("in");
