@@ -29,59 +29,10 @@ double ekv_f_derivative(double v) {
 EkvResult ekv_evaluate(const MosParams& params, const MosGeometry& geometry,
                        const MosMismatch& mismatch, double vg, double vd,
                        double vs, double vb, double temperatureK) {
-  const double ut = util::thermal_voltage(temperatureK);
-  const double sign = params.is_nmos ? 1.0 : -1.0;
-
-  // Bulk-referenced voltages, reflected for PMOS so the NMOS equations
-  // apply unchanged.
-  const double ug = sign * (vg - vb);
-  const double us = sign * (vs - vb);
-  const double ud = sign * (vd - vb);
-
-  const double vt = params.vt0 + mismatch.dvt;
-  const double beta =
-      params.kp * (1.0 + mismatch.dbeta_rel) * geometry.w / geometry.l;
-  const double ispec = 2.0 * params.n * beta * ut * ut;
-
-  const double vp = (ug - vt) / params.n;
-  const double xf = (vp - us) / ut;
-  const double xr = (vp - ud) / ut;
-
-  const double ff = ekv_f(xf);
-  const double fr = ekv_f(xr);
-  const double dff = ekv_f_derivative(xf);
-  const double dfr = ekv_f_derivative(xr);
-
-  // Channel-length modulation, symmetric, smooth and BOUNDED in
-  // (ud - us): 1 + lambda*vds for small vds, saturating at 1 +- 2*lambda
-  // so it can never go negative and create unphysical negative
-  // conductance far outside the normal operating region.
-  const double dv = ud - us;
-  const double th = std::tanh(0.5 * dv);
-  const double clm = 1.0 + params.lambda * 2.0 * th;
-  const double dclm = params.lambda * (1.0 - th * th);  // d clm / d dv
-
-  const double i_core = ispec * (ff - fr);
-  const double i = i_core * clm;
-
-  // Partials in the reflected frame (per unit of ug / ud / us).
-  const double p_g = ispec * clm * (dff - dfr) / (params.n * ut);
-  const double p_d = ispec * clm * dfr / ut + i_core * dclm;
-  const double p_s_neg = ispec * clm * dff / ut + i_core * dclm;
-
-  EkvResult out;
-  // Reflection: both the current and the voltages flip for PMOS, so the
-  // drain->source terminal current is sign * i, and each terminal
-  // partial d(sign*i)/d(v) = sign * p * sign = p.
-  out.id = sign * i;
-  out.gm = p_g;
-  out.gds = p_d;
-  out.gms = p_s_neg;
-  out.gmb = -(p_g - p_s_neg + p_d);
-  out.i_f = ff;
-  out.i_r = fr;
-  out.ispec = ispec;
-  return out;
+  return ekv_evaluate_point(params, geometry,
+                            util::thermal_voltage(temperatureK),
+                            params.is_nmos ? 1.0 : -1.0, mismatch.dvt,
+                            mismatch.dbeta_rel, vg, vd, vs, vb);
 }
 
 double ekv_vgs_for_current(const MosParams& params, const MosGeometry& geometry,

@@ -5,6 +5,8 @@
 /// all small-signal partial derivatives, valid from deep weak inversion
 /// through strong inversion with a single smooth expression.
 
+#include <cmath>
+
 #include "device/mos_params.hpp"
 #include "util/interval.hpp"
 
@@ -31,6 +33,84 @@ struct EkvResult {
 /// v >> 0 (strong inversion); overflow-free for all v.
 double ekv_f(double v);
 double ekv_f_derivative(double v);
+
+/// F(v) and dF/dv from one ln(1 + e^u), u = v/2: bit-identical to
+/// ekv_f(v) and ekv_f_derivative(v), with the logarithm computed once.
+inline void ekv_f_and_derivative(double v, double& f, double& df) {
+  const double u = 0.5 * v;
+  // The asymptotes beyond |u| = 40 keep full double accuracy (e^-40 is
+  // below epsilon) and avoid overflow.
+  if (u > 40.0) {
+    f = u * u;
+    df = u;
+    return;
+  }
+  const double e = std::exp(u);
+  const double l = std::log1p(e);
+  // dF/dv = l * sigmoid(u) where sigmoid = e^u/(1+e^u).
+  const double sig = u < -40.0 ? e : 1.0 / (1.0 + std::exp(-u));
+  f = l * l;
+  df = l * sig;
+}
+
+/// The model arithmetic of one bias point, shared by ekv_evaluate() and
+/// the batched lanes (ekv_batch.cpp) so the two cannot drift apart.
+/// \p ut is the thermal voltage, \p sign +1 for NMOS and -1 for PMOS,
+/// and (\p dvt, \p dbeta_rel) the mismatch draw.
+inline EkvResult ekv_evaluate_point(const MosParams& params,
+                                    const MosGeometry& geometry, double ut,
+                                    double sign, double dvt, double dbeta_rel,
+                                    double vg, double vd, double vs,
+                                    double vb) {
+  // Bulk-referenced voltages, reflected for PMOS so the NMOS equations
+  // apply unchanged.
+  const double ug = sign * (vg - vb);
+  const double us = sign * (vs - vb);
+  const double ud = sign * (vd - vb);
+
+  const double vt = params.vt0 + dvt;
+  const double beta = params.kp * (1.0 + dbeta_rel) * geometry.w / geometry.l;
+  const double ispec = 2.0 * params.n * beta * ut * ut;
+
+  const double vp = (ug - vt) / params.n;
+  const double xf = (vp - us) / ut;
+  const double xr = (vp - ud) / ut;
+
+  double ff, dff, fr, dfr;
+  ekv_f_and_derivative(xf, ff, dff);
+  ekv_f_and_derivative(xr, fr, dfr);
+
+  // Channel-length modulation, symmetric, smooth and BOUNDED in
+  // (ud - us): 1 + lambda*vds for small vds, saturating at 1 +- 2*lambda
+  // so it can never go negative and create unphysical negative
+  // conductance far outside the normal operating region.
+  const double dv = ud - us;
+  const double th = std::tanh(0.5 * dv);
+  const double clm = 1.0 + params.lambda * 2.0 * th;
+  const double dclm = params.lambda * (1.0 - th * th);  // d clm / d dv
+
+  const double i_core = ispec * (ff - fr);
+  const double i = i_core * clm;
+
+  // Partials in the reflected frame (per unit of ug / ud / us).
+  const double p_g = ispec * clm * (dff - dfr) / (params.n * ut);
+  const double p_d = ispec * clm * dfr / ut + i_core * dclm;
+  const double p_s_neg = ispec * clm * dff / ut + i_core * dclm;
+
+  EkvResult out;
+  // Reflection: both the current and the voltages flip for PMOS, so the
+  // drain->source terminal current is sign * i, and each terminal
+  // partial d(sign*i)/d(v) = sign * p * sign = p.
+  out.id = sign * i;
+  out.gm = p_g;
+  out.gds = p_d;
+  out.gms = p_s_neg;
+  out.gmb = -(p_g - p_s_neg + p_d);
+  out.i_f = ff;
+  out.i_r = fr;
+  out.ispec = ispec;
+  return out;
+}
 
 /// Evaluate the model. Terminal voltages are absolute node voltages;
 /// PMOS devices are handled internally by sign reflection.

@@ -1,7 +1,5 @@
 #include "device/ekv_batch.hpp"
 
-#include <cmath>
-
 #include "device/ekv.hpp"
 #include "util/constants.hpp"
 
@@ -25,8 +23,8 @@ void EkvSoA::resize(int n) {
 
 namespace {
 
-/// One lane of the batch: the exact expression sequence of the scalar
-/// ekv_evaluate() (ekv.cpp), with the temperature-dependent constants
+/// One lane of the batch: the scalar ekv_evaluate()'s arithmetic
+/// (ekv_evaluate_point), with the temperature-dependent constants
 /// hoisted by the caller. Kept in one inline helper so the masked and
 /// unmasked entry points perform identical arithmetic per lane.
 inline void eval_lane(const MosParams& params, const MosGeometry& geometry,
@@ -35,50 +33,16 @@ inline void eval_lane(const MosParams& params, const MosGeometry& geometry,
   const double vd = soa.vd[k];
   const double vs = soa.vs[k];
   const double vb = soa.vb[k];
-
-  const double ug = sign * (vg - vb);
-  const double us = sign * (vs - vb);
-  const double ud = sign * (vd - vb);
-
-  const double vt = params.vt0 + soa.dvt[k];
-  const double beta =
-      params.kp * (1.0 + soa.dbeta_rel[k]) * geometry.w / geometry.l;
-  const double ispec = 2.0 * params.n * beta * ut * ut;
-
-  const double vp = (ug - vt) / params.n;
-  const double xf = (vp - us) / ut;
-  const double xr = (vp - ud) / ut;
-
-  const double ff = ekv_f(xf);
-  const double fr = ekv_f(xr);
-  const double dff = ekv_f_derivative(xf);
-  const double dfr = ekv_f_derivative(xr);
-
-  const double dv = ud - us;
-  const double th = std::tanh(0.5 * dv);
-  const double clm = 1.0 + params.lambda * 2.0 * th;
-  const double dclm = params.lambda * (1.0 - th * th);
-
-  const double i_core = ispec * (ff - fr);
-  const double i = i_core * clm;
-
-  const double p_g = ispec * clm * (dff - dfr) / (params.n * ut);
-  const double p_d = ispec * clm * dfr / ut + i_core * dclm;
-  const double p_s_neg = ispec * clm * dff / ut + i_core * dclm;
-
-  const double out_id = sign * i;
-  const double out_gm = p_g;
-  const double out_gds = p_d;
-  const double out_gms = p_s_neg;
-  const double out_gmb = -(p_g - p_s_neg + p_d);
-  soa.id[k] = out_id;
-  soa.gm[k] = out_gm;
-  soa.gds[k] = out_gds;
-  soa.gms[k] = out_gms;
-  soa.gmb[k] = out_gmb;
+  const EkvResult r = ekv_evaluate_point(params, geometry, ut, sign,
+                                         soa.dvt[k], soa.dbeta_rel[k], vg, vd,
+                                         vs, vb);
+  soa.id[k] = r.id;
+  soa.gm[k] = r.gm;
+  soa.gds[k] = r.gds;
+  soa.gms[k] = r.gms;
+  soa.gmb[k] = r.gmb;
   // Companion current exactly as Mosfet::load computes it.
-  soa.ieq[k] =
-      out_id - (out_gm * vg + out_gds * vd - out_gms * vs + out_gmb * vb);
+  soa.ieq[k] = r.id - (r.gm * vg + r.gds * vd - r.gms * vs + r.gmb * vb);
 }
 
 }  // namespace

@@ -36,6 +36,24 @@ TEST(EkvF, DerivativeMatchesFiniteDifference) {
   }
 }
 
+TEST(Ekv, FAndDerivativeShareOneLog) {
+  // Bit-equal to the two single-output functions on both sides of the
+  // asymptote switches at u = v/2 = -40 and +40 and between them.
+  const auto check = [](double v) {
+    double f = 0.0, df = 0.0;
+    ekv_f_and_derivative(v, f, df);
+    EXPECT_EQ(f, ekv_f(v)) << "v=" << v;
+    EXPECT_EQ(df, ekv_f_derivative(v)) << "v=" << v;
+  };
+  for (int k = 0; k <= 4000; ++k) check(-200.0 + 0.1 * k + 1e-3 * (k % 7));
+  for (double v : {-1400.0, -80.0, std::nextafter(-80.0, 0.0),
+                   std::nextafter(-80.0, -100.0), 0.0, -0.0,
+                   std::nextafter(80.0, 0.0), 80.0,
+                   std::nextafter(80.0, 100.0), 1400.0}) {
+    check(v);
+  }
+}
+
 TEST(Ekv, SubthresholdExponentialSlope) {
   // In weak inversion, ID multiplies by 10 every n*UT*ln(10) of VGS.
   const double swing = subthreshold_swing(kProc.nmos, kT);
