@@ -207,7 +207,8 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
   assemble(x);
   double norm_x = system_.residual_norm(x);
 
-  std::vector<double> x_new(n);
+  std::vector<double>& x_new = x_new_;
+  x_new.resize(n);
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
     ++stats_.newton_iterations;
 

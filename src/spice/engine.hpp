@@ -119,6 +119,9 @@ class Engine {
   SolverOptions options_;
   LinearSystem system_;
   std::vector<double> state_prev_, state_now_;
+  /// newton()'s next iterate; swapped with the caller's vector, so one
+  /// pair of buffers serves every iteration of every solve.
+  std::vector<double> x_new_;
   std::map<NodeId, double> nodeset_;
   EngineStats stats_;
 

@@ -114,7 +114,7 @@ std::vector<int> minimum_degree_order(int n, const std::vector<int>& rows,
 // is empty and the only cell is the trash cell.
 LinearSystem::LinearSystem(int n)
     : n_(n), q_(n), ap_(n + 1, 0), ax_(1, 0.0), slot_cell_(1, 0),
-      rhs_(n + 1, 0.0) {
+      rhs_(n + 1, 0.0), row_sums_(n, 0.0) {
   std::iota(q_.begin(), q_.end(), 0);
 }
 
@@ -183,14 +183,14 @@ bool LinearSystem::values_finite() const {
          std::all_of(rhs_.begin() + 1, rhs_.end(), finite);
 }
 
-double LinearSystem::residual_norm(const std::vector<double>& x) const {
-  std::vector<double> y(n_, 0.0);
+double LinearSystem::residual_norm(const std::vector<double>& x) {
+  std::fill(row_sums_.begin(), row_sums_.end(), 0.0);
   for (std::size_t k = 0; k + 1 < slot_cell_.size(); ++k) {
-    y[rows_[k]] += ax_[slot_cell_[k + 1]] * x[cols_[k]];
+    row_sums_[rows_[k]] += ax_[slot_cell_[k + 1]] * x[cols_[k]];
   }
   double norm = 0.0;
   for (int i = 0; i < n_; ++i) {
-    norm = std::max(norm, std::fabs(y[i] - rhs_[i + 1]));
+    norm = std::max(norm, std::fabs(row_sums_[i] - rhs_[i + 1]));
   }
   return norm;
 }

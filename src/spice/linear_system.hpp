@@ -99,7 +99,8 @@ class LinearSystem {
   // ---- solving --------------------------------------------------------
 
   /// Infinity norm of the KCL residual A x - b for the assembled system.
-  double residual_norm(const std::vector<double>& x) const;
+  /// Sums the rows into a scratch buffer the system keeps.
+  double residual_norm(const std::vector<double>& x);
 
   /// True when every assembled matrix value and rhs entry is finite.
   /// Cheap (one linear scan); the engine calls it on the failure path
@@ -185,6 +186,8 @@ class LinearSystem {
 
   std::vector<double> baseline_ax_;
   std::vector<double> baseline_rhs_;
+  // Row sums of residual_norm(), one per unknown.
+  std::vector<double> row_sums_;
 
   Factors<double> lu_;
 };

@@ -65,8 +65,12 @@ Waveform run_transient(Engine& engine, const TransientOptions& options) {
   std::vector<double> breakpoints = gather_breakpoints(circuit, tstop);
   std::size_t next_bp = 0;
 
-  // Solution history for the predictor (previous two accepted points).
+  // Solution history for the predictor (previous two accepted points),
+  // the prediction and the Newton iterate: buffers kept across steps,
+  // rotated by swaps on acceptance.
   std::vector<double> x_prev = x;
+  std::vector<double> x_pred(x.size());
+  std::vector<double> x_try(x.size());
   double h_prev = 0.0;
 
   double t = 0.0;
@@ -104,15 +108,16 @@ Waveform run_transient(Engine& engine, const TransientOptions& options) {
         method == IntegrationMethod::kTrapezoidal ? 2.0 / h_eff : 1.0 / h_eff;
 
     // Predictor: linear extrapolation from the last two accepted points.
-    std::vector<double> x_pred = x;
     if (h_prev > 0) {
       const double r = h_eff / h_prev;
       for (std::size_t i = 0; i < x_pred.size(); ++i) {
         x_pred[i] = x[i] + r * (x[i] - x_prev[i]);
       }
+    } else {
+      x_pred = x;
     }
 
-    std::vector<double> x_try = x_pred;
+    x_try = x_pred;
     const bool ok = engine.newton(x_try, AnalysisMode::kTransient, t + h_eff,
                                   method, a0, sopts.gmin, 1.0);
     if (!ok) {
@@ -171,8 +176,8 @@ Waveform run_transient(Engine& engine, const TransientOptions& options) {
     }
     engine.accept_state();
     ++engine.stats().transient_steps;
-    x_prev = x;
-    x = std::move(x_try);
+    x_prev.swap(x);
+    x.swap(x_try);  // x_try now holds the stale x_prev, rewritten next step
     h_prev = h_eff;
     t += h_eff;
     wave.append(t, x);
