@@ -65,10 +65,11 @@ void Mosfet::reserve(spice::PatternContext& ctx) {
     jp_d_ = jn_sign_ > 0 ? ctx.nonlinear_current(b_, d_)
                          : ctx.nonlinear_current(d_, b_);
   }
-  // Gate capacitance companions.
-  cp_gs_ = ctx.nonlinear_current(g_, s_);
-  cp_gd_ = ctx.nonlinear_current(g_, d_);
-  cp_gb_ = ctx.nonlinear_current(g_, b_);
+  // Gate capacitances: linear charges, whose transient companions the
+  // engine stamps and whose state it keeps.
+  cp_gs_ = ctx.linear_charge(g_, s_, cgs_, state_, *this);
+  cp_gd_ = ctx.linear_charge(g_, d_, cgd_, state_ + 2, *this);
+  cp_gb_ = ctx.linear_charge(g_, b_, cgb_, state_ + 4, *this);
 }
 
 double Mosfet::gate_capacitance() const { return cgs_ + cgd_ + cgb_; }
@@ -83,7 +84,8 @@ void Mosfet::load(LoadContext& ctx) {
   // Bypass: if no terminal moved more than the Newton tolerance since
   // the last full evaluation, reuse the cached channel point and
   // junction quantities. Only the voltage-dependent model outputs are
-  // cached; integrator companions are rebuilt below on every load.
+  // cached; the junction charges' integrator companions are rebuilt
+  // below on every load.
   const bool bypass = !init && cache_valid_ &&
                       ctx.within_bypass_tol(vd, vd_c_) &&
                       ctx.within_bypass_tol(vg, vg_c_) &&
@@ -174,31 +176,6 @@ void Mosfet::load(LoadContext& ctx) {
               jgs_, cbs_);
   do_junction(d_, geometry_.ad, jp_d_, vjd_last_, vcrit_d_, state_ + 8, jc_d_,
               jgd_, cbd_);
-
-  // ---- gate capacitances -------------------------------------------------
-  // Linear in the terminal voltages, so never bypassed: the companion is
-  // exact at the candidate point and costs no model evaluation.
-  auto do_cap = [&](NodeId a, NodeId bnode, const spice::NonlinearPattern& pat,
-                    double c, int state_base) {
-    const double v = ctx.v(a) - ctx.v(bnode);
-    const double q = c * v;
-    switch (ctx.mode()) {
-      case AnalysisMode::kDcOp:
-        return;
-      case AnalysisMode::kInitState:
-        ctx.set_state(state_base, q);
-        ctx.set_state(state_base + 1, 0.0);
-        return;
-      case AnalysisMode::kTransient: {
-        const double ic = ctx.integrate_charge(state_base, q);
-        ctx.stamp_nonlinear_current(pat, ic, ctx.integ_a0() * c, v);
-        return;
-      }
-    }
-  };
-  do_cap(g_, s_, cp_gs_, cgs_, state_);
-  do_cap(g_, d_, cp_gd_, cgd_, state_ + 2);
-  do_cap(g_, b_, cp_gb_, cgb_, state_ + 4);
 }
 
 bool Mosfet::perturb_sample(const util::Rng& stream, std::uint64_t ordinal) {
@@ -239,8 +216,8 @@ class Mosfet::Channel final : public spice::EnsembleChannel {
 
   void stamp(spice::LoadContext& ctx, int k) const override {
     // Same slots, same order, same values as the !init branch of
-    // Mosfet::load (gate caps do not stamp at DC, and channels are
-    // only built for junction-free geometries).
+    // Mosfet::load (channels are only built for junction-free
+    // geometries, and the engine stamps the gate capacitances).
     ctx.add_at(m_.m_dg_, soa_.gm[k]);
     ctx.add_at(m_.m_dd_, soa_.gds[k]);
     ctx.add_at(m_.m_ds_, -soa_.gms[k]);

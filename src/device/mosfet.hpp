@@ -84,8 +84,8 @@ class Mosfet final : public spice::Device {
   spice::NonlinearPattern cp_gs_, cp_gd_, cp_gb_;  // gate capacitances
 
   // Bypass cache: terminal voltages of the last full evaluation plus the
-  // voltage-dependent model quantities computed there. The integrator
-  // companions are rebuilt from these on every load.
+  // voltage-dependent model quantities computed there. The junction
+  // charges' integrator companions are rebuilt from these on every load.
   struct JunctionCache {
     double ij = 0.0, gj = 0.0, qj = 0.0, cj = 0.0, v_ak = 0.0;
   };

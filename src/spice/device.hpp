@@ -91,6 +91,23 @@ struct NonlinearPattern {
   CurrentPattern i;
 };
 
+class Device;
+
+/// A linear two-terminal charge q = c * (v_a - v_b): a capacitor, a
+/// MOSFET's gate capacitance. Declared in the pattern pass through
+/// PatternContext::linear_charge(). Within one transient Newton solve
+/// its companion -- conductance a0*c and a current from the previous
+/// step's state -- is constant, so the engine stamps it into the
+/// per-solve baseline and writes its state once, from the converged
+/// solution. The owner's load() stamps nothing for it.
+struct LinearCharge {
+  NonlinearPattern slots;
+  NodeId a = kGround, b = kGround;
+  double c = 0.0;     ///< capacitance [F]
+  int state = -1;     ///< integrator state base: [charge, current]
+  const Device* owner = nullptr;  ///< named when a stamp is non-finite
+};
+
 /// Handed to Device::reserve() once, before the first load(). Devices
 /// reserve every matrix entry and rhs row they will ever stamp; the
 /// returned slots make the per-iteration load() a sequence of direct
@@ -102,8 +119,11 @@ struct NonlinearPattern {
 /// factorisation's deterministic tie-breaking.
 class PatternContext {
  public:
-  PatternContext(LinearSystem& system, int node_count)
-      : system_(system), node_count_(node_count) {}
+  /// \p charges receives the linear_charge() declarations; a context
+  /// without it (a lookup on a frozen pattern) records none.
+  PatternContext(LinearSystem& system, int node_count,
+                 std::vector<LinearCharge>* charges = nullptr)
+      : system_(system), node_count_(node_count), charges_(charges) {}
 
   MatrixSlot nn(NodeId r, NodeId c) {
     if (r == kGround || c == kGround) return 0;
@@ -133,9 +153,21 @@ class PatternContext {
     return {conductance(a, b), current_source(a, b)};
   }
 
+  /// Declare the linear charge c * (v_a - v_b) of \p owner, with its
+  /// [charge, current] state at \p state_base: reserves (and returns)
+  /// the slots of nonlinear_current(a, b) and records the charge for the
+  /// engine, which stamps its transient companion and writes its state.
+  NonlinearPattern linear_charge(NodeId a, NodeId b, double c, int state_base,
+                                 const Device& owner) {
+    const NonlinearPattern slots = nonlinear_current(a, b);
+    if (charges_) charges_->push_back({slots, a, b, c, state_base, &owner});
+    return slots;
+  }
+
  private:
   LinearSystem& system_;
   int node_count_;
+  std::vector<LinearCharge>* charges_;
 };
 
 /// Handed to Device::load() on every Newton iteration.

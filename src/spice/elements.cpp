@@ -55,32 +55,14 @@ Capacitor::Capacitor(std::string name, NodeId a, NodeId b, double capacitance)
 void Capacitor::setup(SetupContext& ctx) { state_ = ctx.alloc_state(2); }
 
 void Capacitor::reserve(PatternContext& ctx) {
-  np_ = ctx.nonlinear_current(a_, b_);
+  np_ = ctx.linear_charge(a_, b_, capacitance_, state_, *this);
 }
 
-bool Capacitor::is_static(AnalysisMode mode) const {
-  // Open at DC (no stamps at all); the transient companion depends on
-  // the candidate charge.
-  return mode == AnalysisMode::kDcOp;
-}
+bool Capacitor::is_static(AnalysisMode /*mode*/) const { return true; }
 
-void Capacitor::load(LoadContext& ctx) {
-  const double v = ctx.v(a_) - ctx.v(b_);
-  const double q = capacitance_ * v;
-  switch (ctx.mode()) {
-    case AnalysisMode::kDcOp:
-      return;  // open circuit
-    case AnalysisMode::kInitState:
-      ctx.set_state(state_, q);
-      ctx.set_state(state_ + 1, 0.0);
-      return;
-    case AnalysisMode::kTransient: {
-      const double i = ctx.integrate_charge(state_, q);
-      const double geq = ctx.integ_a0() * capacitance_;
-      ctx.stamp_nonlinear_current(np_, i, geq, v);
-      return;
-    }
-  }
+void Capacitor::load(LoadContext& /*ctx*/) {
+  // Open at DC; in transient the engine stamps the companion of the
+  // linear charge declared in reserve() and keeps its state.
 }
 
 void Capacitor::load_ac(AcContext& ctx) const {

@@ -48,7 +48,6 @@ class Capacitor final : public Device {
   bool describe(DeviceInfo& info) const override;
 
   double capacitance() const { return capacitance_; }
-  void set_capacitance(double c) { capacitance_ = c; }
 
  private:
   NodeId a_, b_;

@@ -12,6 +12,21 @@ namespace sscl::spice {
 
 namespace {
 
+/// Stamp the transient companion of linear charge \p q: conductance
+/// a0*c and the current of the previous step's state,
+///   trapezoidal:    i = a0*(q - q_prev) - i_prev
+///   backward Euler: i = a0*(q - q_prev)
+/// at q = c*v, i.e. i = a0*c*v + ieq with ieq as below.
+void stamp_charge(LoadContext& ctx, const LinearCharge& q,
+                  IntegrationMethod method, double a0) {
+  const double q_prev = ctx.state_prev(q.state);
+  const double ieq = method == IntegrationMethod::kTrapezoidal
+                         ? -(a0 * q_prev + ctx.state_prev(q.state + 1))
+                         : -(a0 * q_prev);
+  ctx.stamp_conductance(q.slots.g, a0 * q.c);
+  ctx.stamp_current_source(q.slots.i, ieq);
+}
+
 /// Accumulates elapsed wall time into an EngineStats seconds field.
 class PhaseTimer {
  public:
@@ -74,7 +89,7 @@ Engine::Engine(Circuit& circuit, SolverOptions options)
   // plus the gmin diagonal, then freeze the pattern and its pointer
   // table.
   const int nodes = circuit_.node_count();
-  PatternContext pctx(system_, nodes);
+  PatternContext pctx(system_, nodes, &charges_);
   for (const auto& device : circuit_.devices()) device->reserve(pctx);
   gmin_slots_.resize(nodes);
   for (int i = 0; i < nodes; ++i) gmin_slots_[i] = system_.reserve(i, i);
@@ -134,8 +149,9 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
 
   {
     // Phase 2 (baseline): everything constant across this solve --
-    // static-linear device stamps and the gmin diagonal -- is assembled
-    // once and snapshotted; each iteration starts from a copy of it.
+    // static-linear device stamps, in transient the linear-charge
+    // companions, and the gmin diagonal -- is assembled once and
+    // snapshotted; each iteration starts from a copy of it.
     PhaseTimer t(stats_.seconds_baseline);
     trace::Span span("baseline", "device-eval");
     const std::vector<Device*>& statics =
@@ -143,6 +159,9 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
     system_.clear();
     configure(x);
     for (Device* d : statics) d->load(ctx);
+    if (mode == AnalysisMode::kTransient) {
+      for (const LinearCharge& q : charges_) stamp_charge(ctx, q, method, a0);
+    }
     for (int i = 0; i < nodes; ++i) system_.add_at(gmin_slots_[i], gmin);
     system_.snapshot_baseline();
     ++stats_.baseline_builds;
@@ -184,19 +203,26 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
   // can be a legitimate hard circuit (gmin/source stepping may still
   // succeed — return false) or a device that stamped NaN/inf into the
   // matrix (no amount of stepping heals that — throw, naming the
-  // offender). The offender is found by re-assembling one device at a
-  // time and scanning the values after each load.
+  // offender). The offender is found by re-assembling one device, then
+  // one linear charge, at a time and scanning the values after each.
   auto diagnose_nonfinite_stamps = [&](const std::vector<double>& at) {
     // solve() leaves the assembly at `at` intact, so scan it directly.
     if (system_.values_finite()) return;  // stamps fine: numeric failure
+    auto name_offender = [](const Device& device) {
+      throw ConvergenceError("device " + device.name() +
+                             " stamped a non-finite matrix/rhs value; "
+                             "check its parameters and node biases");
+    };
     system_.clear();
     configure(at);
     for (const auto& device : circuit_.devices()) {
       device->load(ctx);
-      if (!system_.values_finite()) {
-        throw ConvergenceError("device " + device->name() +
-                               " stamped a non-finite matrix/rhs value; "
-                               "check its parameters and node biases");
+      if (!system_.values_finite()) name_offender(*device);
+    }
+    if (mode == AnalysisMode::kTransient) {
+      for (const LinearCharge& q : charges_) {
+        stamp_charge(ctx, q, method, a0);
+        if (!system_.values_finite()) name_offender(*q.owner);
       }
     }
     throw ConvergenceError(
@@ -276,6 +302,13 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
     x.swap(x_new);
     norm_x = norm_new;
     if (conv) {
+      // The linear charges' state, written once, at the solution.
+      if (mode == AnalysisMode::kTransient) {
+        configure(x);
+        for (const LinearCharge& q : charges_) {
+          ctx.integrate_charge(q.state, q.c * (ctx.v(q.a) - ctx.v(q.b)));
+        }
+      }
       if (iterations_out) *iterations_out = iter + 1;
       return true;
     }
@@ -347,6 +380,10 @@ void Engine::initialize_state(const std::vector<double>& x) {
   ctx.configure(&x, &x, &state_now_, &state_prev_, 0.0, options_.gmin, 1.0,
                 true, IntegrationMethod::kTrapezoidal, 0.0);
   for (const auto& device : circuit_.devices()) device->load(ctx);
+  for (const LinearCharge& q : charges_) {
+    ctx.set_state(q.state, q.c * (ctx.v(q.a) - ctx.v(q.b)));
+    ctx.set_state(q.state + 1, 0.0);
+  }
   accept_state();
 }
 

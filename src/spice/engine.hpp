@@ -7,7 +7,8 @@
 ///
 /// Evaluation runs as a phased pipeline (see docs/ENGINE.md):
 ///  1. pattern pass   - every matrix/rhs slot is reserved at construction
-///  2. baseline       - static-linear stamps cached once per Newton solve
+///  2. baseline       - static-linear stamps and, in transient, the
+///                      linear-charge companions cached once per solve
 ///  3. device bypass  - nonlinear devices reuse cached evaluations when
 ///                      their terminal voltages are within tolerance
 ///  4. factorisation  - the sparse LU reuses the pivot sequence, refreshing
@@ -82,8 +83,9 @@ class Engine {
   /// (docs/SERVE.md).
   void reset_runtime();
 
-  /// Run the kInitState pass: devices record integrator state from the
-  /// solution x, then the state becomes the "previous timestep" state.
+  /// Run the kInitState pass: devices and the linear charges record
+  /// integrator state from the solution x, then the state becomes the
+  /// "previous timestep" state.
   void initialize_state(const std::vector<double>& x);
 
   /// Promote the just-solved state to previous (after an accepted step).
@@ -132,6 +134,8 @@ class Engine {
   /// into circuit_.devices(), fixed after elaboration).
   std::vector<Device*> static_op_, dynamic_op_;
   std::vector<Device*> static_tr_, dynamic_tr_;
+  /// Every linear charge the devices declared in the pattern pass.
+  std::vector<LinearCharge> charges_;
 };
 
 }  // namespace sscl::spice

@@ -324,5 +324,31 @@ TEST(EnginePipeline, TransientNonFiniteStampThrowsNamingDevice) {
   EXPECT_EQ(engine.stats().transient_steps, 0);
 }
 
+TEST(EnginePipeline, TransientNonFiniteCapacitanceNamesTheCapacitor) {
+  // The capacitor's companion is a linear charge the engine stamps into
+  // the baseline; the stamp guard must still name its owner.
+  Circuit c;
+  const NodeId in = c.node("in");
+  const NodeId out = c.node("out");
+  c.add<VoltageSource>("v1", in, kGround, SourceSpec::dc(1.0));
+  c.add<Resistor>("r1", in, out, 1e3);
+  c.add<Capacitor>("cbad", out, kGround, std::nan(""));
+  SolverOptions so;
+  so.lint = false;
+  Engine engine(c, so);
+  TransientOptions to;
+  to.tstop = 1e-6;
+  try {
+    run_transient(engine, to);
+    FAIL() << "expected ConvergenceError naming the capacitor";
+  } catch (const ConvergenceError& e) {
+    EXPECT_NE(std::string(e.what()).find("device cbad "), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(engine.stats().transient_steps, 0);
+}
+
 }  // namespace
 }  // namespace sscl::spice

@@ -21,6 +21,12 @@ std::atomic<bool> g_counting{false};
 std::atomic<long long> g_allocations{0};
 }  // namespace
 
+// The replacements pair operator new with std::malloc and operator
+// delete with std::free, which GCC's mismatch check cannot see.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
 void* operator new(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
@@ -30,9 +36,9 @@ void* operator new(std::size_t size) {
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace sscl::spice {
 namespace {
