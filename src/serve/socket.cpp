@@ -143,16 +143,26 @@ void SocketServer::start() {
 }
 
 void SocketServer::run() {
+  // A streak of failed accept() calls (say, out of descriptors) logs
+  // its first failure and, once accept() succeeds again, its length.
+  long long failures = 0;
   while (!stopping_.load()) {
     join_finished();
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (stopping_.load()) break;
       if (errno == EINTR) continue;
-      util::log_error("sscl-serve: accept() failed: ", std::strerror(errno),
-                      "; retrying");
+      if (failures++ == 0) {
+        util::log_error("sscl-serve: accept() failed: ", std::strerror(errno),
+                        "; retrying every ", kAcceptRetryPause.count(), " ms");
+      }
       std::this_thread::sleep_for(kAcceptRetryPause);
       continue;
+    }
+    if (failures > 0) {
+      util::log_error("sscl-serve: accept() succeeded again after ", failures,
+                      " failed attempts");
+      failures = 0;
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);

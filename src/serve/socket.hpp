@@ -42,7 +42,8 @@ class SocketServer {
 
   /// Accept loop; returns after stop() or a SHUTDOWN command, once
   /// every connection thread has been joined. A failed accept() (say,
-  /// out of descriptors) is logged and retried after a short pause.
+  /// out of descriptors) is retried after a short pause; a streak of
+  /// failures logs its first one and, when accept() recovers, its count.
   void run();
 
   /// run() on a background thread (tests).
