@@ -118,19 +118,7 @@ PreampResponse measure_preamp_response(const device::Process& process,
     mag[i] = std::abs(ac[i].v(inst.out_p) - ac[i].v(inst.out_n));
   }
   r.dc_gain = mag.front();
-  const double target = r.dc_gain / std::sqrt(2.0);
-  const auto freqs = ac.frequencies();
-  r.bandwidth_3db = 0.0;
-  for (std::size_t i = 1; i < mag.size(); ++i) {
-    if (mag[i - 1] >= target && mag[i] < target) {
-      const double t = (std::log(target) - std::log(mag[i - 1])) /
-                       (std::log(mag[i]) - std::log(mag[i - 1]));
-      r.bandwidth_3db =
-          std::exp(std::log(freqs[i - 1]) +
-                   t * (std::log(freqs[i]) - std::log(freqs[i - 1])));
-      break;
-    }
-  }
+  r.bandwidth_3db = spice::bandwidth_3db(ac.frequencies(), mag);
   return r;
 }
 

@@ -42,16 +42,20 @@ double AcResult::low_frequency_gain(NodeId node) const {
 }
 
 double AcResult::bandwidth_3db(NodeId node) const {
-  if (points_.size() < 2) return 0.0;
-  const double ref = low_frequency_gain(node);
-  const double target = ref / std::sqrt(2.0);
-  for (std::size_t i = 1; i < points_.size(); ++i) {
-    const double m0 = std::abs(points_[i - 1].v(node));
-    const double m1 = std::abs(points_[i].v(node));
+  return spice::bandwidth_3db(frequencies(), magnitude(node));
+}
+
+double bandwidth_3db(const std::vector<double>& frequencies,
+                     const std::vector<double>& magnitudes) {
+  if (magnitudes.size() < 2) return 0.0;
+  const double target = magnitudes.front() / std::sqrt(2.0);
+  for (std::size_t i = 1; i < magnitudes.size(); ++i) {
+    const double m0 = magnitudes[i - 1];
+    const double m1 = magnitudes[i];
     if (m0 >= target && m1 < target) {
       // Log-log interpolation between the bracketing points.
-      const double lf0 = std::log(points_[i - 1].frequency);
-      const double lf1 = std::log(points_[i].frequency);
+      const double lf0 = std::log(frequencies[i - 1]);
+      const double lf1 = std::log(frequencies[i]);
       const double lm0 = std::log(m0);
       const double lm1 = std::log(m1);
       const double t = (std::log(target) - lm0) / (lm1 - lm0);

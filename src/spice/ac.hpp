@@ -47,6 +47,13 @@ class AcResult {
   std::vector<AcPoint> points_;
 };
 
+/// -3 dB bandwidth of a magnitude response sampled at ascending
+/// \p frequencies, relative to the first sample: the first crossing of
+/// 1/sqrt(2) of it, interpolated log-log between the bracketing points.
+/// Returns 0 if never reached.
+double bandwidth_3db(const std::vector<double>& frequencies,
+                     const std::vector<double>& magnitudes);
+
 /// Run an AC sweep. Solves the DC operating point first (devices cache
 /// their small-signal parameters during that load), then factors the
 /// complex system at each of \p frequencies.
