@@ -84,6 +84,7 @@ Engine::Engine(Circuit& circuit, SolverOptions options)
   system_ = LinearSystem(circuit_.unknown_count());
   state_prev_.assign(circuit_.state_count(), 0.0);
   state_now_.assign(circuit_.state_count(), 0.0);
+  x_new_.assign(circuit_.unknown_count(), 0.0);
 
   // Phase 1 (pattern pass): reserve every slot any device will stamp,
   // plus the gmin diagonal, then freeze the pattern and its pointer
@@ -91,6 +92,7 @@ Engine::Engine(Circuit& circuit, SolverOptions options)
   const int nodes = circuit_.node_count();
   PatternContext pctx(system_, nodes, &charges_);
   for (const auto& device : circuit_.devices()) device->reserve(pctx);
+  charges_.shrink_to_fit();
   gmin_slots_.resize(nodes);
   for (int i = 0; i < nodes; ++i) gmin_slots_[i] = system_.reserve(i, i);
   system_.finalize_pattern();
@@ -234,7 +236,6 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
   double norm_x = system_.residual_norm(x);
 
   std::vector<double>& x_new = x_new_;
-  x_new.resize(n);
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
     ++stats_.newton_iterations;
 
