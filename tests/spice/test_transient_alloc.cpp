@@ -47,7 +47,7 @@ namespace {
 /// step: the DC operating point, the breakpoint list, the step loop's
 /// buffers, the amortised growth of the waveform's two vectors and of
 /// the LU factors, and five scratch vectors per full (pivot-searching)
-/// factorisation. The run below makes 96 with four full factorisations;
+/// factorisation. The run below makes 95 with four full factorisations;
 /// one allocation per step attempt would add about 100.
 constexpr long long kSetupAllocations = 128;
 
