@@ -300,7 +300,9 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
                       " delta=", worst_delta, " value=", x_new[worst],
                       " limited=", limited, " residual=", norm_new);
     }
-    x.swap(x_new);
+    // Copy, not swap: the caller keeps its buffer and the engine its
+    // scratch, so a cached engine never holds memory a caller allocated.
+    std::copy(x_new.begin(), x_new.end(), x.begin());
     norm_x = norm_new;
     if (conv) {
       // The linear charges' state, written once, at the solution.

@@ -121,8 +121,8 @@ class Engine {
   SolverOptions options_;
   LinearSystem system_;
   std::vector<double> state_prev_, state_now_;
-  /// newton()'s next iterate; swapped with the caller's vector, so one
-  /// pair of buffers serves every iteration of every solve.
+  /// newton()'s next iterate, sized at construction and copied into the
+  /// caller's vector after each iteration; it serves every solve.
   std::vector<double> x_new_;
   std::map<NodeId, double> nodeset_;
   EngineStats stats_;
