@@ -19,7 +19,10 @@ constexpr std::size_t kDefaultRingCapacity = 32768;
 
 /// Per-thread event storage. Each buffer is written by exactly one
 /// thread; the mutex exists for the (rare) concurrent snapshot/resize,
-/// so the owner's push path locks an uncontended mutex.
+/// so the owner's push path locks an uncontended mutex. The ring grows
+/// with the events pushed, up to `capacity`: registration reserves
+/// nothing, since every pool thread registers (to name its lane) and
+/// buffers are never freed, tracing or not.
 struct ThreadBuffer {
   std::mutex mutex;
   std::vector<Event> ring;
@@ -66,7 +69,6 @@ struct Registry {
     auto buffer = std::make_unique<ThreadBuffer>();
     buffer->tid = static_cast<int>(buffers.size());
     buffer->capacity = ring_capacity;
-    buffer->ring.reserve(ring_capacity);
     buffers.push_back(std::move(buffer));
     return buffers.back().get();
   }
@@ -116,7 +118,6 @@ void set_ring_capacity(std::size_t events_per_thread) {
     std::lock_guard<std::mutex> buf_lock(buffer->mutex);
     buffer->capacity = events_per_thread;
     buffer->ring.clear();
-    buffer->ring.reserve(events_per_thread);
     buffer->head = 0;
     buffer->total = 0;
   }

@@ -10,11 +10,12 @@
 /// uninstrumented build.
 ///
 /// Collection model: each thread owns a fixed-capacity ring buffer of
-/// completed span events. A full ring overwrites its oldest events (the
-/// drop count is reported in snapshots), so long simulations keep the
-/// most recent window instead of growing without bound. Buffers outlive
-/// their threads: a ThreadPool's worker lanes are still present in a
-/// snapshot taken after the pool was destroyed.
+/// completed span events, allocated as events arrive (a thread that
+/// records nothing holds none). A full ring overwrites its oldest
+/// events (the drop count is reported in snapshots), so long
+/// simulations keep the most recent window instead of growing without
+/// bound. Buffers outlive their threads: a ThreadPool's worker lanes are
+/// still present in a snapshot taken after the pool was destroyed.
 ///
 /// Exporters (export.hpp) turn a Snapshot into Chrome trace-event /
 /// Perfetto JSON and flat metrics JSON/CSV.
