@@ -119,10 +119,9 @@ struct LinearCharge {
 /// factorisation's deterministic tie-breaking.
 class PatternContext {
  public:
-  /// \p charges receives the linear_charge() declarations; a context
-  /// without it (a lookup on a frozen pattern) records none.
+  /// \p charges receives the linear_charge() declarations.
   PatternContext(LinearSystem& system, int node_count,
-                 std::vector<LinearCharge>* charges = nullptr)
+                 std::vector<LinearCharge>& charges)
       : system_(system), node_count_(node_count), charges_(charges) {}
 
   MatrixSlot nn(NodeId r, NodeId c) {
@@ -160,14 +159,14 @@ class PatternContext {
   NonlinearPattern linear_charge(NodeId a, NodeId b, double c, int state_base,
                                  const Device& owner) {
     const NonlinearPattern slots = nonlinear_current(a, b);
-    if (charges_) charges_->push_back({slots, a, b, c, state_base, &owner});
+    charges_.push_back({slots, a, b, c, state_base, &owner});
     return slots;
   }
 
  private:
   LinearSystem& system_;
   int node_count_;
-  std::vector<LinearCharge>* charges_;
+  std::vector<LinearCharge>& charges_;
 };
 
 /// Handed to Device::load() on every Newton iteration.
@@ -200,17 +199,19 @@ class LoadContext {
 
   /// Companion current for a charge-based branch: given the candidate
   /// charge q and the device's state base (slot 0 = charge, slot 1 =
-  /// current), returns the branch current this timestep and records the
-  /// new state.
-  double integrate_charge(int state_base, double q) {
+  /// current), returns the branch current this timestep.
+  double charge_current(int state_base, double q) const {
     const double q_prev = state_prev(state_base);
-    const double i_prev = state_prev(state_base + 1);
-    double i = 0.0;
     if (method_ == IntegrationMethod::kTrapezoidal) {
-      i = a0_ * (q - q_prev) - i_prev;
-    } else {
-      i = a0_ * (q - q_prev);
+      return a0_ * (q - q_prev) - state_prev(state_base + 1);
     }
+    return a0_ * (q - q_prev);
+  }
+
+  /// charge_current() that also records q and the current as the new
+  /// state.
+  double integrate_charge(int state_base, double q) {
+    const double i = charge_current(state_base, q);
     set_state(state_base, q);
     set_state(state_base + 1, i);
     return i;

@@ -12,19 +12,12 @@ namespace sscl::spice {
 
 namespace {
 
-/// Stamp the transient companion of linear charge \p q: conductance
-/// a0*c and the current of the previous step's state,
-///   trapezoidal:    i = a0*(q - q_prev) - i_prev
-///   backward Euler: i = a0*(q - q_prev)
-/// at q = c*v, i.e. i = a0*c*v + ieq with ieq as below.
-void stamp_charge(LoadContext& ctx, const LinearCharge& q,
-                  IntegrationMethod method, double a0) {
-  const double q_prev = ctx.state_prev(q.state);
-  const double ieq = method == IntegrationMethod::kTrapezoidal
-                         ? -(a0 * q_prev + ctx.state_prev(q.state + 1))
-                         : -(a0 * q_prev);
-  ctx.stamp_conductance(q.slots.g, a0 * q.c);
-  ctx.stamp_current_source(q.slots.i, ieq);
+/// Stamp the transient companion of linear charge \p q: its branch
+/// current at q = c*v is a0*c*v plus the companion current at zero
+/// charge, which depends only on the previous step's state.
+void stamp_charge(LoadContext& ctx, const LinearCharge& q) {
+  ctx.stamp_conductance(q.slots.g, ctx.integ_a0() * q.c);
+  ctx.stamp_current_source(q.slots.i, ctx.charge_current(q.state, 0.0));
 }
 
 /// Accumulates elapsed wall time into an EngineStats seconds field.
@@ -90,7 +83,7 @@ Engine::Engine(Circuit& circuit, SolverOptions options)
   // plus the gmin diagonal, then freeze the pattern and its pointer
   // table.
   const int nodes = circuit_.node_count();
-  PatternContext pctx(system_, nodes, &charges_);
+  PatternContext pctx(system_, nodes, charges_);
   for (const auto& device : circuit_.devices()) device->reserve(pctx);
   charges_.shrink_to_fit();
   gmin_slots_.resize(nodes);
@@ -162,7 +155,7 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
     configure(x);
     for (Device* d : statics) d->load(ctx);
     if (mode == AnalysisMode::kTransient) {
-      for (const LinearCharge& q : charges_) stamp_charge(ctx, q, method, a0);
+      for (const LinearCharge& q : charges_) stamp_charge(ctx, q);
     }
     for (int i = 0; i < nodes; ++i) system_.add_at(gmin_slots_[i], gmin);
     system_.snapshot_baseline();
@@ -223,7 +216,7 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
     }
     if (mode == AnalysisMode::kTransient) {
       for (const LinearCharge& q : charges_) {
-        stamp_charge(ctx, q, method, a0);
+        stamp_charge(ctx, q);
         if (!system_.values_finite()) name_offender(*q.owner);
       }
     }

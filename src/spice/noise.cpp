@@ -37,11 +37,14 @@ NoiseResult run_noise(Engine& engine, NodeId out_p, NodeId out_n,
       sources.size(), std::vector<double>(frequencies.size(), 0.0));
 
   // Each source injects a unit current a -> b through its rhs slots.
-  PatternContext pattern(engine.linear_system(), circuit.node_count());
+  LinearSystem& lin = engine.linear_system();
+  auto rhs_slot = [&](NodeId r) {
+    return r == kGround ? RhsSlot{0} : lin.reserve_rhs(r);
+  };
   std::vector<CurrentPattern> injections;
   injections.reserve(sources.size());
   for (const auto& s : sources) {
-    injections.push_back(pattern.current_source(s.a, s.b));
+    injections.push_back({rhs_slot(s.a), rhs_slot(s.b)});
   }
 
   ComplexSystem system(engine.linear_system());
