@@ -13,6 +13,10 @@
 #include "analog/preamp.hpp"
 #include "device/mosfet.hpp"
 #include "digital/fmax.hpp"
+#include "lint/check.hpp"
+#include "lint/circuit_view.hpp"
+#include "lint/ir.hpp"
+#include "lint/op_region.hpp"
 #include "netlist/expr.hpp"
 #include "netlist/netlist.hpp"
 #include "spice/ac.hpp"
@@ -318,6 +322,84 @@ void BM_ElaborateServeBench(benchmark::State& state) {
       spent.count() / static_cast<double>(state.iterations() * elements);
 }
 BENCHMARK(BM_ElaborateServeBench)->Unit(benchmark::kMillisecond);
+
+// The ERC gate every Engine construction runs (lint::enforce_circuit:
+// the structural rules, op-region off) on serve_bench.sp's 2,050
+// elements.
+void BM_LintGateServeBench(benchmark::State& state) {
+  const netlist::Deck deck = netlist::parse_netlist(serve_bench_text());
+  std::chrono::duration<double, std::micro> spent{0};
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    lint::enforce_circuit(*deck.circuit);
+    spent += std::chrono::steady_clock::now() - start;
+  }
+  const double elements = static_cast<double>(deck.circuit->devices().size());
+  state.counters["us_per_element"] =
+      spent.count() / (static_cast<double>(state.iterations()) * elements);
+}
+BENCHMARK(BM_LintGateServeBench)->Unit(benchmark::kMillisecond);
+
+// An STSCL tap-buffer fabric of \p gates buffers on one shared bias
+// generator, the shape of perfbench's tran_stscl fabric: gate k taps the
+// outputs of gate (k - 1) / 2.
+std::string fabric_deck(int gates) {
+  std::string d =
+      "* stscl tap-buffer fabric\n"
+      "Vdd vdd 0 1\n"
+      "Ib vdd vbn 10n\n"
+      "Mb vbn vbn 0 0 nmos_hvt W=2u L=1u\n"
+      "Mrt vbp vbn 0 0 nmos_hvt W=2u L=1u\n"
+      "Mrd vbp vbp vdd vdd pmos W=3u L=1.2u\n"
+      ".subckt sclbuf inp inn outp outn vbn vbp vdd\n"
+      "M1 outn inp tail 0 nmos W=2u L=0.5u\n"
+      "M2 outp inn tail 0 nmos W=2u L=0.5u\n"
+      "Mt tail vbn 0 0 nmos_hvt W=2u L=1u\n"
+      "Ml1 outp vbp vdd outp pmos W=0.3u L=1.2u\n"
+      "Ml2 outn vbp vdd outn pmos W=0.3u L=1.2u\n"
+      "Cp outp 0 1f\n"
+      "Cn outn 0 1f\n"
+      ".ends\n"
+      "Vip inp 0 DC 0.76\n"
+      "Vin inn 0 DC 1\n";
+  for (int k = 0; k < gates; ++k) {
+    const std::string in =
+        k == 0 ? "inp inn"
+               : "n" + std::to_string((k - 1) / 2) + "p n" +
+                     std::to_string((k - 1) / 2) + "n";
+    const std::string out = "n" + std::to_string(k);
+    d += "X" + std::to_string(k) + " " + in + " " + out + "p " + out +
+         "n vbn vbp vdd sclbuf\n";
+  }
+  return d + ".end\n";
+}
+
+// The op-region interval analysis (nominal box) of the fabric; the view
+// and IR are built once. us_per_device is the analysis time over every
+// device of the circuit.
+void BM_OpRegionFabric(benchmark::State& state) {
+  const netlist::Deck deck =
+      netlist::parse_netlist(fabric_deck(static_cast<int>(state.range(0))));
+  const lint::CircuitView view(*deck.circuit);
+  const lint::AnalysisIR ir = lint::AnalysisIR::build(view);
+  lint::OpRegionStats stats;
+  std::chrono::duration<double, std::micro> spent{0};
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    const lint::OpRegionResult r =
+        lint::analyze_op_region(view, ir, lint::OpRegionOptions{});
+    spent += std::chrono::steady_clock::now() - start;
+    stats = r.stats;
+    benchmark::DoNotOptimize(r.node_v.data());
+  }
+  const double devices = static_cast<double>(deck.circuit->devices().size());
+  state.counters["devices"] = devices;
+  state.counters["us_per_device"] =
+      spent.count() / (static_cast<double>(state.iterations()) * devices);
+  state.counters["ekv_f_evals"] = static_cast<double>(stats.ekv_f_evals);
+  state.counters["kcl_steps"] = static_cast<double>(stats.kcl_steps);
+}
+BENCHMARK(BM_OpRegionFabric)->Arg(50)->Arg(400)->Unit(benchmark::kMillisecond);
 
 // serve_bench.sp (1,026 unknowns) under `.ac dec 10 1k 10k`: its op plus
 // eleven AC points per iteration. run_ac solves the op first, so one

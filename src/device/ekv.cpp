@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "util/constants.hpp"
@@ -86,44 +87,89 @@ EkvIntervalResult ekv_evaluate_interval_refs(
     const util::Interval& ug, const util::Interval& ud,
     const util::Interval& us, const util::Interval& clm_dv,
     const util::Interval& tK, double cardTemperatureK) {
-  using util::Interval;
-  EkvIntervalResult out;
   if (ug.is_empty() || ud.is_empty() || us.is_empty() || tK.is_empty()) {
-    return out;  // all-empty: the image of an empty box
+    return EkvIntervalResult{};  // all-empty: the image of an empty box
   }
+  return ekv_evaluate_interval_card(
+      ekv_interval_card(params, geometry, tK, cardTemperatureK), ug, ud, us,
+      clm_dv);
+}
 
+EkvIntervalCard ekv_interval_card(const MosParams& params,
+                                  const MosGeometry& geometry,
+                                  const util::Interval& tK,
+                                  double cardTemperatureK) {
+  using util::Interval;
   // Temperature dependences mirror Process::at_temperature so the
   // interval card brackets the scalar card re-derived at any T in the
   // box: VT falls 1 mV/K, KP scales (T/Tcard)^-1.5, UT = kT/q.
   const double tref = cardTemperatureK;
-  const Interval ut =
+  EkvIntervalCard card;
+  card.ut =
       tK.map_increasing([](double t) { return util::thermal_voltage(t); });
-  const Interval vt = tK.map_decreasing(
+  card.vt = tK.map_decreasing(
       [&](double t) { return params.vt0 - 1.0e-3 * (t - tref); });
   const Interval kp = tK.map_decreasing(
       [&](double t) { return params.kp * std::pow(t / tref, -1.5); });
-
-  const double sign = params.is_nmos ? 1.0 : -1.0;
-
   const Interval beta = kp * (geometry.w / geometry.l);
-  const Interval ispec = (beta * (2.0 * params.n)) * (ut * ut);
+  card.ispec = (beta * (2.0 * params.n)) * (card.ut * card.ut);
+  card.n = params.n;
+  card.lambda = params.lambda;
+  card.sign = params.is_nmos ? 1.0 : -1.0;
+  return card;
+}
 
-  const Interval vp = (ug - vt) * (1.0 / params.n);
+namespace {
+
+/// Image of \p x under the increasing map \p f, taken from \p m when
+/// \p x is bitwise its last input (f is a pure function, so the stored
+/// image is exactly what f would return).
+template <class F>
+util::Interval memo_map(EkvIntervalMemo::Map* m, const util::Interval& x,
+                        F&& f) {
+  if (m == nullptr) return x.map_increasing(f);
+  if (std::memcmp(&m->in, &x, sizeof x) != 0) {
+    m->in = x;
+    m->out = x.map_increasing(f);
+  }
+  return m->out;
+}
+
+}  // namespace
+
+EkvIntervalResult ekv_evaluate_interval_card(const EkvIntervalCard& card,
+                                             const util::Interval& ug,
+                                             const util::Interval& ud,
+                                             const util::Interval& us,
+                                             const util::Interval& clm_dv,
+                                             EkvIntervalMemo* memo) {
+  using util::Interval;
+  EkvIntervalResult out;
+  if (ug.is_empty() || ud.is_empty() || us.is_empty() || card.ut.is_empty()) {
+    return out;  // all-empty: the image of an empty box
+  }
+  const Interval& ut = card.ut;
+
+  const Interval vp = (ug - card.vt) * (1.0 / card.n);
   const Interval xf = (vp - us) / ut;
   const Interval xr = (vp - ud) / ut;
-  const Interval ff = xf.map_increasing(ekv_f);
-  const Interval fr = xr.map_increasing(ekv_f);
+  const auto f = [memo](double v) {
+    if (memo != nullptr) ++memo->f_evals;
+    return ekv_f(v);
+  };
+  const Interval ff = memo_map(memo ? &memo->ff : nullptr, xf, f);
+  const Interval fr = memo_map(memo ? &memo->fr : nullptr, xr, f);
 
-  const Interval th =
-      clm_dv.map_increasing([](double v) { return std::tanh(0.5 * v); });
-  const Interval clm = th * (2.0 * params.lambda) + 1.0;
+  const Interval th = memo_map(memo ? &memo->th : nullptr, clm_dv,
+                               [](double v) { return std::tanh(0.5 * v); });
+  const Interval clm = th * (2.0 * card.lambda) + 1.0;
 
-  const Interval i = (ispec * (ff - fr)) * clm;
+  const Interval i = (card.ispec * (ff - fr)) * clm;
 
-  out.id = i * sign;
+  out.id = i * card.sign;
   out.i_f = ff;
   out.i_r = fr;
-  out.ispec = ispec;
+  out.ispec = card.ispec;
   out.vdsat = ut * (util::interval_sqrt(ff) * 2.0 + 4.0);
   out.ut = ut;
   out.vp = vp;

@@ -164,6 +164,50 @@ EkvIntervalResult ekv_evaluate_interval(
     const util::Interval& tK, double cardTemperatureK,
     const util::Interval* clm_dv_hint = nullptr);
 
+/// The temperature-box part of an interval evaluation: the interval
+/// card of one device over \p tK, derived once per analysis instead of
+/// once per evaluation (two std::pow calls each).
+struct EkvIntervalCard {
+  util::Interval ut;     ///< thermal voltage over the box [V]
+  util::Interval vt;     ///< threshold voltage over the box [V]
+  util::Interval ispec;  ///< specific current over the box [A]
+  double n = 1.0;        ///< slope factor
+  double lambda = 0.0;   ///< channel-length modulation [1/V]
+  double sign = 1.0;     ///< +1 NMOS, -1 PMOS
+};
+
+/// The card of \p params (valid at \p cardTemperatureK) over the box
+/// \p tK, mirroring the Process::at_temperature dependences.
+EkvIntervalCard ekv_interval_card(const MosParams& params,
+                                  const MosGeometry& geometry,
+                                  const util::Interval& tK,
+                                  double cardTemperatureK);
+
+/// The last input and image of each of the three monotone maps of an
+/// interval evaluation: F at the forward and at the reverse argument,
+/// and the CLM tanh. A map whose input interval is bitwise the last one
+/// returns the stored image instead of recomputing it, so results stay
+/// bit-identical; a bisection that moves one terminal keeps the other
+/// terms. Default state maps the empty interval to itself, which is
+/// what the map computes there. `f_evals` counts the F endpoint
+/// evaluations actually computed.
+struct EkvIntervalMemo {
+  struct Map {
+    util::Interval in;
+    util::Interval out;
+  };
+  Map ff, fr, th;
+  long long f_evals = 0;
+};
+
+/// The rest of ekv_evaluate_interval_refs() given the card: the same
+/// expressions in the same order, so the result is bit-identical to
+/// it. With \p memo, unchanged terms are reused (see EkvIntervalMemo).
+EkvIntervalResult ekv_evaluate_interval_card(
+    const EkvIntervalCard& card, const util::Interval& ug,
+    const util::Interval& ud, const util::Interval& us,
+    const util::Interval& clm_dv, EkvIntervalMemo* memo = nullptr);
+
 /// Reference-frame variant: \p ug, \p ud, \p us are the bulk-referenced
 /// terminal voltages *already reflected* into the NMOS frame (for PMOS,
 /// ug = vb - vg and so on); \p clm_dv is the reflected vd - vs box the

@@ -33,6 +33,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "device/diode.hpp"
 #include "device/ekv.hpp"
@@ -59,6 +60,32 @@ constexpr double kSettleV = 0.5e-6;
 constexpr double kSettleIRel = 1.0e-3;
 /// Refinement sweep cap (the result is sound at any cap).
 constexpr int kMaxSweeps = 16;
+
+/// Up to kBisectIters halvings of [a, b] on a predicate that holds at a
+/// and fails at b; returns the final bracket and counts the steps taken
+/// in \p steps. The loop stops once the midpoint rounds onto an end
+/// (the bracket is two adjacent doubles): \p pred is a pure function of
+/// v, it held at a when a was set and failed at b when b was set, so
+/// every remaining step would rewrite that end with itself. \p a_holds
+/// is pred at the entry a; a caller's entry test leaves it false only
+/// for a NaN bound, and a collapse onto such an a still takes the step
+/// the full loop would.
+template <class Pred>
+std::pair<double, double> bisect(double a, double b, bool a_holds,
+                                 Pred&& pred, long long& steps) {
+  for (int i = 0; i < kBisectIters; ++i) {
+    const double m = 0.5 * (a + b);
+    if (m == b || (m == a && a_holds)) break;
+    ++steps;
+    if (pred(m)) {
+      a = m;
+      a_holds = true;
+    } else {
+      b = m;
+    }
+  }
+  return {a, b};
+}
 
 /// Guard band on a KCL balance: the solver converges on voltage deltas
 /// (reltol/vntol), not on an explicit residual bound, so currents in a
@@ -170,6 +197,7 @@ class Analyzer {
   }
 
   void build_flows();
+  void build_cards();
   void seed_and_sweep();
   void sweep_rigid_and_shorts();
   void update_channels();
@@ -213,17 +241,21 @@ class Analyzer {
   /// so the netlist-aware differences go through the refs entry point.
   /// \p dv_hint is the unreflected vd - vs box the CLM factor is frozen
   /// at (a superset of the true one keeps the result sound).
-  device::EkvIntervalResult eval_box(const spice::DeviceInfo& info,
-                                     const Interval& vg, const Interval& vd,
-                                     const Interval& vs, const Interval& vb,
+  /// Device \p di's card over the box is derived once per analysis
+  /// (cards_), and its memo reuses the terms a bisection step does not
+  /// move.
+  device::EkvIntervalResult eval_box(int di, const Interval& vg,
+                                     const Interval& vd, const Interval& vs,
+                                     const Interval& vb,
                                      const Interval& dv_hint) const {
-    const double sign = info.is_nmos ? 1.0 : -1.0;
+    const spice::DeviceInfo& info = view_.devices()[di].info;
+    const device::EkvIntervalCard& card = cards_[di];
     const auto ref = [&](spice::NodeId term, const Interval& v) {
-      return term == info.mos_b ? Interval::point(0) : (v - vb) * sign;
+      return term == info.mos_b ? Interval::point(0) : (v - vb) * card.sign;
     };
-    return device::ekv_evaluate_interval_refs(
-        card_of(info), geom_of(info), ref(info.mos_g, vg), ref(info.mos_d, vd),
-        ref(info.mos_s, vs), dv_hint * sign, tbox_, info.mos_temp);
+    return device::ekv_evaluate_interval_card(
+        card, ref(info.mos_g, vg), ref(info.mos_d, vd), ref(info.mos_s, vs),
+        dv_hint * card.sign, &memos_[di]);
   }
 
   /// Channel current interval of device \p di over the current node
@@ -240,7 +272,7 @@ class Analyzer {
     // CLM frozen at the unsubstituted node boxes: keeps every output
     // bound monotone in v_sub and still contains the true factor.
     const Interval dv_hint = at(info.mos_d) - at(info.mos_s);
-    return eval_box(info, vg, vd, vs, vb, dv_hint).id;
+    return eval_box(di, vg, vd, vs, vb, dv_hint).id;
   }
 
   /// Bulk-junction currents of device \p di into \p node.
@@ -315,6 +347,11 @@ class Analyzer {
   std::vector<Interval> node_v_;
   std::vector<Interval> chan_;  ///< per-device d->s channel current
   std::vector<NodeFlow> flows_;
+  /// Per-device interval card over tbox_ and term memo (described
+  /// MOSFETs only), CircuitView device indexing.
+  std::vector<device::EkvIntervalCard> cards_;
+  mutable std::vector<device::EkvIntervalMemo> memos_;
+  OpRegionStats stats_;
   bool changed_ = false;
   bool contradiction_ = false;
   int sweeps_ = 0;
@@ -353,6 +390,19 @@ void Analyzer::build_flows() {
         }
       }
     }
+  }
+}
+
+void Analyzer::build_cards() {
+  const auto& devices = view_.devices();
+  cards_.assign(devices.size(), device::EkvIntervalCard{});
+  memos_.assign(devices.size(), device::EkvIntervalMemo{});
+  for (int di = 0; di < static_cast<int>(devices.size()); ++di) {
+    const CircuitView::DeviceEntry& entry = devices[di];
+    if (!entry.described || !entry.info.is_mosfet) continue;
+    cards_[di] = device::ekv_interval_card(card_of(entry.info),
+                                           geom_of(entry.info), tbox_,
+                                           entry.info.mos_temp);
   }
 }
 
@@ -451,32 +501,29 @@ void Analyzer::kcl_refine(spice::NodeId node) {
   double ub = node_v_[s].hi;
   if (f_hi(window.hi) >= t_lo) {
     // Feasible all the way up to the window clamp: no new bound.
-  } else if (f_hi(window.lo) < t_lo) {
+  } else if (const double f_a = f_hi(window.lo); f_a < t_lo) {
     contradiction_ = true;  // no feasible voltage in the window at all
     return;
   } else {
-    double a = window.lo, b = window.hi;  // f_hi(a) >= t_lo > f_hi(b)
-    for (int i = 0; i < kBisectIters; ++i) {
-      const double m = 0.5 * (a + b);
-      (f_hi(m) >= t_lo ? a : b) = m;
-    }
-    ub = b;  // outer side of the final bracket: sound
+    // f_hi(a) >= t_lo > f_hi(b); the outer side of the final bracket
+    // is sound.
+    ub = bisect(window.lo, window.hi, f_a >= t_lo,
+                [&](double v) { return f_hi(v) >= t_lo; }, stats_.kcl_steps)
+             .second;
   }
 
   // Lower bound: inf { v : f_lo(v) <= t_hi } with f_lo nonincreasing.
   double lb = node_v_[s].lo;
-  if (f_lo(window.lo) <= t_hi) {
+  if (const double f_a = f_lo(window.lo); f_a <= t_hi) {
     // Feasible all the way down to the window clamp: no new bound.
   } else if (f_lo(window.hi) > t_hi) {
     contradiction_ = true;
     return;
   } else {
-    double a = window.lo, b = window.hi;  // f_lo(a) > t_hi >= f_lo(b)
-    for (int i = 0; i < kBisectIters; ++i) {
-      const double m = 0.5 * (a + b);
-      (f_lo(m) > t_hi ? a : b) = m;
-    }
-    lb = a;  // outer side: sound
+    // f_lo(a) > t_hi >= f_lo(b); outer side: sound.
+    lb = bisect(window.lo, window.hi, f_a > t_hi,
+                [&](double v) { return f_lo(v) > t_hi; }, stats_.kcl_steps)
+             .first;
   }
 
   refine(node, Interval{lb, ub});
@@ -544,7 +591,7 @@ void Analyzer::derive_regions() {
     // vd - vs computed directly (not as the difference of the
     // bulk-referenced boxes): tighter and equally sound.
     const device::EkvIntervalResult r =
-        eval_box(info, at(info.mos_g), at(info.mos_d), at(info.mos_s),
+        eval_box(di, at(info.mos_g), at(info.mos_d), at(info.mos_s),
                  at(info.mos_b), at(info.mos_d) - at(info.mos_s));
     DeviceRegion reg;
     reg.device = di;
@@ -638,7 +685,7 @@ void Analyzer::derive_pairs() {
           const Interval vb =
               linfo.mos_b == linfo.mos_d ? vd : at(linfo.mos_b);
           return util::interval_abs(
-              eval_box(linfo, vg_box, vd, vs_box, vb, dv_hint).id);
+              eval_box(mj, vg_box, vd, vs_box, vb, dv_hint).id);
         };
         // Lower bound: smallest s with mag(s).hi >= iss.lo.
         double s_lo = 0.0;
@@ -646,25 +693,24 @@ void Analyzer::derive_pairs() {
           continue;  // load can never carry the tail current: no bound
         }
         if (mag(0.0).hi < pr.iss.lo) {
-          double a = 0.0, b = kSwingMax;  // mag.hi(a) < iss.lo <= mag.hi(b)
-          for (int i = 0; i < kBisectIters; ++i) {
-            const double m = 0.5 * (a + b);
-            (mag(m).hi < pr.iss.lo ? a : b) = m;
-          }
-          s_lo = a;  // outer side: the true swing cannot be below a
+          // mag.hi(a) < iss.lo <= mag.hi(b); outer side: the true swing
+          // cannot be below a.
+          s_lo = bisect(0.0, kSwingMax, true,
+                        [&](double v) { return mag(v).hi < pr.iss.lo; },
+                        stats_.swing_steps)
+                     .first;
         }
         // Upper bound: smallest s with mag(s).lo >= iss.hi.
         double s_hi = kInf;
         if (mag(kSwingMax).lo >= pr.iss.hi) {
-          double a = 0.0, b = kSwingMax;
-          if (mag(0.0).lo >= pr.iss.hi) {
+          if (const double m_a = mag(0.0).lo; m_a >= pr.iss.hi) {
             s_hi = 0.0;
           } else {
-            for (int i = 0; i < kBisectIters; ++i) {
-              const double m = 0.5 * (a + b);
-              (mag(m).lo < pr.iss.hi ? a : b) = m;
-            }
-            s_hi = b;  // outer side: mag.lo(s_hi) already covers iss.hi
+            // Outer side: mag.lo(s_hi) already covers iss.hi.
+            s_hi = bisect(0.0, kSwingMax, m_a < pr.iss.hi,
+                          [&](double v) { return mag(v).lo < pr.iss.hi; },
+                          stats_.swing_steps)
+                       .second;
           }
         }
         pr.swing = pr.swing.hull(Interval{s_lo, s_hi});
@@ -685,6 +731,7 @@ OpRegionResult Analyzer::run() {
     return result_;
   }
   build_flows();
+  build_cards();
   seed_and_sweep();
   result_.node_v = node_v_;
   result_.sweeps = sweeps_;
@@ -692,6 +739,10 @@ OpRegionResult Analyzer::run() {
   derive_regions();
   derive_pairs();
   result_.contradiction = contradiction_;
+  for (const device::EkvIntervalMemo& memo : memos_) {
+    stats_.ekv_f_evals += memo.f_evals;
+  }
+  result_.stats = stats_;
   return result_;
 }
 

@@ -71,6 +71,14 @@ struct PairRegion {
   bool has_load = false;      ///< at least one load could be identified
 };
 
+/// Work one analysis did; deterministic for a given circuit and box.
+/// The op-region pass publishes it as the lint.op_region.* counters.
+struct OpRegionStats {
+  long long ekv_f_evals = 0;  ///< EKV F endpoint evaluations computed
+  long long kcl_steps = 0;    ///< KCL node-bound bisection steps
+  long long swing_steps = 0;  ///< MOS-load swing bisection steps
+};
+
 struct OpRegionResult {
   OpRegionOptions options;
   /// Node-voltage intervals, CircuitView slot indexing (ground = slot
@@ -90,6 +98,7 @@ struct OpRegionResult {
   /// the box). The conflicting refinement is dropped so the published
   /// intervals stay sound supersets of whatever the solver does.
   bool contradiction = false;
+  OpRegionStats stats;
 
   const DeviceRegion* region_of(int device) const {
     for (const DeviceRegion& r : regions) {

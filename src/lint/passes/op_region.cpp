@@ -32,6 +32,7 @@
 #include "lint/ir.hpp"
 #include "lint/op_region.hpp"
 #include "lint/rules/rules.hpp"
+#include "trace/trace.hpp"
 #include "util/units.hpp"
 
 namespace sscl::lint::rules {
@@ -87,6 +88,12 @@ class OpRegionPass final : public Rule {
         analyze_op_region(view, ir, options));
     if (ctx.facts) ctx.facts->op_region = result;
     const OpRegionResult& r = *result;
+    static trace::Counter f_evals("lint.op_region.ekv_f_evals");
+    static trace::Counter kcl_steps("lint.op_region.kcl_steps");
+    static trace::Counter swing_steps("lint.op_region.swing_steps");
+    f_evals.add(r.stats.ekv_f_evals);
+    kcl_steps.add(r.stats.kcl_steps);
+    swing_steps.add(r.stats.swing_steps);
 
     if (!view.fully_described()) {
       report.info(id(), "-",

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -64,6 +65,32 @@ TEST(OpRegionGolden, NominalBoxMatchesBitForBit) {
 
 TEST(OpRegionGolden, HotColdSupplyBoxMatchesBitForBit) {
   expect_box_matches(golden::golden_boxes()[1]);
+}
+
+// ---- cost counters on the seed-1 50-gate fabric, nominal box ----------
+
+OpRegionStats fabric_stats() {
+  const auto circuit = golden::load_circuit(
+      {std::string(SSCL_LINT_GOLDEN_DIR) + "/decks", "stscl_fabric_50.sp"});
+  const CircuitView view(*circuit);
+  const AnalysisIR ir = AnalysisIR::build(view);
+  return analyze_op_region(view, ir, OpRegionOptions{}).stats;
+}
+
+TEST(OpRegionCost, FabricKclBisectionStopsAtAdjacentDoubles) {
+  // 1,978 KCL bisections; the full 60-step budget is 118,680 steps.
+  // 20,273 of those ran on a bracket already collapsed to two adjacent
+  // doubles, where every step rewrites an end with itself.
+  EXPECT_EQ(fabric_stats().kcl_steps, 98407);
+}
+
+TEST(OpRegionCost, FabricLintComputesAtMost700kFEndpoints) {
+  // Four per interval evaluation without the per-device card and term
+  // reuse: 1,212,372.
+  const OpRegionStats st = fabric_stats();
+  std::printf("ekv_f endpoints %lld, KCL steps %lld, swing steps %lld\n",
+              st.ekv_f_evals, st.kcl_steps, st.swing_steps);
+  EXPECT_LE(st.ekv_f_evals, 700000);
 }
 
 }  // namespace
