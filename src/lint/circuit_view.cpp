@@ -12,40 +12,110 @@ int find_root(std::vector<int>& parent, int i) {
   }
   return i;
 }
+
+/// Back to a default DeviceInfo, keeping the capacity of its lists so the
+/// next describe() allocates nothing.
+void clear_keeping_capacity(spice::DeviceInfo& info) {
+  std::vector<spice::TerminalDesc> terminals = std::move(info.terminals);
+  std::vector<spice::DcEdge> edges = std::move(info.edges);
+  terminals.clear();
+  edges.clear();
+  info = spice::DeviceInfo{};
+  info.terminals = std::move(terminals);
+  info.edges = std::move(edges);
+}
+
+/// Every field of \p info except the two lists.
+void copy_payload(const spice::DeviceInfo& info,
+                  CircuitView::DeviceDesc& desc) {
+  desc.kind = info.kind;
+  desc.is_mosfet = info.is_mosfet;
+  desc.is_nmos = info.is_nmos;
+  desc.ispec = info.ispec;
+  desc.mos_d = info.mos_d;
+  desc.mos_g = info.mos_g;
+  desc.mos_s = info.mos_s;
+  desc.mos_b = info.mos_b;
+  desc.mos_vt0 = info.mos_vt0;
+  desc.mos_n = info.mos_n;
+  desc.mos_kp = info.mos_kp;
+  desc.mos_lambda = info.mos_lambda;
+  desc.mos_w = info.mos_w;
+  desc.mos_l = info.mos_l;
+  desc.mos_temp = info.mos_temp;
+  desc.mos_ijs_s = info.mos_ijs_s;
+  desc.mos_ijs_d = info.mos_ijs_d;
+  desc.mos_nj = info.mos_nj;
+}
 }  // namespace
 
 CircuitView::CircuitView(const spice::Circuit& circuit) : circuit_(circuit) {
   const int slots = circuit.node_count() + 1;
-  incidences_.resize(slots);
   terminal_counts_.assign(slots, 0);
 
-  devices_.reserve(circuit.devices().size());
-  for (const auto& device : circuit.devices()) {
-    DeviceEntry entry;
-    entry.device = device.get();
-    entry.described = device->describe(entry.info);
+  // Describe every device into one reused DeviceInfo and append its
+  // lists to the flat arrays; the spans are set once the arrays stop
+  // growing.
+  const auto& circuit_devices = circuit.devices();
+  const int count = static_cast<int>(circuit_devices.size());
+  devices_.resize(circuit_devices.size());
+  std::vector<int> list_sizes(2 * circuit_devices.size());
+  spice::DeviceInfo scratch;
+  for (int di = 0; di < count; ++di) {
+    clear_keeping_capacity(scratch);
+    DeviceEntry& entry = devices_[di];
+    entry.device = circuit_devices[di].get();
+    entry.described = entry.device->describe(scratch);
     if (!entry.described) fully_described_ = false;
-    devices_.push_back(std::move(entry));
+    copy_payload(scratch, entry.info);
+    terminals_.insert(terminals_.end(), scratch.terminals.begin(),
+                      scratch.terminals.end());
+    edges_.insert(edges_.end(), scratch.edges.begin(), scratch.edges.end());
+    list_sizes[2 * di] = static_cast<int>(scratch.terminals.size());
+    list_sizes[2 * di + 1] = static_cast<int>(scratch.edges.size());
   }
+  std::size_t t = 0, e = 0;
+  for (int di = 0; di < count; ++di) {
+    DeviceDesc& info = devices_[di].info;
+    info.terminals = {terminals_.data() + t,
+                      static_cast<std::size_t>(list_sizes[2 * di])};
+    info.edges = {edges_.data() + e,
+                  static_cast<std::size_t>(list_sizes[2 * di + 1])};
+    t += info.terminals.size();
+    e += info.edges.size();
+  }
+
+  // Incidences per slot: count, lay out, then fill in the same order.
+  incidences_.reset(slots);
+  for (const DeviceEntry& entry : devices_) {
+    for (const spice::TerminalDesc& term : entry.info.terminals) {
+      incidences_.count(slot(term.node));
+    }
+    for (const spice::DcEdge& edge : entry.info.edges) {
+      incidences_.count(slot(edge.a));
+      if (edge.b != edge.a) incidences_.count(slot(edge.b));
+    }
+  }
+  incidences_.layout();
 
   std::vector<int> parent(slots);
   std::iota(parent.begin(), parent.end(), 0);
 
-  for (int di = 0; di < static_cast<int>(devices_.size()); ++di) {
-    const spice::DeviceInfo& info = devices_[di].info;
+  for (int di = 0; di < count; ++di) {
+    const DeviceDesc& info = devices_[di].info;
     for (int ti = 0; ti < static_cast<int>(info.terminals.size()); ++ti) {
       const int s = slot(info.terminals[ti].node);
       ++terminal_counts_[s];
-      incidences_[s].push_back({di, -1, ti});
+      incidences_.push(s, {di, -1, ti});
     }
     for (int ei = 0; ei < static_cast<int>(info.edges.size()); ++ei) {
-      const spice::DcEdge& e = info.edges[ei];
-      incidences_[slot(e.a)].push_back({di, ei, -1});
-      if (e.b != e.a) incidences_[slot(e.b)].push_back({di, ei, -1});
-      if (e.coupling == spice::DcCoupling::kConductive ||
-          e.coupling == spice::DcCoupling::kRigid) {
-        const int ra = find_root(parent, slot(e.a));
-        const int rb = find_root(parent, slot(e.b));
+      const spice::DcEdge& edge = info.edges[ei];
+      incidences_.push(slot(edge.a), {di, ei, -1});
+      if (edge.b != edge.a) incidences_.push(slot(edge.b), {di, ei, -1});
+      if (edge.coupling == spice::DcCoupling::kConductive ||
+          edge.coupling == spice::DcCoupling::kRigid) {
+        const int ra = find_root(parent, slot(edge.a));
+        const int rb = find_root(parent, slot(edge.b));
         if (ra != rb) parent[ra] = rb;
       }
     }

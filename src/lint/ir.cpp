@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <map>
+#include <string_view>
 
 #include "digital/netlist.hpp"
 #include "trace/trace.hpp"
@@ -23,36 +23,53 @@ bool is_supply_name(const std::string& name) {
 AnalysisIR AnalysisIR::build(const CircuitView& view) {
   trace::Span span("lint.ir.circuit", "lint");
   AnalysisIR ir;
-  const int slots = view.slot_count();
-  ir.net_edges.resize(slots);
-
   const auto& devices = view.devices();
-  std::map<std::pair<spice::NodeId, bool>, std::vector<int>> by_source;
-  for (int di = 0; di < static_cast<int>(devices.size()); ++di) {
-    const spice::DeviceInfo& info = devices[di].info;
+  const int count = static_cast<int>(devices.size());
+
+  // Net adjacency: count, lay out, then fill in device and edge order.
+  ir.net_edges.reset(view.slot_count());
+  for (const CircuitView::DeviceEntry& entry : devices) {
+    for (const spice::DcEdge& e : entry.info.edges) {
+      if (e.coupling == spice::DcCoupling::kOpen) continue;
+      ir.net_edges.count(CircuitView::slot(e.a));
+      if (e.b != e.a) ir.net_edges.count(CircuitView::slot(e.b));
+    }
+  }
+  ir.net_edges.layout();
+
+  // MOSFETs by (source node, polarity); a stable sort keeps device order
+  // within each group.
+  struct SourceTap {
+    spice::NodeId source;
+    bool is_nmos;
+    int device;
+  };
+  std::vector<SourceTap> taps;
+  for (int di = 0; di < count; ++di) {
+    const CircuitView::DeviceDesc& info = devices[di].info;
 
     for (int ei = 0; ei < static_cast<int>(info.edges.size()); ++ei) {
       const spice::DcEdge& e = info.edges[ei];
       if (e.coupling == spice::DcCoupling::kOpen) continue;
       const int sa = CircuitView::slot(e.a);
       const int sb = CircuitView::slot(e.b);
-      ir.net_edges[sa].push_back({sb, di, ei, e.coupling});
-      if (sb != sa) ir.net_edges[sb].push_back({sa, di, ei, e.coupling});
+      ir.net_edges.push(sa, {sb, di, ei, e.coupling});
+      if (sb != sa) ir.net_edges.push(sb, {sa, di, ei, e.coupling});
     }
 
     if (info.is_mosfet && info.mos_s != spice::kGround) {
-      by_source[{info.mos_s, info.is_nmos}].push_back(di);
+      taps.push_back({info.mos_s, info.is_nmos, di});
     }
 
-    const std::string& name = devices[di].device->name();
-    if (std::string(info.kind) == "isource" && !info.edges.empty()) {
+    const std::string_view kind = info.kind;
+    if (kind == "isource" && !info.edges.empty()) {
       const spice::DcEdge& e = info.edges.front();
       if (std::fabs(e.value) > 0.0) {
         ir.bias_roots.push_back({di, std::fabs(e.value), e.a, e.b});
       }
     }
-    if (std::string(info.kind) == "vsource" && !info.edges.empty() &&
-        is_supply_name(name)) {
+    const std::string& name = devices[di].device->name();
+    if (kind == "vsource" && !info.edges.empty() && is_supply_name(name)) {
       const spice::DcEdge& e = info.edges.front();
       const spice::NodeId rail =
           e.a == spice::kGround ? e.b : (e.b == spice::kGround ? e.a
@@ -63,20 +80,37 @@ AnalysisIR AnalysisIR::build(const CircuitView& view) {
     }
   }
 
-  for (auto& [key, list] : by_source) {
-    if (list.size() < 2) continue;
+  std::stable_sort(taps.begin(), taps.end(),
+                   [](const SourceTap& x, const SourceTap& y) {
+                     return x.source != y.source ? x.source < y.source
+                                                 : x.is_nmos < y.is_nmos;
+                   });
+  for (std::size_t i = 0; i < taps.size();) {
+    std::size_t j = i + 1;
+    while (j < taps.size() && taps[j].source == taps[i].source &&
+           taps[j].is_nmos == taps[i].is_nmos) {
+      ++j;
+    }
+    const spice::NodeId source = taps[i].source;
+    const bool is_nmos = taps[i].is_nmos;
+    const std::size_t first = i;
+    i = j;
+    if (j - first < 2) continue;
     // Devices whose common source IS a supply rail are parallel loads
     // (e.g. the PMOS load pair of an STSCL cell), not a source-coupled
     // pair — there is no tail branch to reason about.
     bool source_is_rail = false;
     for (const SupplyRail& rail : ir.supplies) {
-      source_is_rail = source_is_rail || rail.node == key.first;
+      source_is_rail = source_is_rail || rail.node == source;
     }
     if (source_is_rail) continue;
     SourceCoupledGroup group;
-    group.source = key.first;
-    group.is_nmos = key.second;
-    group.devices = std::move(list);
+    group.source = source;
+    group.is_nmos = is_nmos;
+    group.devices.reserve(j - first);
+    for (std::size_t k = first; k < j; ++k) {
+      group.devices.push_back(taps[k].device);
+    }
     ir.pairs.push_back(std::move(group));
   }
   return ir;

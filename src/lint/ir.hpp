@@ -68,8 +68,9 @@ bool is_supply_name(const std::string& name);
 struct AnalysisIR {
   // ---- analog (present when built from a CircuitView) ----------------
   /// Per-slot adjacency over the device DC edges (all couplings except
-  /// kOpen; capacitors and MOS gates carry no DC current).
-  std::vector<std::vector<NetEdge>> net_edges;
+  /// kOpen; capacitors and MOS gates carry no DC current), in device
+  /// and edge order.
+  Csr<NetEdge> net_edges;
   std::vector<SourceCoupledGroup> pairs;
   std::vector<BiasRoot> bias_roots;
   std::vector<SupplyRail> supplies;

@@ -106,11 +106,11 @@ Interval pad_kcl(const Interval& c) {
   return c.pad(kcl_guard(scale));
 }
 
-bool kind_is(const spice::DeviceInfo& info, const char* kind) {
+bool kind_is(const CircuitView::DeviceDesc& info, const char* kind) {
   return std::strcmp(info.kind, kind) == 0;
 }
 
-device::MosParams card_of(const spice::DeviceInfo& info) {
+device::MosParams card_of(const CircuitView::DeviceDesc& info) {
   device::MosParams p;
   p.is_nmos = info.is_nmos;
   p.vt0 = info.mos_vt0;
@@ -120,7 +120,7 @@ device::MosParams card_of(const spice::DeviceInfo& info) {
   return p;
 }
 
-device::MosGeometry geom_of(const spice::DeviceInfo& info) {
+device::MosGeometry geom_of(const CircuitView::DeviceDesc& info) {
   device::MosGeometry g;
   g.w = info.mos_w;
   g.l = info.mos_l;
@@ -248,7 +248,7 @@ class Analyzer {
                                      const Interval& vd, const Interval& vs,
                                      const Interval& vb,
                                      const Interval& dv_hint) const {
-    const spice::DeviceInfo& info = view_.devices()[di].info;
+    const CircuitView::DeviceDesc& info = view_.devices()[di].info;
     const device::EkvIntervalCard& card = cards_[di];
     const auto ref = [&](spice::NodeId term, const Interval& v) {
       return term == info.mos_b ? Interval::point(0) : (v - vb) * card.sign;
@@ -263,7 +263,7 @@ class Analyzer {
   /// applies, i.e. d == s).
   Interval channel_at(int di, spice::NodeId node,
                       const Interval& v_sub) const {
-    const spice::DeviceInfo& info = view_.devices()[di].info;
+    const CircuitView::DeviceDesc& info = view_.devices()[di].info;
     if (info.mos_d == info.mos_s) return Interval::point(0);
     const Interval vd = term_box(info.mos_d, node, v_sub);
     const Interval vg = term_box(info.mos_g, node, v_sub);
@@ -278,7 +278,7 @@ class Analyzer {
   /// Bulk-junction currents of device \p di into \p node.
   Interval junctions_into(int di, spice::NodeId node,
                           const Interval& v_sub) const {
-    const spice::DeviceInfo& info = view_.devices()[di].info;
+    const CircuitView::DeviceDesc& info = view_.devices()[di].info;
     const bool d_here = info.mos_d == node;
     const bool s_here = info.mos_s == node;
     const bool b_here = info.mos_b == node;
@@ -313,14 +313,14 @@ class Analyzer {
     const NodeFlow& nf = flows_[CircuitView::slot(node)];
     Bounds total;
     for (int di : nf.resistors) {
-      const spice::DeviceInfo& info = view_.devices()[di].info;
+      const CircuitView::DeviceDesc& info = view_.devices()[di].info;
       const spice::DcEdge& e = info.edges[0];
       const spice::NodeId other = e.a == node ? e.b : e.a;
       if (other == node) continue;  // both ends here: no net current
       total += (at(other) - v_sub) * (1.0 / e.value);
     }
     for (int di : nf.mosfets) {
-      const spice::DeviceInfo& info = view_.devices()[di].info;
+      const CircuitView::DeviceDesc& info = view_.devices()[di].info;
       total += junctions_into(di, node, v_sub);
       const bool d_here = info.mos_d == node;
       const bool s_here = info.mos_s == node;
@@ -409,7 +409,7 @@ void Analyzer::build_cards() {
 void Analyzer::sweep_rigid_and_shorts() {
   const auto& devices = view_.devices();
   for (int di = 0; di < static_cast<int>(devices.size()); ++di) {
-    const spice::DeviceInfo& info = devices[di].info;
+    const CircuitView::DeviceDesc& info = devices[di].info;
     if (kind_is(info, "vsource")) {
       // The one rigid device we propagate through: independent sources
       // (the kRigid edges of controlled sources carry no usable value).
@@ -441,7 +441,7 @@ void Analyzer::update_channels() {
   for (int di = 0; di < static_cast<int>(devices.size()); ++di) {
     const CircuitView::DeviceEntry& entry = devices[di];
     if (!entry.described || !entry.info.is_mosfet) continue;
-    const spice::DeviceInfo& info = entry.info;
+    const CircuitView::DeviceDesc& info = entry.info;
     if (info.mos_d == info.mos_s) continue;
 
     // Transfer-function bound over the current boxes.
@@ -557,7 +557,7 @@ void Analyzer::derive_branch_currents() {
   const auto& devices = view_.devices();
   result_.branch_i.assign(devices.size(), Interval::empty());
   for (int di = 0; di < static_cast<int>(devices.size()); ++di) {
-    const spice::DeviceInfo& info = devices[di].info;
+    const CircuitView::DeviceDesc& info = devices[di].info;
     if (!kind_is(info, "vsource")) continue;
     for (const spice::DcEdge& e : info.edges) {
       if (e.coupling != spice::DcCoupling::kRigid) continue;
@@ -587,7 +587,7 @@ void Analyzer::derive_regions() {
   for (int di = 0; di < static_cast<int>(devices.size()); ++di) {
     const CircuitView::DeviceEntry& entry = devices[di];
     if (!entry.described || !entry.info.is_mosfet) continue;
-    const spice::DeviceInfo& info = entry.info;
+    const CircuitView::DeviceDesc& info = entry.info;
     // vd - vs computed directly (not as the difference of the
     // bulk-referenced boxes): tighter and equally sound.
     const device::EkvIntervalResult r =
@@ -618,7 +618,7 @@ void Analyzer::derive_pairs() {
     bool any_source = tail_flow.i_ext != 0.0;
     pr.vdsat_tail = Interval::point(0);
     for (const DeviceRegion& reg : result_.regions) {
-      const spice::DeviceInfo& info = devices[reg.device].info;
+      const CircuitView::DeviceDesc& info = devices[reg.device].info;
       if (info.mos_d != group.source) continue;
       const bool in_group =
           std::find(group.devices.begin(), group.devices.end(), reg.device) !=
@@ -640,7 +640,7 @@ void Analyzer::derive_pairs() {
 
     // ---- loads at the pair drains ------------------------------------
     for (int di : group.devices) {
-      const spice::DeviceInfo& pinfo = devices[di].info;
+      const CircuitView::DeviceDesc& pinfo = devices[di].info;
       const spice::NodeId out = pinfo.mos_d;
       if (out == group.source) continue;  // diode-connected pair member
       const NodeFlow& nf = flows_[CircuitView::slot(out)];
@@ -657,7 +657,7 @@ void Analyzer::derive_pairs() {
         }
       }
       for (int mj : nf.mosfets) {
-        const spice::DeviceInfo& linfo = devices[mj].info;
+        const CircuitView::DeviceDesc& linfo = devices[mj].info;
         if (linfo.is_nmos == group.is_nmos) continue;  // not a load device
         if (linfo.mos_d != out) continue;
         pr.has_load = true;

@@ -79,7 +79,7 @@ class BiasProvenancePass final : public Rule {
       }
     }
     for (const auto& entry : view.devices()) {
-      const spice::DeviceInfo& info = entry.info;
+      const CircuitView::DeviceDesc& info = entry.info;
       if (!info.is_mosfet) continue;
       const int gate = CircuitView::slot(info.mos_g);
       add_edge(gate, CircuitView::slot(info.mos_d));
@@ -155,7 +155,7 @@ class BiasProvenancePass final : public Rule {
     std::map<spice::NodeId, Master> masters;  // keyed by gate/drain net
     const auto& devices = view.devices();
     for (const auto& entry : devices) {
-      const spice::DeviceInfo& info = entry.info;
+      const CircuitView::DeviceDesc& info = entry.info;
       if (!info.is_mosfet || info.mos_g != info.mos_d) continue;
       if (info.ispec <= 0.0) continue;
       for (const BiasRoot& r : ir.bias_roots) {
@@ -175,7 +175,7 @@ class BiasProvenancePass final : public Rule {
     std::string worst_name;
     double worst = 0.0;
     for (const auto& entry : devices) {
-      const spice::DeviceInfo& info = entry.info;
+      const CircuitView::DeviceDesc& info = entry.info;
       if (!info.is_mosfet || info.ispec <= 0.0) continue;
       if (info.mos_g == info.mos_d) continue;  // the master itself
       const auto master = masters.find(info.mos_g);

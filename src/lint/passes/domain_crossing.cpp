@@ -133,7 +133,7 @@ class DomainCrossingPass final : public Rule {
     // ---- gate-to-channel crossings ------------------------------------
     const auto& devices = view.devices();
     for (std::size_t di = 0; di < devices.size(); ++di) {
-      const spice::DeviceInfo& info = devices[di].info;
+      const CircuitView::DeviceDesc& info = devices[di].info;
       if (!info.is_mosfet) continue;
       const std::string& name = devices[di].device->name();
       if (is_level_shifter_name(name)) continue;

@@ -174,7 +174,7 @@ class OpRegionPass final : public Rule {
     // ---- weak inversion: pair devices and tail devices ---------------
     std::vector<int> members = pair.devices;
     for (const auto& reg : r.regions) {
-      const spice::DeviceInfo& info = view.devices()[reg.device].info;
+      const CircuitView::DeviceDesc& info = view.devices()[reg.device].info;
       const bool in_group =
           std::find(pair.devices.begin(), pair.devices.end(), reg.device) !=
           pair.devices.end();
@@ -234,7 +234,7 @@ class OpRegionPass final : public Rule {
     // ---- per-device saturation headroom ------------------------------
     for (const int di : pair.devices) {
       const DeviceRegion* reg = r.region_of(di);
-      const spice::DeviceInfo& info = view.devices()[di].info;
+      const CircuitView::DeviceDesc& info = view.devices()[di].info;
       const std::string dev = view.devices()[di].device->name();
       if (!reg || reg->vdsat.is_empty()) continue;
       const Interval vd = r.node_v[CircuitView::slot(info.mos_d)];

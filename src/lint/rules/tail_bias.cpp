@@ -26,7 +26,7 @@ std::map<spice::NodeId, std::vector<int>> source_coupled_pairs(
   std::map<std::pair<spice::NodeId, bool>, std::vector<int>> by_source;
   const auto& devices = view.devices();
   for (int di = 0; di < static_cast<int>(devices.size()); ++di) {
-    const spice::DeviceInfo& info = devices[di].info;
+    const CircuitView::DeviceDesc& info = devices[di].info;
     if (!info.is_mosfet || info.mos_s == spice::kGround) continue;
     by_source[{info.mos_s, info.is_nmos}].push_back(di);
   }
@@ -142,7 +142,7 @@ class WeakInversionRule final : public Rule {
       double ispec_min = 0.0;
       std::string worst;
       for (const int di : pair) {
-        const spice::DeviceInfo& info = view.devices()[di].info;
+        const CircuitView::DeviceDesc& info = view.devices()[di].info;
         if (info.ispec <= 0.0) continue;
         if (ispec_min == 0.0 || info.ispec < ispec_min) {
           ispec_min = info.ispec;
