@@ -43,7 +43,7 @@ ElabCache::Lookup ElabCache::acquire(const std::string& deck_text) {
     if (it != by_full_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       ++stats_.hits_elab;
-      return {it->second.entry, CacheTier::kElabHit};
+      return {it->second.entry, CacheTier::kElabHit, {}};
     }
     if (options_.adopt) {
       auto sit = by_structural_.find(hashes.structural);
@@ -61,6 +61,7 @@ ElabCache::Lookup ElabCache::acquire(const std::string& deck_text) {
       std::make_shared<CacheEntry>(hashes, std::move(deck), options_.solver);
 
   CacheTier tier = CacheTier::kMiss;
+  std::vector<CacheEntryPtr> evicted;
   if (donor) {
     // The donor only helps once it has solved something. Lock its run
     // mutex so a job mid-solve cannot swap the pivot sequence under the
@@ -85,17 +86,17 @@ ElabCache::Lookup ElabCache::acquire(const std::string& deck_text) {
       // Lost a build race; the resident entry wins (its run mutex is
       // what serializes same-deck jobs).
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return {it->second.entry, tier};
+      return {it->second.entry, tier, {}};
     }
     lru_.push_front(hashes.full);
     by_full_.emplace(hashes.full, Slot{entry, lru_.begin()});
     by_structural_[hashes.structural] = entry;
-    evict_excess_locked();
+    evict_excess_locked(evicted);
   }
-  return {entry, tier};
+  return {entry, tier, std::move(evicted)};
 }
 
-void ElabCache::evict_excess_locked() {
+void ElabCache::evict_excess_locked(std::vector<CacheEntryPtr>& victims) {
   while (by_full_.size() > static_cast<std::size_t>(options_.capacity)) {
     const std::uint64_t victim = lru_.back();
     auto it = by_full_.find(victim);
@@ -106,6 +107,7 @@ void ElabCache::evict_excess_locked() {
         sit->second.lock() == it->second.entry) {
       by_structural_.erase(sit);
     }
+    victims.push_back(std::move(it->second.entry));
     by_full_.erase(it);
     lru_.pop_back();
     ++stats_.evictions;

@@ -32,6 +32,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "netlist/hash.hpp"
 #include "netlist/netlist.hpp"
@@ -96,6 +97,11 @@ class ElabCache {
   struct Lookup {
     CacheEntryPtr entry;
     CacheTier tier = CacheTier::kMiss;
+    /// Entries this lookup evicted. The cache drops them from its index
+    /// under the lock but their teardown (a whole Deck and Engine) runs
+    /// wherever the Lookup is destroyed; Server::run_one releases them
+    /// after the job's END line.
+    std::vector<CacheEntryPtr> evicted;
   };
 
   explicit ElabCache(Options options);
@@ -115,7 +121,9 @@ class ElabCache {
     std::list<std::uint64_t>::iterator lru_it;
   };
 
-  void evict_excess_locked();
+  /// Drops least-recently used entries past capacity from the index,
+  /// moving them into \p victims so no teardown runs under mu_.
+  void evict_excess_locked(std::vector<CacheEntryPtr>& victims);
 
   Options options_;
   mutable std::mutex mu_;

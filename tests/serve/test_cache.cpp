@@ -118,6 +118,20 @@ TEST(ElabCache, EvictedEntryStaysUsableThroughItsSharedPtr) {
   EXPECT_NEAR(solution.v(*out), 0.5, 1e-9);
 }
 
+TEST(ElabCache, EvictedEntryIsReleasedWithTheEvictingLookup) {
+  ElabCache cache(small_cache(1));
+  std::weak_ptr<serve::CacheEntry> a = cache.acquire(kDivider).entry;
+  {
+    const ElabCache::Lookup b = cache.acquire(kDividerTopologyEdit);
+    EXPECT_EQ(cache.stats().evictions, 1);
+    ASSERT_EQ(b.evicted.size(), 1u);
+    // Dropped from the index, torn down only with b.
+    EXPECT_FALSE(a.expired());
+  }
+  EXPECT_TRUE(a.expired());
+  EXPECT_EQ(cache.stats().evictions, 1);
+}
+
 TEST(ElabCache, MalformedDeckThrowsAndInsertsNothing) {
   ElabCache cache(small_cache(4));
   EXPECT_THROW(cache.acquire(kBadModel), netlist::NetlistError);
