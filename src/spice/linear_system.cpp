@@ -262,9 +262,12 @@ bool LinearSystem::Factors<T>::factor_full(const LinearSystem& a,
   pinv.assign(n, -1);
   symbolic_valid = false;
 
-  std::vector<T> x(n, T{});
-  std::vector<char> marked(n, 0);
-  std::vector<int> reach_stack(n), dfs_stack(n), dfs_ptr(n);
+  work.assign(n, T{});
+  marked.assign(n, 0);
+  reach_stack.resize(n);
+  dfs_stack.resize(n);
+  dfs_ptr.resize(n);
+  T* x = work.data();
 
   for (int k = 0; k < n; ++k) {
     // --- Symbolic: DFS from the pattern of A(:,k) through solved columns

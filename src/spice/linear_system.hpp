@@ -155,9 +155,14 @@ class LinearSystem {
     std::vector<int> up, ui;
     std::vector<T> ux;
     std::vector<int> pinv;  // original row -> pivot position
-    // Scratch of the numeric refresh and of substitute(), indexed by
-    // pivot position.
+    // Dense scratch: indexed by pivot position in the numeric refresh
+    // and in substitute(), by original row in the full pass. Each user
+    // clears or overwrites it first.
     std::vector<T> work;
+    // Scratch of the full pass's reach search, kept so a pivoting
+    // factorisation allocates nothing once the factors have grown.
+    std::vector<char> marked;
+    std::vector<int> reach_stack, dfs_stack, dfs_ptr;
     bool symbolic_valid = false;  // pivot sequence + fill pattern reusable
     bool last_numeric = false;    // the last factor() replayed them
   };
