@@ -10,15 +10,21 @@ void Waveform::append(double time, const std::vector<double>& x) {
   if (!times_.empty() && time < times_.back()) {
     throw std::invalid_argument("Waveform::append: time went backwards");
   }
+  if (times_.empty()) {
+    stride_ = x.size();
+  } else if (x.size() != stride_) {
+    throw std::invalid_argument(
+        "Waveform::append: sample length differs from the first sample's");
+  }
   times_.push_back(time);
   // Keep the whole unknown vector: branch currents (rows past
   // node_count) feed the i(vsource) measurements.
-  samples_.emplace_back(x);
+  samples_.insert(samples_.end(), x.begin(), x.end());
 }
 
 double Waveform::value(NodeId node, std::size_t i) const {
   if (node == kGround) return 0.0;
-  return samples_[i][node];
+  return samples_[i * stride_ + static_cast<std::size_t>(node)];
 }
 
 double Waveform::at(NodeId node, double t) const {
@@ -42,11 +48,11 @@ std::vector<double> Waveform::signal(NodeId node) const {
 double Waveform::branch(BranchId b, std::size_t i) const {
   const std::size_t row = static_cast<std::size_t>(node_count_) +
                           static_cast<std::size_t>(b);
-  if (b < 0 || row >= samples_[i].size()) {
+  if (b < 0 || row >= stride_) {
     throw std::out_of_range(
         "Waveform::branch: branch currents not recorded in this waveform");
   }
-  return samples_[i][row];
+  return samples_[i * stride_ + row];
 }
 
 double Waveform::branch_at(BranchId b, double t) const {

@@ -25,6 +25,9 @@ class Waveform {
   Waveform() = default;
   explicit Waveform(int node_count) : node_count_(node_count) {}
 
+  /// Store the solution \p x at \p time. Every sample has the length of
+  /// the first one; an append of another length throws
+  /// std::invalid_argument, as does a time before the last one.
   void append(double time, const std::vector<double>& x);
 
   std::size_t size() const { return times_.size(); }
@@ -85,9 +88,11 @@ class Waveform {
  private:
   int node_count_ = 0;
   std::vector<double> times_;
-  // One solution vector per time point: node voltages first, then any
-  // auxiliary branch currents the engine's unknown vector carried.
-  std::vector<std::vector<double>> samples_;
+  // The solution vector of every time point (node voltages first, then
+  // any auxiliary branch currents the engine's unknown vector carried),
+  // back to back: sample i starts at i * stride_.
+  std::size_t stride_ = 0;
+  std::vector<double> samples_;
 };
 
 }  // namespace sscl::spice

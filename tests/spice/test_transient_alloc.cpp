@@ -1,8 +1,8 @@
 /// \file test_transient_alloc.cpp
-/// The transient step loop allocates nothing per step attempt: Newton's
-/// iterate, the predictor, the trial solution and the residual's row
-/// sums live in buffers kept across steps, so the one allocation an
-/// accepted step makes is the sample Waveform::append() stores. This
+/// The transient step loop allocates nothing per step: Newton's iterate,
+/// the predictor, the trial solution, the residual's row sums and a full
+/// factorisation's scratch live in buffers kept across steps, and
+/// Waveform::append() copies each sample into one flat buffer. This
 /// executable replaces the global operator new to count its calls.
 
 #include <atomic>
@@ -45,15 +45,27 @@ namespace {
 
 /// Allocations a whole run_transient() may make besides one per accepted
 /// step: the DC operating point, the breakpoint list, the step loop's
-/// buffers, the amortised growth of the waveform's two vectors and of
-/// the LU factors, and five scratch vectors per full (pivot-searching)
-/// factorisation. The run below makes 95 with four full factorisations;
-/// one allocation per step attempt would add about 100.
+/// buffers and the amortised growth of the waveform's two vectors and of
+/// the LU factors. The 12 td run below makes 78 with four full
+/// factorisations; one allocation per step attempt would add about 100.
 constexpr long long kSetupAllocations = 128;
 
-TEST(TransientAllocations, AtMostOnePerAcceptedStep) {
-  // The two-buffer pulse transient of
-  // EngineGolden.BypassTransientMatchesBypassOffEngine.
+/// Allocations a whole run may make at any step count: the waveform
+/// keeps its samples in one flat buffer and a full factorisation keeps
+/// its scratch in the factors, so only geometric growth (a few
+/// allocations per doubling) depends on the length of the run.
+constexpr long long kRunAllocations = 96;
+
+struct TransientRun {
+  long long allocations = 0;
+  EngineStats stats;
+  std::size_t samples = 0;
+};
+
+/// The two-buffer pulse transient of
+/// EngineGolden.BypassTransientMatchesBypassOffEngine, run to
+/// \p tstop_delays gate delays; only run_transient() is counted.
+TransientRun run_pulse_transient(double tstop_delays) {
   const device::Process proc = device::Process::c180();
   Circuit c;
   stscl::SclParams p;
@@ -65,7 +77,7 @@ TEST(TransientAllocations, AtMostOnePerAcceptedStep) {
   fab.buffer(fab.buffer(in, "b0"), "b1");
   Engine engine(c);
   TransientOptions to;
-  to.tstop = 12 * td;
+  to.tstop = tstop_delays * td;
   to.dt_max = td / 3;
 
   g_allocations = 0;
@@ -76,13 +88,28 @@ TEST(TransientAllocations, AtMostOnePerAcceptedStep) {
   const EngineStats& st = engine.stats();
   const long long attempts = st.transient_steps + st.transient_rejects_lte +
                              st.transient_rejects_newton;
-  std::printf("allocations %lld, accepted steps %lld, step attempts %lld, "
-              "full factorisations %lld\n",
-              g_allocations.load(), st.transient_steps, attempts,
-              st.full_factors);
-  ASSERT_GT(st.transient_steps, 50);
-  EXPECT_EQ(static_cast<long long>(w.size()), st.transient_steps + 1);
-  EXPECT_LE(g_allocations.load(), st.transient_steps + kSetupAllocations);
+  std::printf("tstop %g td: allocations %lld, accepted steps %lld, step "
+              "attempts %lld, full factorisations %lld\n",
+              tstop_delays, g_allocations.load(), st.transient_steps,
+              attempts, st.full_factors);
+  return {g_allocations.load(), st, w.size()};
+}
+
+TEST(TransientAllocations, AtMostOnePerAcceptedStep) {
+  const TransientRun run = run_pulse_transient(12);
+  ASSERT_GT(run.stats.transient_steps, 50);
+  EXPECT_EQ(static_cast<long long>(run.samples),
+            run.stats.transient_steps + 1);
+  EXPECT_LE(run.allocations, run.stats.transient_steps + kSetupAllocations);
+}
+
+TEST(TransientAllocations, DoNotGrowWithTheStepCount) {
+  const TransientRun short_run = run_pulse_transient(12);
+  const TransientRun long_run = run_pulse_transient(48);
+  ASSERT_GT(long_run.stats.transient_steps,
+            2 * short_run.stats.transient_steps);
+  EXPECT_LE(short_run.allocations, kRunAllocations);
+  EXPECT_LE(long_run.allocations, kRunAllocations);
 }
 
 }  // namespace

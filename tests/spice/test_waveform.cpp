@@ -98,6 +98,16 @@ TEST(Waveform, GroundNodeReadsZero) {
   EXPECT_DOUBLE_EQ(w.value(kGround, 3), 0.0);
 }
 
+TEST(Waveform, RejectsASampleOfAnotherLength) {
+  Waveform w(2);
+  w.append(0.0, {0.0, 1.0});
+  EXPECT_THROW(w.append(1.0, {0.0}), std::invalid_argument);
+  EXPECT_THROW(w.append(1.0, {0.0, 1.0, 2.0}), std::invalid_argument);
+  w.append(1.0, {2.0, 3.0});
+  ASSERT_EQ(w.size(), 2u);
+  EXPECT_EQ(w.value(1, 1), 3.0);
+}
+
 TEST(Waveform, RejectsBackwardsTime) {
   Waveform w(1);
   w.append(1.0, {0.0});
