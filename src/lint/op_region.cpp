@@ -238,12 +238,12 @@ class Analyzer {
   /// Plain interval subtraction of the same box widens to [lo-hi,
   /// hi-lo], which for a bulk-drain-shorted load blows the reverse term
   /// up to +inf and starves every KCL lower bound on MOS-loaded nets —
-  /// so the netlist-aware differences go through the refs entry point.
-  /// \p dv_hint is the unreflected vd - vs box the CLM factor is frozen
-  /// at (a superset of the true one keeps the result sound).
-  /// Device \p di's card over the box is derived once per analysis
-  /// (cards_), and its memo reuses the terms a bisection step does not
-  /// move.
+  /// so the netlist-aware differences are computed here and enter the
+  /// evaluator as bulk-referenced boxes, with device \p di's card (derived
+  /// once per analysis) and its memo (which reuses the terms a bisection
+  /// step does not move). \p dv_hint is the unreflected vd - vs box the
+  /// CLM factor is frozen at (a superset of the true one keeps the
+  /// result sound).
   device::EkvIntervalResult eval_box(int di, const Interval& vg,
                                      const Interval& vd, const Interval& vs,
                                      const Interval& vb,

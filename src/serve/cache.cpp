@@ -43,7 +43,7 @@ ElabCache::Lookup ElabCache::acquire(const std::string& deck_text) {
     if (it != by_full_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       ++stats_.hits_elab;
-      return {it->second.entry, CacheTier::kElabHit, {}};
+      return {it->second.entry, CacheTier::kElabHit};
     }
     if (options_.adopt) {
       auto sit = by_structural_.find(hashes.structural);
@@ -61,6 +61,8 @@ ElabCache::Lookup ElabCache::acquire(const std::string& deck_text) {
       std::make_shared<CacheEntry>(hashes, std::move(deck), options_.solver);
 
   CacheTier tier = CacheTier::kMiss;
+  // Declared before the index lock below, so the evicted entries' Deck
+  // and Engine are torn down after it is released.
   std::vector<CacheEntryPtr> evicted;
   if (donor) {
     // The donor only helps once it has solved something. Lock its run
@@ -86,14 +88,14 @@ ElabCache::Lookup ElabCache::acquire(const std::string& deck_text) {
       // Lost a build race; the resident entry wins (its run mutex is
       // what serializes same-deck jobs).
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return {it->second.entry, tier, {}};
+      return {it->second.entry, tier};
     }
     lru_.push_front(hashes.full);
     by_full_.emplace(hashes.full, Slot{entry, lru_.begin()});
     by_structural_[hashes.structural] = entry;
     evict_excess_locked(evicted);
   }
-  return {entry, tier, std::move(evicted)};
+  return {entry, tier};
 }
 
 void ElabCache::evict_excess_locked(std::vector<CacheEntryPtr>& victims) {

@@ -97,11 +97,6 @@ class ElabCache {
   struct Lookup {
     CacheEntryPtr entry;
     CacheTier tier = CacheTier::kMiss;
-    /// Entries this lookup evicted. The cache drops them from its index
-    /// under the lock but their teardown (a whole Deck and Engine) runs
-    /// wherever the Lookup is destroyed; Server::run_one releases them
-    /// after the job's END line.
-    std::vector<CacheEntryPtr> evicted;
   };
 
   explicit ElabCache(Options options);
@@ -122,7 +117,8 @@ class ElabCache {
   };
 
   /// Drops least-recently used entries past capacity from the index,
-  /// moving them into \p victims so no teardown runs under mu_.
+  /// moving them into \p victims: acquire() tears them down after it
+  /// releases mu_, so no lookup waits for another deck's teardown.
   void evict_excess_locked(std::vector<CacheEntryPtr>& victims);
 
   Options options_;

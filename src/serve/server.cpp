@@ -92,10 +92,6 @@ void Server::run_one(long long id, const JobRequest& request, const Sink& sink,
 
   sink("BEGIN " + std::to_string(id));
   JobStatus status = JobStatus::kOk;
-  // Entries this job's lookup evicted: torn down after END, so neither
-  // the cache lock nor this job's client waits for another deck's
-  // teardown.
-  std::vector<CacheEntryPtr> evicted;
   if (token.stop_requested()) {
     // Cancelled (or stop()ed) while queued: answer without touching the
     // cache at all.
@@ -103,7 +99,6 @@ void Server::run_one(long long id, const JobRequest& request, const Sink& sink,
   } else {
     try {
       ElabCache::Lookup lookup = cache_.acquire(request.deck_text);
-      evicted = std::move(lookup.evicted);
       sink(std::string("CACHE ") + cache_tier_name(lookup.tier));
       status = run_job(*lookup.entry, request, sink, token);
     } catch (const std::exception& e) {
@@ -139,7 +134,6 @@ void Server::run_one(long long id, const JobRequest& request, const Sink& sink,
   record_latency(ms);
   sink(std::string("END ") + job_status_name(status));
   publish_metrics();
-  evicted.clear();
 }
 
 void Server::record_latency(double ms) {

@@ -118,18 +118,14 @@ TEST(ElabCache, EvictedEntryStaysUsableThroughItsSharedPtr) {
   EXPECT_NEAR(solution.v(*out), 0.5, 1e-9);
 }
 
-TEST(ElabCache, EvictedEntryIsReleasedWithTheEvictingLookup) {
+TEST(ElabCache, EvictedEntryNobodyHoldsIsTornDownByTheEvictingAcquire) {
   ElabCache cache(small_cache(1));
-  std::weak_ptr<serve::CacheEntry> a = cache.acquire(kDivider).entry;
-  {
-    const ElabCache::Lookup b = cache.acquire(kDividerTopologyEdit);
-    EXPECT_EQ(cache.stats().evictions, 1);
-    ASSERT_EQ(b.evicted.size(), 1u);
-    // Dropped from the index, torn down only with b.
-    EXPECT_FALSE(a.expired());
-  }
+  const std::weak_ptr<serve::CacheEntry> a = cache.acquire(kDivider).entry;
+  ASSERT_FALSE(a.expired());  // resident: the cache holds it
+  const ElabCache::Lookup b = cache.acquire(kDividerTopologyEdit);
   EXPECT_TRUE(a.expired());
   EXPECT_EQ(cache.stats().evictions, 1);
+  EXPECT_EQ(cache.stats().entries, 1);
 }
 
 TEST(ElabCache, MalformedDeckThrowsAndInsertsNothing) {
