@@ -37,8 +37,8 @@ AnalysisIR AnalysisIR::build(const CircuitView& view) {
   }
   ir.net_edges.layout();
 
-  // MOSFETs by (source node, polarity); a stable sort keeps device order
-  // within each group.
+  // MOSFETs by (source node, polarity), in device order within each
+  // group.
   struct SourceTap {
     spice::NodeId source;
     bool is_nmos;
@@ -80,11 +80,12 @@ AnalysisIR AnalysisIR::build(const CircuitView& view) {
     }
   }
 
-  std::stable_sort(taps.begin(), taps.end(),
-                   [](const SourceTap& x, const SourceTap& y) {
-                     return x.source != y.source ? x.source < y.source
-                                                 : x.is_nmos < y.is_nmos;
-                   });
+  std::sort(taps.begin(), taps.end(),
+            [](const SourceTap& x, const SourceTap& y) {
+              if (x.source != y.source) return x.source < y.source;
+              if (x.is_nmos != y.is_nmos) return x.is_nmos < y.is_nmos;
+              return x.device < y.device;
+            });
   for (std::size_t i = 0; i < taps.size();) {
     std::size_t j = i + 1;
     while (j < taps.size() && taps[j].source == taps[i].source &&
