@@ -8,7 +8,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
