@@ -19,7 +19,7 @@
 /// unit tests pin this contract on cyclic graphs.
 
 #include <cstddef>
-#include <deque>
+#include <numeric>
 #include <vector>
 
 namespace sscl::lint {
@@ -31,32 +31,37 @@ struct DataflowStats {
 
 /// Solve to the least fixpoint. `values[v]` holds the current value of
 /// node v; `transfer(v)` returns its recomputed value (reading
-/// `values`); `succs[v]` lists the nodes whose transfer reads v.
+/// `values`); `succs[v]` lists the nodes whose transfer reads v (a
+/// vector of vectors or a Csr, one row per node).
 /// `max_steps` defaults to a bound generous for any monotone system:
 /// every node can be recomputed once per lattice level per predecessor.
-template <typename Value, typename Transfer>
-DataflowStats solve_dataflow(const std::vector<std::vector<int>>& succs,
-                             std::vector<Value>& values, Transfer&& transfer,
-                             std::size_t max_steps = 0) {
+template <typename Succs, typename Value, typename Transfer>
+DataflowStats solve_dataflow(const Succs& succs, std::vector<Value>& values,
+                             Transfer&& transfer, std::size_t max_steps = 0) {
   const int n = static_cast<int>(values.size());
   if (max_steps == 0) {
     std::size_t edges = 0;
-    for (const auto& s : succs) edges += s.size();
+    for (int v = 0; v < n; ++v) edges += succs[v].size();
     max_steps = 64 + 8 * (static_cast<std::size_t>(n) + edges);
   }
 
   DataflowStats stats;
-  std::deque<int> worklist;
+  // FIFO worklist in a ring of n slots: a node is queued at most once
+  // while pending, so the ring never overflows.
+  std::vector<int> worklist(n);
+  std::iota(worklist.begin(), worklist.end(), 0);
+  std::size_t head = 0;
+  std::size_t queued = worklist.size();
   std::vector<char> pending(n, 1);
-  for (int v = 0; v < n; ++v) worklist.push_back(v);
 
-  while (!worklist.empty()) {
+  while (queued > 0) {
     if (static_cast<std::size_t>(stats.steps) >= max_steps) {
       stats.converged = false;
       return stats;
     }
-    const int v = worklist.front();
-    worklist.pop_front();
+    const int v = worklist[head];
+    head = (head + 1) % worklist.size();
+    --queued;
     pending[v] = 0;
     ++stats.steps;
 
@@ -66,7 +71,8 @@ DataflowStats solve_dataflow(const std::vector<std::vector<int>>& succs,
     for (const int s : succs[v]) {
       if (s < 0 || s >= n || pending[s]) continue;
       pending[s] = 1;
-      worklist.push_back(s);
+      worklist[(head + queued) % worklist.size()] = s;
+      ++queued;
     }
   }
   return stats;

@@ -45,6 +45,7 @@ AnalysisIR AnalysisIR::build(const CircuitView& view) {
     int device;
   };
   std::vector<SourceTap> taps;
+  taps.reserve(devices.size());
   for (int di = 0; di < count; ++di) {
     const CircuitView::DeviceDesc& info = devices[di].info;
 
@@ -86,33 +87,34 @@ AnalysisIR AnalysisIR::build(const CircuitView& view) {
               if (x.is_nmos != y.is_nmos) return x.is_nmos < y.is_nmos;
               return x.device < y.device;
             });
+  // Reserved up front, so the groups' spans stay valid while it fills.
+  ir.group_devices.reserve(taps.size());
   for (std::size_t i = 0; i < taps.size();) {
     std::size_t j = i + 1;
     while (j < taps.size() && taps[j].source == taps[i].source &&
            taps[j].is_nmos == taps[i].is_nmos) {
       ++j;
     }
-    const spice::NodeId source = taps[i].source;
-    const bool is_nmos = taps[i].is_nmos;
     const std::size_t first = i;
     i = j;
     if (j - first < 2) continue;
+    SourceCoupledGroup group;
+    group.source = taps[first].source;
+    group.is_nmos = taps[first].is_nmos;
+    const std::size_t offset = ir.group_devices.size();
+    for (std::size_t k = first; k < j; ++k) {
+      ir.group_devices.push_back(taps[k].device);
+    }
+    group.devices = {ir.group_devices.data() + offset, j - first};
+    ir.source_groups.push_back(group);
     // Devices whose common source IS a supply rail are parallel loads
     // (e.g. the PMOS load pair of an STSCL cell), not a source-coupled
     // pair — there is no tail branch to reason about.
     bool source_is_rail = false;
     for (const SupplyRail& rail : ir.supplies) {
-      source_is_rail = source_is_rail || rail.node == source;
+      source_is_rail = source_is_rail || rail.node == group.source;
     }
-    if (source_is_rail) continue;
-    SourceCoupledGroup group;
-    group.source = source;
-    group.is_nmos = is_nmos;
-    group.devices.reserve(j - first);
-    for (std::size_t k = first; k < j; ++k) {
-      group.devices.push_back(taps[k].device);
-    }
-    ir.pairs.push_back(std::move(group));
+    if (!source_is_rail) ir.pairs.push_back(group);
   }
   return ir;
 }

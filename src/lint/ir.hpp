@@ -14,6 +14,7 @@
 ///    components of the gate graph, and a wiring-validity verdict that
 ///    lets dataflow passes skip netlists the DRC rules will reject.
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,7 +41,9 @@ struct NetEdge {
 struct SourceCoupledGroup {
   spice::NodeId source = spice::kGround;  ///< the shared tail node
   bool is_nmos = true;
-  std::vector<int> devices;  ///< CircuitView device indices of the pair
+  /// CircuitView device indices of the pair, in device order (a span
+  /// into AnalysisIR::group_devices).
+  std::span<const int> devices;
 };
 
 /// A DC current source: the root of a bias-current distribution tree.
@@ -66,12 +69,27 @@ struct SupplyRail {
 bool is_supply_name(const std::string& name);
 
 struct AnalysisIR {
+  AnalysisIR() = default;
+  // The groups hold spans into group_devices, which a move keeps.
+  AnalysisIR(AnalysisIR&&) = default;
+  AnalysisIR& operator=(AnalysisIR&&) = default;
+  AnalysisIR(const AnalysisIR&) = delete;
+  AnalysisIR& operator=(const AnalysisIR&) = delete;
+
   // ---- analog (present when built from a CircuitView) ----------------
   /// Per-slot adjacency over the device DC edges (all couplings except
   /// kOpen; capacitors and MOS gates carry no DC current), in device
   /// and edge order.
   Csr<NetEdge> net_edges;
+  /// Every same-polarity group of >= 2 MOSFETs on a non-ground source
+  /// node, supply rails included, by source node and then polarity
+  /// (PMOS first).
+  std::vector<SourceCoupledGroup> source_groups;
+  /// The source groups whose source is not a supply rail: the
+  /// source-coupled pairs (a rail-sourced group is parallel loads).
   std::vector<SourceCoupledGroup> pairs;
+  /// Every group's device indices, one group after another.
+  std::vector<int> group_devices;
   std::vector<BiasRoot> bias_roots;
   std::vector<SupplyRail> supplies;
 

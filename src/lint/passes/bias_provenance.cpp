@@ -61,30 +61,44 @@ class BiasProvenancePass final : public Rule {
       blocked[CircuitView::slot(rail.node)] = 1;
     }
 
-    // Taint predecessors per slot: conductive/rigid couplings plus the
-    // mirror edges gate -> drain / gate -> source.
-    std::vector<std::vector<int>> preds(slots);
-    std::vector<std::vector<int>> succs(slots);
-    auto add_edge = [&](int from, int to) {
-      if (from == to) return;
-      if (blocked[from]) return;  // taint never leaves a rail or ground
-      if (to == CircuitView::slot(spice::kGround)) return;
-      preds[to].push_back(from);
-      succs[from].push_back(to);
-    };
-    for (int s = 0; s < slots; ++s) {
-      for (const NetEdge& e : ir.net_edges[s]) {
-        if (e.coupling == spice::DcCoupling::kCurrent) continue;
-        add_edge(e.to_slot, s);
+    // Taint edges: conductive/rigid couplings plus the mirror edges
+    // gate -> drain / gate -> source. They are walked twice, to count and
+    // then to fill the predecessor and successor rows in this order.
+    auto for_each_edge = [&](auto&& visit) {
+      auto add_edge = [&](int from, int to) {
+        if (from == to) return;
+        if (blocked[from]) return;  // taint never leaves a rail or ground
+        if (to == CircuitView::slot(spice::kGround)) return;
+        visit(from, to);
+      };
+      for (int s = 0; s < slots; ++s) {
+        for (const NetEdge& e : ir.net_edges[s]) {
+          if (e.coupling == spice::DcCoupling::kCurrent) continue;
+          add_edge(e.to_slot, s);
+        }
       }
-    }
-    for (const auto& entry : view.devices()) {
-      const CircuitView::DeviceDesc& info = entry.info;
-      if (!info.is_mosfet) continue;
-      const int gate = CircuitView::slot(info.mos_g);
-      add_edge(gate, CircuitView::slot(info.mos_d));
-      add_edge(gate, CircuitView::slot(info.mos_s));
-    }
+      for (const auto& entry : view.devices()) {
+        const CircuitView::DeviceDesc& info = entry.info;
+        if (!info.is_mosfet) continue;
+        const int gate = CircuitView::slot(info.mos_g);
+        add_edge(gate, CircuitView::slot(info.mos_d));
+        add_edge(gate, CircuitView::slot(info.mos_s));
+      }
+    };
+    Csr<int> preds;
+    Csr<int> succs;
+    preds.reset(slots);
+    succs.reset(slots);
+    for_each_edge([&](int from, int to) {
+      preds.count(to);
+      succs.count(from);
+    });
+    preds.layout();
+    succs.layout();
+    for_each_edge([&](int from, int to) {
+      preds.push(to, from);
+      succs.push(from, to);
+    });
 
     std::vector<char> root(slots, 0);
     for (const BiasRoot& r : ir.bias_roots) {

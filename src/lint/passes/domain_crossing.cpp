@@ -78,13 +78,21 @@ class DomainCrossingPass final : public Rule {
     // Domain masks spread over conductive + rigid couplings; ground is
     // shared by every domain and must not merge them.
     const int ground = CircuitView::slot(spice::kGround);
-    std::vector<std::vector<int>> succs(slots);
+    auto spreads = [&](int s, const NetEdge& e) {
+      return s != ground && e.coupling != spice::DcCoupling::kCurrent &&
+             e.to_slot != ground;
+    };
+    Csr<int> succs;
+    succs.reset(slots);
     for (int s = 0; s < slots; ++s) {
-      if (s == ground) continue;
       for (const NetEdge& e : ir.net_edges[s]) {
-        if (e.coupling == spice::DcCoupling::kCurrent) continue;
-        if (e.to_slot == ground) continue;
-        succs[s].push_back(e.to_slot);
+        if (spreads(s, e)) succs.count(s);
+      }
+    }
+    succs.layout();
+    for (int s = 0; s < slots; ++s) {
+      for (const NetEdge& e : ir.net_edges[s]) {
+        if (spreads(s, e)) succs.push(s, e.to_slot);
       }
     }
 

@@ -172,7 +172,7 @@ class OpRegionPass final : public Rule {
     const std::string tail_label = view.node_label(pair.source);
 
     // ---- weak inversion: pair devices and tail devices ---------------
-    std::vector<int> members = pair.devices;
+    std::vector<int> members(pair.devices.begin(), pair.devices.end());
     for (const auto& reg : r.regions) {
       const CircuitView::DeviceDesc& info = view.devices()[reg.device].info;
       const bool in_group =

@@ -7,10 +7,11 @@
 /// (weak-inversion-bias).
 
 #include <cmath>
-#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "lint/ir.hpp"
 #include "lint/op_region.hpp"
 #include "lint/rules/rules.hpp"
 #include "util/units.hpp"
@@ -19,22 +20,11 @@ namespace sscl::lint::rules {
 
 namespace {
 
-/// Common-source groups: node -> indices of same-polarity MOSFETs whose
-/// source sits there (only nodes with >= 2 such devices, ground excluded).
-std::map<spice::NodeId, std::vector<int>> source_coupled_pairs(
-    const CircuitView& view) {
-  std::map<std::pair<spice::NodeId, bool>, std::vector<int>> by_source;
-  const auto& devices = view.devices();
-  for (int di = 0; di < static_cast<int>(devices.size()); ++di) {
-    const CircuitView::DeviceDesc& info = devices[di].info;
-    if (!info.is_mosfet || info.mos_s == spice::kGround) continue;
-    by_source[{info.mos_s, info.is_nmos}].push_back(di);
-  }
-  std::map<spice::NodeId, std::vector<int>> pairs;
-  for (auto& [key, list] : by_source) {
-    if (list.size() >= 2) pairs[key.first] = std::move(list);
-  }
-  return pairs;
+/// True when the IR's source group \p g is a PMOS group whose node also
+/// holds an NMOS group (the next one): the tail rules check one group
+/// per node, the NMOS one where both polarities share it.
+bool shadowed(const std::vector<SourceCoupledGroup>& groups, std::size_t g) {
+  return g + 1 < groups.size() && groups[g + 1].source == groups[g].source;
 }
 
 class UnbiasedTailRule final : public Rule {
@@ -45,11 +35,15 @@ class UnbiasedTailRule final : public Rule {
   }
 
   void run(const LintContext& ctx, Report& report) const override {
-    if (!ctx.view) return;
+    if (!ctx.view || !ctx.ir) return;
     const CircuitView& view = *ctx.view;
     const Severity sev =
         view.fully_described() ? Severity::kError : Severity::kWarning;
-    for (const auto& [node, pair] : source_coupled_pairs(view)) {
+    const std::vector<SourceCoupledGroup>& groups = ctx.ir->source_groups;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      if (shadowed(groups, g)) continue;
+      const spice::NodeId node = groups[g].source;
+      const std::span<const int> pair = groups[g].devices;
       bool has_bias = false;
       for (const CircuitView::Incidence& inc : view.incidences(node)) {
         bool from_pair = false;
@@ -87,14 +81,18 @@ class WeakInversionRule final : public Rule {
   }
 
   void run(const LintContext& ctx, Report& report) const override {
-    if (!ctx.view) return;
+    if (!ctx.view || !ctx.ir) return;
     const CircuitView& view = *ctx.view;
     // Interval facts from the op-region pass, when it ran before us:
     // per-device IC bounds sound over the PVT box, strictly sharper
     // than the worst-case Iss/Ispec estimate below.
     const OpRegionResult* facts =
         ctx.facts ? ctx.facts->op_region.get() : nullptr;
-    for (const auto& [node, pair] : source_coupled_pairs(view)) {
+    const std::vector<SourceCoupledGroup>& groups = ctx.ir->source_groups;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      if (shadowed(groups, g)) continue;
+      const spice::NodeId node = groups[g].source;
+      const std::span<const int> pair = groups[g].devices;
       // Total DC tail current supplied by current sources at the node.
       double iss = 0.0;
       bool has_isource = false;

@@ -204,6 +204,46 @@ TEST(LintCircuit, UnbiasedSourceCoupledPair) {
   EXPECT_EQ(find_diag(check_circuit(c), "unbiased-tail"), nullptr);
 }
 
+// The tail rules check one source-coupled group per source node: the
+// NMOS group where both polarities share the node. Groups sourced on a
+// supply rail are checked too.
+TEST(LintCircuit, TailRulesCheckOneGroupPerSourceNode) {
+  Circuit c;
+  const NodeId s = c.node("tail");
+  const NodeId vdd = c.node("vdd");
+  const NodeId g = c.node("g");
+  c.add<VoltageSource>("Vdd", vdd, kGround, SourceSpec::dc(1.0));
+  c.add<VoltageSource>("Vg", g, kGround, SourceSpec::dc(0.5));
+  const char* drains[] = {"d1", "d2", "d3", "d4", "d5", "d6"};
+  for (const char* d : drains) {
+    c.add<Resistor>(std::string("R") + d, c.node(d), kGround, 1e6);
+  }
+  c.add<Mosfet>("M1", c.node("d1"), g, s, kGround, kProc.nmos, kGeo);
+  c.add<Mosfet>("M2", c.node("d2"), g, s, kGround, kProc.nmos, kGeo);
+  c.add<Mosfet>("M3", c.node("d3"), g, s, vdd, kProc.pmos, kGeo);
+  c.add<Mosfet>("M4", c.node("d4"), g, s, vdd, kProc.pmos, kGeo);
+  c.add<CurrentSource>("Itail", s, kGround, SourceSpec::dc(1e-3));
+  // PMOS loads on the rail, with 1 mA drawn from it.
+  c.add<Mosfet>("M5", c.node("d5"), g, vdd, vdd, kProc.pmos, kGeo);
+  c.add<Mosfet>("M6", c.node("d6"), g, vdd, vdd, kProc.pmos, kGeo);
+  c.add<CurrentSource>("Irail", vdd, kGround, SourceSpec::dc(1e-3));
+
+  Options options;
+  options.disabled = {"op-region"};  // the local estimate, not intervals
+  const Report r = check_circuit(c, options);
+  std::string at_tail;
+  std::string at_rail;
+  for (const Diagnostic& d : r.diagnostics()) {
+    if (d.rule != "weak-inversion-bias") continue;
+    (d.location == "tail" ? at_tail : at_rail) += d.message + "\n";
+  }
+  EXPECT_NE(at_tail.find("biases M1 "), std::string::npos) << r.text();
+  EXPECT_EQ(at_tail.find("biases", at_tail.find("biases") + 1),
+            std::string::npos)
+      << r.text();
+  EXPECT_NE(at_rail.find("biases M5 "), std::string::npos) << r.text();
+}
+
 TEST(LintCircuit, WeakInversionBiasWindow) {
   auto build = [](double iss) {
     auto c = std::make_unique<Circuit>();

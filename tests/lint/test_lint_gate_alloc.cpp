@@ -11,6 +11,7 @@
 #include <fstream>
 #include <new>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -46,27 +47,50 @@ namespace {
 
 /// Allocations one gate run may make: the pass objects and their
 /// schedule, the per-pass reports, and a fixed number of flat arrays for
-/// the view and the IR (each grown geometrically). Five per element, as
-/// a per-device DeviceInfo and per-node incidence lists cost, would be
-/// over 10,000 on this deck.
+/// the view, the IR and the dataflow passes (each grown geometrically).
+/// Five per element, as a per-device DeviceInfo and per-node incidence
+/// lists cost, would be over 10,000 on serve_bench.sp.
 constexpr long long kGateAllocations = 256;
 
-TEST(LintGateAllocations, ServeBenchGateIsNotPerElement) {
-  std::ifstream in(std::string(SSCL_EXAMPLE_DECK_DIR) + "/serve_bench.sp");
+netlist::Deck read_deck(const std::string& path) {
+  std::ifstream in(path);
   std::ostringstream text;
   text << in.rdbuf();
-  const netlist::Deck deck = netlist::parse_netlist(text.str());
+  return netlist::parse_netlist(text.str());
+}
+
+long long count_gate_allocations(const spice::Circuit& circuit) {
+  g_allocations = 0;
+  g_counting = true;
+  enforce_circuit(circuit);
+  g_counting = false;
+  return g_allocations.load();
+}
+
+// A deck of resistors and sources: no MOSFET, so the source-coupled and
+// bias passes find nothing to do.
+TEST(LintGateAllocations, ServeBenchGateIsNotPerElement) {
+  const netlist::Deck deck =
+      read_deck(std::string(SSCL_EXAMPLE_DECK_DIR) + "/serve_bench.sp");
   const std::size_t elements = deck.circuit->devices().size();
   ASSERT_GT(elements, 2000u);
 
-  g_allocations = 0;
-  g_counting = true;
-  enforce_circuit(*deck.circuit);
-  g_counting = false;
+  const long long allocations = count_gate_allocations(*deck.circuit);
+  std::printf("allocations %lld for %zu elements\n", allocations, elements);
+  EXPECT_LE(allocations, kGateAllocations);
+}
 
-  std::printf("allocations %lld for %zu elements\n", g_allocations.load(),
-              elements);
-  EXPECT_LE(g_allocations.load(), kGateAllocations);
+// The 50-gate STSCL fabric: 50 source-coupled pairs on one replica-bias
+// generator, so the tail rules and the bias-provenance dataflow run too.
+TEST(LintGateAllocations, StsclFabricGateIsNotPerDeviceOrPair) {
+  const netlist::Deck deck = read_deck(std::string(SSCL_LINT_GOLDEN_DIR) +
+                                       "/decks/stscl_fabric_50.sp");
+  const std::size_t elements = deck.circuit->devices().size();
+  ASSERT_GT(elements, 300u);
+
+  const long long allocations = count_gate_allocations(*deck.circuit);
+  std::printf("allocations %lld for %zu elements\n", allocations, elements);
+  EXPECT_LE(allocations, kGateAllocations);
 }
 
 }  // namespace
