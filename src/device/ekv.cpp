@@ -90,9 +90,10 @@ EkvIntervalResult ekv_evaluate_interval_refs(
   if (ug.is_empty() || ud.is_empty() || us.is_empty() || tK.is_empty()) {
     return EkvIntervalResult{};  // all-empty: the image of an empty box
   }
+  EkvIntervalMemo fresh;
   return ekv_evaluate_interval_card(
       ekv_interval_card(params, geometry, tK, cardTemperatureK), ug, ud, us,
-      clm_dv);
+      clm_dv, fresh);
 }
 
 EkvIntervalCard ekv_interval_card(const MosParams& params,
@@ -125,14 +126,13 @@ namespace {
 /// \p x is bitwise its last input (f is a pure function, so the stored
 /// image is exactly what f would return).
 template <class F>
-util::Interval memo_map(EkvIntervalMemo::Map* m, const util::Interval& x,
+util::Interval memo_map(EkvIntervalMemo::Map& m, const util::Interval& x,
                         F&& f) {
-  if (m == nullptr) return x.map_increasing(f);
-  if (std::memcmp(&m->in, &x, sizeof x) != 0) {
-    m->in = x;
-    m->out = x.map_increasing(f);
+  if (std::memcmp(&m.in, &x, sizeof x) != 0) {
+    m.in = x;
+    m.out = x.map_increasing(f);
   }
-  return m->out;
+  return m.out;
 }
 
 }  // namespace
@@ -142,7 +142,7 @@ EkvIntervalResult ekv_evaluate_interval_card(const EkvIntervalCard& card,
                                              const util::Interval& ud,
                                              const util::Interval& us,
                                              const util::Interval& clm_dv,
-                                             EkvIntervalMemo* memo) {
+                                             EkvIntervalMemo& memo) {
   using util::Interval;
   EkvIntervalResult out;
   if (ug.is_empty() || ud.is_empty() || us.is_empty() || card.ut.is_empty()) {
@@ -153,14 +153,14 @@ EkvIntervalResult ekv_evaluate_interval_card(const EkvIntervalCard& card,
   const Interval vp = (ug - card.vt) * (1.0 / card.n);
   const Interval xf = (vp - us) / ut;
   const Interval xr = (vp - ud) / ut;
-  const auto f = [memo](double v) {
-    if (memo != nullptr) ++memo->f_evals;
+  const auto f = [&memo](double v) {
+    ++memo.f_evals;
     return ekv_f(v);
   };
-  const Interval ff = memo_map(memo ? &memo->ff : nullptr, xf, f);
-  const Interval fr = memo_map(memo ? &memo->fr : nullptr, xr, f);
+  const Interval ff = memo_map(memo.ff, xf, f);
+  const Interval fr = memo_map(memo.fr, xr, f);
 
-  const Interval th = memo_map(memo ? &memo->th : nullptr, clm_dv,
+  const Interval th = memo_map(memo.th, clm_dv,
                                [](double v) { return std::tanh(0.5 * v); });
   const Interval clm = th * (2.0 * card.lambda) + 1.0;
 

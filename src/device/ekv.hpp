@@ -202,11 +202,12 @@ struct EkvIntervalMemo {
 
 /// The rest of ekv_evaluate_interval_refs() given the card: the same
 /// expressions in the same order, so the result is bit-identical to
-/// it. With \p memo, unchanged terms are reused (see EkvIntervalMemo).
+/// it. Terms unchanged since the last call with \p memo are reused
+/// (see EkvIntervalMemo); a fresh memo reuses nothing.
 EkvIntervalResult ekv_evaluate_interval_card(
     const EkvIntervalCard& card, const util::Interval& ug,
     const util::Interval& ud, const util::Interval& us,
-    const util::Interval& clm_dv, EkvIntervalMemo* memo = nullptr);
+    const util::Interval& clm_dv, EkvIntervalMemo& memo);
 
 /// Reference-frame variant: \p ug, \p ud, \p us are the bulk-referenced
 /// terminal voltages *already reflected* into the NMOS frame (for PMOS,

@@ -255,7 +255,7 @@ class Analyzer {
     };
     return device::ekv_evaluate_interval_card(
         card, ref(info.mos_g, vg), ref(info.mos_d, vd), ref(info.mos_s, vs),
-        dv_hint * card.sign, &memos_[di]);
+        dv_hint * card.sign, memos_[di]);
   }
 
   /// Channel current interval of device \p di over the current node
