@@ -1,6 +1,8 @@
 #include "lint/circuit_view.hpp"
 
 #include <numeric>
+#include <span>
+#include <vector>
 
 namespace sscl::lint {
 
@@ -24,6 +26,17 @@ void clear_keeping_capacity(spice::DeviceInfo& info) {
   info.terminals = std::move(terminals);
   info.edges = std::move(edges);
 }
+
+// DeviceDesc mirrors DeviceInfo with spans for its two lists, and
+// copy_payload() copies the other fields one by one. A field added to
+// DeviceInfo (one that changes its size) fails here until DeviceDesc
+// and copy_payload() carry it.
+static_assert(sizeof(spice::DeviceInfo) -
+                      2 * sizeof(std::vector<spice::DcEdge>) ==
+                  sizeof(CircuitView::DeviceDesc) -
+                      2 * sizeof(std::span<const spice::DcEdge>),
+              "DeviceInfo changed: update CircuitView::DeviceDesc and "
+              "copy_payload()");
 
 /// Every field of \p info except the two lists.
 void copy_payload(const spice::DeviceInfo& info,
