@@ -12,19 +12,25 @@ void Waveform::append(double time, const std::vector<double>& x) {
   }
   if (times_.empty()) {
     stride_ = x.size();
+    block_samples_ = std::max<std::size_t>(
+        1, kBlockBytes / (sizeof(double) * std::max<std::size_t>(stride_, 1)));
   } else if (x.size() != stride_) {
     throw std::invalid_argument(
         "Waveform::append: sample length differs from the first sample's");
   }
+  if (times_.size() % block_samples_ == 0) {
+    blocks_.emplace_back();
+    if (blocks_.size() > 1) blocks_.back().reserve(block_samples_ * stride_);
+  }
   times_.push_back(time);
   // Keep the whole unknown vector: branch currents (rows past
   // node_count) feed the i(vsource) measurements.
-  samples_.insert(samples_.end(), x.begin(), x.end());
+  blocks_.back().insert(blocks_.back().end(), x.begin(), x.end());
 }
 
 double Waveform::value(NodeId node, std::size_t i) const {
   if (node == kGround) return 0.0;
-  return samples_[i * stride_ + static_cast<std::size_t>(node)];
+  return sample(i)[node];
 }
 
 double Waveform::at(NodeId node, double t) const {
@@ -52,7 +58,7 @@ double Waveform::branch(BranchId b, std::size_t i) const {
     throw std::out_of_range(
         "Waveform::branch: branch currents not recorded in this waveform");
   }
-  return samples_[i * stride_ + row];
+  return sample(i)[row];
 }
 
 double Waveform::branch_at(BranchId b, double t) const {

@@ -30,6 +30,9 @@ class Waveform {
   /// std::invalid_argument, as does a time before the last one.
   void append(double time, const std::vector<double>& x);
 
+  /// Bytes of samples one storage block holds (at least one sample).
+  static constexpr std::size_t kBlockBytes = 16 * 1024;
+
   std::size_t size() const { return times_.size(); }
   bool empty() const { return times_.empty(); }
   int node_count() const { return node_count_; }
@@ -90,9 +93,19 @@ class Waveform {
   std::vector<double> times_;
   // The solution vector of every time point (node voltages first, then
   // any auxiliary branch currents the engine's unknown vector carried),
-  // back to back: sample i starts at i * stride_.
+  // stride_ doubles each, back to back in blocks of block_samples_
+  // samples. A full block is never moved: a long run neither copies its
+  // history nor holds an old and a grown buffer at once, and no block is
+  // large enough for malloc to map it separately. The first block grows
+  // as samples arrive, so a short waveform stays small; later ones are
+  // allocated full size.
   std::size_t stride_ = 0;
-  std::vector<double> samples_;
+  std::size_t block_samples_ = 1;
+  std::vector<std::vector<double>> blocks_;
+
+  const double* sample(std::size_t i) const {
+    return blocks_[i / block_samples_].data() + (i % block_samples_) * stride_;
+  }
 };
 
 }  // namespace sscl::spice

@@ -2,8 +2,8 @@
 /// The transient step loop allocates nothing per step: Newton's iterate,
 /// the predictor, the trial solution, the residual's row sums and a full
 /// factorisation's scratch live in buffers kept across steps, and
-/// Waveform::append() copies each sample into one flat buffer. This
-/// executable replaces the global operator new to count its calls.
+/// Waveform::append() copies each sample into a block that holds many.
+/// This executable replaces the global operator new to count its calls.
 
 #include <atomic>
 #include <cstdio>
@@ -50,10 +50,12 @@ namespace {
 /// factorisations; one allocation per step attempt would add about 100.
 constexpr long long kSetupAllocations = 128;
 
-/// Allocations a whole run may make at any step count: the waveform
-/// keeps its samples in one flat buffer and a full factorisation keeps
-/// its scratch in the factors, so only geometric growth (a few
-/// allocations per doubling) depends on the length of the run.
+/// Allocations a whole run may make at the two step counts below: the
+/// waveform keeps its samples in blocks of Waveform::kBlockBytes (about
+/// 170 samples of this circuit each) and a full factorisation keeps its
+/// scratch in the factors, so only geometric growth (a few allocations
+/// per doubling) and one allocation per block depend on the length of
+/// the run.
 constexpr long long kRunAllocations = 96;
 
 struct TransientRun {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace sscl::spice {
 namespace {
@@ -106,6 +107,33 @@ TEST(Waveform, RejectsASampleOfAnotherLength) {
   w.append(1.0, {2.0, 3.0});
   ASSERT_EQ(w.size(), 2u);
   EXPECT_EQ(w.value(1, 1), 3.0);
+}
+
+TEST(Waveform, ReadsSamplesAcrossStorageBlocks) {
+  // 300 rows a sample (299 nodes and one branch current), so a few
+  // samples fill a block, and enough samples for three and a bit blocks.
+  const int rows = 300;
+  Waveform w(rows - 1);
+  const std::size_t per_block =
+      Waveform::kBlockBytes / (sizeof(double) * rows);
+  ASSERT_GT(per_block, 1u);
+  const std::size_t n = 3 * per_block + 2;
+  std::vector<double> x(rows);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (int k = 0; k < rows; ++k) x[k] = 1000.0 * i + k;
+    w.append(static_cast<double>(i), x);
+  }
+  ASSERT_EQ(w.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(w.value(0, i), 1000.0 * i);
+    EXPECT_EQ(w.value(rows - 2, i), 1000.0 * i + rows - 2);
+    EXPECT_EQ(w.branch(0, i), 1000.0 * i + rows - 1);
+  }
+  // Interpolation between the last sample of a block and the first of
+  // the next.
+  const double t = static_cast<double>(per_block) - 0.5;
+  EXPECT_EQ(w.at(7, t), 1000.0 * t + 7);
+  EXPECT_EQ(w.signal(3).back(), 1000.0 * (n - 1) + 3);
 }
 
 TEST(Waveform, RejectsBackwardsTime) {
