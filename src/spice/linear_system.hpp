@@ -159,10 +159,6 @@ class LinearSystem {
     // and in substitute(), by original row in the full pass. Each user
     // clears or overwrites it first.
     std::vector<T> work;
-    // Scratch of the full pass's reach search, kept so a pivoting
-    // factorisation allocates nothing once the factors have grown.
-    std::vector<char> marked;
-    std::vector<int> reach_stack, dfs_stack, dfs_ptr;
     bool symbolic_valid = false;  // pivot sequence + fill pattern reusable
     bool last_numeric = false;    // the last factor() replayed them
   };

@@ -46,16 +46,16 @@ namespace {
 /// Allocations a whole run_transient() may make besides one per accepted
 /// step: the DC operating point, the breakpoint list, the step loop's
 /// buffers and the amortised growth of the waveform's two vectors and of
-/// the LU factors. The 12 td run below makes 78 with four full
+/// the LU factors. The 12 td run below makes 75-79 with four full
 /// factorisations; one allocation per step attempt would add about 100.
 constexpr long long kSetupAllocations = 128;
 
 /// Allocations a whole run may make at the two step counts below: the
 /// waveform keeps its samples in blocks of Waveform::kBlockBytes (about
 /// 170 samples of this circuit each) and a full factorisation keeps its
-/// scratch in the factors, so only geometric growth (a few allocations
-/// per doubling) and one allocation per block depend on the length of
-/// the run.
+/// scratch in the factors and in one per-thread set, so only geometric
+/// growth (a few allocations per doubling) and one allocation per block
+/// depend on the length of the run.
 constexpr long long kRunAllocations = 96;
 
 struct TransientRun {
