@@ -95,9 +95,10 @@ class Waveform {
   // any auxiliary branch currents the engine's unknown vector carried),
   // stride_ doubles each, back to back in blocks of block_samples_
   // samples. A full block is never moved: a long run neither copies its
-  // history nor holds an old and a grown buffer at once, and no block is
-  // large enough for malloc to map it separately. The first block grows
-  // as samples arrive, so a short waveform stays small; later ones are
+  // history nor holds an old and a grown buffer at once, and a block
+  // stays below the size past which malloc maps a chunk on its own
+  // (unless one sample alone is larger). The first block grows as
+  // samples arrive, so a short waveform stays small; later ones are
   // allocated full size.
   std::size_t stride_ = 0;
   std::size_t block_samples_ = 1;
