@@ -14,11 +14,14 @@
 /// Extra arguments name the nodes to report (default: all). With
 /// --stats, a pipeline report (front-end elements and expression
 /// evaluations, Newton iterations, device evaluations vs bypass hits,
-/// factorisation mix, phase times, LU fill) is printed after the
-/// analyses. --trace writes a Chrome trace-event /
-/// Perfetto JSON timeline of the run (newton, device-eval, factor,
-/// timestep spans); --metrics writes the flat counter/gauge registry as
-/// JSON (or CSV for a .csv path). See docs/OBSERVABILITY.md.
+/// factorisation mix, the wall time of each analysis card, LU fill) is
+/// printed after the analyses. A card's time runs from its start to the
+/// next card's (its printed report included), read once per card here;
+/// the engine reads no clock. --trace writes a Chrome trace-event /
+/// Perfetto JSON timeline of the run (newton, baseline, assemble,
+/// factor, timestep spans: the split of a card's time into phases);
+/// --metrics writes the flat counter/gauge registry as JSON (or CSV for
+/// a .csv path). See docs/OBSERVABILITY.md.
 ///
 /// Unknown dot-cards are accepted with a warning on stderr; --strict
 /// turns them into hard errors. --max-depth bounds .subckt nesting
@@ -40,6 +43,7 @@
 /// Numeric flag values must be non-negative decimal integers; a bad or
 /// missing value is a usage error (exit status 2).
 
+#include <chrono>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -73,6 +77,23 @@ Rprobe probe 0 1meg
 .tran 50u
 .end
 )";
+
+/// The dot-card name of \p card; nullptr stands for the .measure cards.
+const char* card_name(const sscl::netlist::AnalysisCard* card) {
+  using Kind = sscl::netlist::AnalysisCard::Kind;
+  if (card == nullptr) return ".measure";
+  switch (card->kind) {
+    case Kind::kOp:
+      return ".op";
+    case Kind::kDc:
+      return ".dc";
+    case Kind::kTran:
+      return ".tran";
+    case Kind::kAc:
+      return ".ac";
+  }
+  return "?";
+}
 
 int usage(std::ostream& os, int code) {
   os << "usage: deck_runner [options] [deck.sp] [node ...]\n"
@@ -327,7 +348,17 @@ int main(int argc, char** argv) {
       std::cout << ".measure results\n" << t;
       measured = results;
     };
+    // --stats: one clock read as each card begins and one after the run.
+    using Clock = std::chrono::steady_clock;
+    std::vector<std::pair<const char*, Clock::time_point>> card_starts;
+    if (want_stats) {
+      hooks.begin = [&](const netlist::AnalysisCard* card) {
+        card_starts.emplace_back(card_name(card), Clock::now());
+      };
+    }
     netlist::run_deck(deck, engine, hooks);
+    const Clock::time_point run_end =
+        want_stats ? Clock::now() : Clock::time_point{};
 
     if (!measure_csv.empty() && !deck.measures.empty()) {
       std::ofstream out(measure_csv);
@@ -362,10 +393,21 @@ int main(int argc, char** argv) {
                   "(%lld LTE / %lld Newton rejects), %lld sweep, %lld ac\n",
                   st.op_solves, st.transient_steps, st.transient_rejects_lte,
                   st.transient_rejects_newton, st.sweep_points, st.ac_points);
-      std::printf("  phase time          %.3f ms baseline, %.3f ms assemble, "
-                  "%.3f ms solve\n",
-                  1e3 * st.seconds_baseline, 1e3 * st.seconds_assemble,
-                  1e3 * st.seconds_solve);
+      std::string card_times;
+      for (std::size_t i = 0; i < card_starts.size(); ++i) {
+        const Clock::time_point end =
+            i + 1 < card_starts.size() ? card_starts[i + 1].second : run_end;
+        char item[64];
+        std::snprintf(
+            item, sizeof item, "%s%s %.3f ms", i == 0 ? "" : ", ",
+            card_starts[i].first,
+            std::chrono::duration<double, std::milli>(
+                end - card_starts[i].second)
+                .count());
+        card_times += item;
+      }
+      if (card_times.empty()) card_times = "no analysis cards";
+      std::printf("  card time           %s\n", card_times.c_str());
       const spice::LinearSystem& sys = engine.linear_system();
       std::printf("  LU fill             %zu nonzeros in L+U for %zu pattern "
                   "entries (%d unknowns)\n",

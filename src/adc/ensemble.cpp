@@ -123,11 +123,7 @@ std::uint64_t FaiAdcEnsemble::Sample::fine_pattern_bits(double vin) const {
   // One folder evaluation per conversion, shared by all fine lines.
   double fo[kMaxFolders];
   front_end_.fold(vin, fo);
-  std::uint64_t fine = 0;
-  for (int i = 0; i < kFineLines; ++i) {
-    if (front_end_.fine_bit_from(fo, i)) fine |= (1ULL << i);
-  }
-  return fine;
+  return front_end_.fine_bits_from(fo);
 }
 
 int FaiAdcEnsemble::Sample::convert_noiseless(double vin) const {
@@ -141,8 +137,7 @@ int FaiAdcEnsemble::Sample::convert(double vin) {
   return convert_noiseless(vin);
 }
 
-analysis::LinearityResult FaiAdcEnsemble::Sample::linearity_histogram(
-    int samples_per_code) {
+std::vector<int> FaiAdcEnsemble::Sample::ramp_codes(int samples_per_code) {
   const int total = shared_.n_codes() * samples_per_code;
   std::vector<int> codes;
   codes.reserve(total);
@@ -151,11 +146,25 @@ analysis::LinearityResult FaiAdcEnsemble::Sample::linearity_histogram(
   // ramp would alias out-of-range inputs onto interior codes.
   const double lo = shared_.v_bottom();
   const double hi = shared_.v_top();
+  const double noise_rms = shared_.config().input_noise_rms;
+  // convert() along the ramp: the folders' crossing searches carry over
+  // while the (noisy) input rises.
+  analog::FoldingSampleFrontEnd::Ramp ramp;
+  double fo[kMaxFolders];
   for (int k = 0; k < total; ++k) {
-    const double v = lo + (hi - lo) * (k + 0.5) / total;
-    codes.push_back(convert(v));
+    double v = lo + (hi - lo) * (k + 0.5) / total;
+    if (noise_rms > 0) v += noise_rng_.gaussian(0.0, noise_rms);
+    front_end_.fold(v, fo, ramp);
+    codes.push_back(
+        software_encode(coarse_pattern(v), front_end_.fine_bits_from(fo)));
   }
-  return analysis::measure_linearity_histogram(codes, shared_.n_codes());
+  return codes;
+}
+
+analysis::LinearityResult FaiAdcEnsemble::Sample::linearity_histogram(
+    int samples_per_code) {
+  return analysis::measure_linearity_histogram(ramp_codes(samples_per_code),
+                                               shared_.n_codes());
 }
 
 analysis::DynamicMetrics FaiAdcEnsemble::Sample::sine_enob(

@@ -78,8 +78,11 @@ class FaiAdcEnsemble {
     std::uint32_t coarse_pattern(double vin) const;
     std::uint64_t fine_pattern_bits(double vin) const;
 
-    /// Static linearity by ramp histogram (the Fig. 11 lab procedure);
-    /// samples_per_code sets the ramp density.
+    /// The codes of a rising full-scale ramp of samples_per_code inputs
+    /// per code, each one what convert() returns there.
+    std::vector<int> ramp_codes(int samples_per_code = 16);
+    /// Static linearity by ramp histogram (the Fig. 11 lab procedure)
+    /// over ramp_codes(); samples_per_code sets the ramp density.
     analysis::LinearityResult linearity_histogram(int samples_per_code = 16);
     /// Dynamic test: coherent sine record (power-of-two length), returns
     /// the metrics (ENOB etc.).

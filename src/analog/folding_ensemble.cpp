@@ -87,12 +87,17 @@ FoldingSampleFrontEnd::FoldingSampleFrontEnd(const FoldingEnsemble& shared,
 }
 
 double FoldingSampleFrontEnd::folder_output(int j, double vin) const {
+  int i = 0;
+  return folder_output_from(j, vin, i);
+}
+
+double FoldingSampleFrontEnd::folder_output_from(int j, double vin,
+                                                 int& i) const {
   const FoldingParams& p = shared_.params();
   const double* cr = crossings_.data() + static_cast<std::size_t>(j) * stride_;
   const int k_lo = -2;
   // Bracket vin between consecutive crossings: the same comparisons as
   // the legacy while loop over crossing(k+1), k_hi = fold_factor+1.
-  int i = 0;
   const int last = stride_ - 1;  // index of k_hi
   while (i + 1 < last && vin >= cr[i + 1]) ++i;
   const double c0 = cr[i];
@@ -109,6 +114,18 @@ void FoldingSampleFrontEnd::fold(double vin, double* fo) const {
   for (int j = 0; j < n; ++j) fo[j] = folder_output(j, vin);
 }
 
+void FoldingSampleFrontEnd::fold(double vin, double* fo, Ramp& ramp) const {
+  const int n = shared_.params().n_folders;
+  if (!(vin >= ramp.vin) || static_cast<int>(ramp.bracket.size()) != n) {
+    ramp.bracket.assign(static_cast<std::size_t>(n), 0);
+  }
+  ramp.vin = vin;
+  for (int j = 0; j < n; ++j) {
+    int& start = ramp.bracket[static_cast<std::size_t>(j)];
+    fo[j] = folder_output_from(j, vin, start);
+  }
+}
+
 double FoldingSampleFrontEnd::fine_signal_from(const double* fo, int i) const {
   if (direct_[i]) return fo[line_j_[i]] * gain_[i];
   const double mixed =
@@ -118,6 +135,15 @@ double FoldingSampleFrontEnd::fine_signal_from(const double* fo, int i) const {
 
 bool FoldingSampleFrontEnd::fine_bit_from(const double* fo, int i) const {
   return fine_signal_from(fo, i) - comp_offset_[i] > 0;
+}
+
+std::uint64_t FoldingSampleFrontEnd::fine_bits_from(const double* fo) const {
+  const int lines = static_cast<int>(direct_.size());
+  std::uint64_t bits = 0;
+  for (int i = 0; i < lines; ++i) {
+    if (fine_bit_from(fo, i)) bits |= std::uint64_t{1} << i;
+  }
+  return bits;
 }
 
 int FoldingSampleFrontEnd::coarse_count(double vin) const {

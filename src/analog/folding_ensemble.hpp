@@ -24,6 +24,8 @@
 /// with the same grouping (e.g. w*sign_next, spacing/M_PI, threshold
 /// sums).
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "analog/folding.hpp"
@@ -74,11 +76,29 @@ class FoldingSampleFrontEnd {
   /// distinct values all fine lines of one conversion share.
   void fold(double vin, double* fo) const;
 
+  /// Where each folder's crossing search ended at the last input of a
+  /// ramp (see fold(double, double*, Ramp&)).
+  struct Ramp {
+    double vin = -std::numeric_limits<double>::infinity();
+    std::vector<int> bracket;  ///< per folder, the crossing it stopped at
+  };
+
+  /// fold() at one input of a ramp: while the input does not decrease,
+  /// each folder's crossing search starts where the last one ended. The
+  /// crossings the last search passed lie at or below the last input,
+  /// hence at or below this one, so the search from the start would pass
+  /// them too: fo is bitwise that of fold(vin, fo). A falling input
+  /// restarts every search.
+  void fold(double vin, double* fo, Ramp& ramp) const;
+
   /// Fine signal / comparator decision of line i, reading the shared
   /// folder outputs; bitwise equal to FoldingFrontEnd::fine_signal /
   /// fine_bit at the same vin.
   double fine_signal_from(const double* fo, int i) const;
   bool fine_bit_from(const double* fo, int i) const;
+  /// Every fine line's fine_bit_from(fo, i) in one loop, line i at bit i
+  /// (at most 64 lines).
+  std::uint64_t fine_bits_from(const double* fo) const;
 
   /// Coarse flash thermometer count; bitwise equal to
   /// FoldingFrontEnd::coarse_count.
@@ -87,6 +107,10 @@ class FoldingSampleFrontEnd {
   const FoldingEnsemble& shared() const { return shared_; }
 
  private:
+  /// folder_output(j, vin) with the crossing search started at \p i,
+  /// where it is left when the search ends.
+  double folder_output_from(int j, double vin, int& i) const;
+
   const FoldingEnsemble& shared_;
 
   // Crossing voltage table: per folder j, crossings k = -2 ..

@@ -30,10 +30,11 @@ double ekv_f_derivative(double v) {
 EkvResult ekv_evaluate(const MosParams& params, const MosGeometry& geometry,
                        const MosMismatch& mismatch, double vg, double vd,
                        double vs, double vb, double temperatureK) {
-  return ekv_evaluate_point(params, geometry,
-                            util::thermal_voltage(temperatureK),
-                            params.is_nmos ? 1.0 : -1.0, mismatch.dvt,
-                            mismatch.dbeta_rel, vg, vd, vs, vb);
+  return ekv_evaluate_point(
+      params,
+      ekv_card(params, geometry, util::thermal_voltage(temperatureK),
+               mismatch.dvt, mismatch.dbeta_rel),
+      vg, vd, vs, vb);
 }
 
 double ekv_vgs_for_current(const MosParams& params, const MosGeometry& geometry,

@@ -53,26 +53,45 @@ inline void ekv_f_and_derivative(double v, double& f, double& df) {
   df = l * sig;
 }
 
-/// The model arithmetic of one bias point, shared by ekv_evaluate() and
-/// the batched lanes (ekv_batch.cpp) so the two cannot drift apart.
-/// \p ut is the thermal voltage, \p sign +1 for NMOS and -1 for PMOS,
-/// and (\p dvt, \p dbeta_rel) the mismatch draw.
+/// The bias-independent constants of one device's evaluations, fixed
+/// until its mismatch draw changes.
+struct EkvCard {
+  double ut = 0.0;     ///< thermal voltage [V]
+  double sign = 1.0;   ///< +1 NMOS, -1 PMOS (the reflection)
+  double vt = 0.0;     ///< threshold voltage, mismatch folded [V]
+  double ispec = 0.0;  ///< specific current 2 n beta UT^2 [A]
+};
+
+/// The card of a device with thermal voltage \p ut and the mismatch draw
+/// (\p dvt, \p dbeta_rel).
+inline EkvCard ekv_card(const MosParams& params, const MosGeometry& geometry,
+                        double ut, double dvt, double dbeta_rel) {
+  EkvCard card;
+  card.ut = ut;
+  card.sign = params.is_nmos ? 1.0 : -1.0;
+  card.vt = params.vt0 + dvt;
+  const double beta = params.kp * (1.0 + dbeta_rel) * geometry.w / geometry.l;
+  card.ispec = 2.0 * params.n * beta * ut * ut;
+  return card;
+}
+
+/// The model arithmetic of one bias point, shared by ekv_evaluate(),
+/// Mosfet and the batched lanes (ekv_batch.cpp) so they cannot drift
+/// apart. \p params supplies n and lambda, \p card the rest.
 inline EkvResult ekv_evaluate_point(const MosParams& params,
-                                    const MosGeometry& geometry, double ut,
-                                    double sign, double dvt, double dbeta_rel,
-                                    double vg, double vd, double vs,
-                                    double vb) {
+                                    const EkvCard& card, double vg, double vd,
+                                    double vs, double vb) {
+  const double ut = card.ut;
+  const double sign = card.sign;
+  const double ispec = card.ispec;
+
   // Bulk-referenced voltages, reflected for PMOS so the NMOS equations
   // apply unchanged.
   const double ug = sign * (vg - vb);
   const double us = sign * (vs - vb);
   const double ud = sign * (vd - vb);
 
-  const double vt = params.vt0 + dvt;
-  const double beta = params.kp * (1.0 + dbeta_rel) * geometry.w / geometry.l;
-  const double ispec = 2.0 * params.n * beta * ut * ut;
-
-  const double vp = (ug - vt) / params.n;
+  const double vp = (ug - card.vt) / params.n;
   const double xf = (vp - us) / ut;
   const double xr = (vp - ud) / ut;
 

@@ -24,18 +24,19 @@ void EkvSoA::resize(int n) {
 namespace {
 
 /// One lane of the batch: the scalar ekv_evaluate()'s arithmetic
-/// (ekv_evaluate_point), with the temperature-dependent constants
-/// hoisted by the caller. Kept in one inline helper so the masked and
-/// unmasked entry points perform identical arithmetic per lane.
+/// (ekv_evaluate_point on the lane's card), with the temperature-
+/// dependent constants hoisted by the caller. Kept in one inline helper
+/// so the masked and unmasked entry points perform identical arithmetic
+/// per lane.
 inline void eval_lane(const MosParams& params, const MosGeometry& geometry,
-                      double ut, double sign, EkvSoA& soa, int k) {
+                      double ut, EkvSoA& soa, int k) {
   const double vg = soa.vg[k];
   const double vd = soa.vd[k];
   const double vs = soa.vs[k];
   const double vb = soa.vb[k];
-  const EkvResult r = ekv_evaluate_point(params, geometry, ut, sign,
-                                         soa.dvt[k], soa.dbeta_rel[k], vg, vd,
-                                         vs, vb);
+  const EkvResult r = ekv_evaluate_point(
+      params, ekv_card(params, geometry, ut, soa.dvt[k], soa.dbeta_rel[k]),
+      vg, vd, vs, vb);
   soa.id[k] = r.id;
   soa.gm[k] = r.gm;
   soa.gds[k] = r.gds;
@@ -50,20 +51,18 @@ inline void eval_lane(const MosParams& params, const MosGeometry& geometry,
 void ekv_evaluate_batch(const MosParams& params, const MosGeometry& geometry,
                         double temperatureK, EkvSoA& soa) {
   const double ut = util::thermal_voltage(temperatureK);
-  const double sign = params.is_nmos ? 1.0 : -1.0;
   const int n = soa.lanes();
-  for (int k = 0; k < n; ++k) eval_lane(params, geometry, ut, sign, soa, k);
+  for (int k = 0; k < n; ++k) eval_lane(params, geometry, ut, soa, k);
 }
 
 void ekv_evaluate_batch(const MosParams& params, const MosGeometry& geometry,
                         double temperatureK, EkvSoA& soa,
                         const std::vector<char>& active) {
   const double ut = util::thermal_voltage(temperatureK);
-  const double sign = params.is_nmos ? 1.0 : -1.0;
   const int n = soa.lanes();
   for (int k = 0; k < n; ++k) {
     if (active[static_cast<std::size_t>(k)]) {
-      eval_lane(params, geometry, ut, sign, soa, k);
+      eval_lane(params, geometry, ut, soa, k);
     }
   }
 }

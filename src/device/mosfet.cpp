@@ -34,12 +34,25 @@ Mosfet::Mosfet(std::string name, NodeId drain, NodeId gate, NodeId source,
   cgd_ = c_overlap + 0.25 * c_channel;
   cgb_ = 0.3 * c_channel;
 
+  card_ = make_card();
+  has_junctions_ = geometry_.as > 0 || geometry_.ad > 0;
   jn_sign_ = params_.is_nmos ? 1.0 : -1.0;
   nvt_ = params_.nj * util::thermal_voltage(temperatureK);
   const double is_s = params_.js * geometry_.as;
   const double is_d = params_.js * geometry_.ad;
   vcrit_s_ = is_s > 0 ? nvt_ * std::log(nvt_ / (std::sqrt(2.0) * is_s)) : 1e9;
   vcrit_d_ = is_d > 0 ? nvt_ * std::log(nvt_ / (std::sqrt(2.0) * is_d)) : 1e9;
+}
+
+EkvCard Mosfet::make_card() const {
+  return ekv_card(params_, geometry_, util::thermal_voltage(temperature_),
+                  mismatch_.dvt, mismatch_.dbeta_rel);
+}
+
+void Mosfet::set_mismatch(const MosMismatch& mm) {
+  mismatch_ = mm;
+  card_ = make_card();
+  cache_valid_ = false;  // cached evaluation used the old parameters
 }
 
 void Mosfet::setup(spice::SetupContext& ctx) { state_ = ctx.alloc_state(10); }
@@ -99,8 +112,7 @@ void Mosfet::load(LoadContext& ctx) {
 
   // ---- channel current -------------------------------------------------
   if (!bypass) {
-    last_ = ekv_evaluate(params_, geometry_, mismatch_, vg, vd, vs, vb,
-                         temperature_);
+    last_ = ekv_evaluate_point(params_, card_, vg, vd, vs, vb);
     ieq_c_ = last_.id - (last_.gm * vg + last_.gds * vd - last_.gms * vs +
                          last_.gmb * vb);
     vd_c_ = vd;
@@ -127,7 +139,10 @@ void Mosfet::load(LoadContext& ctx) {
   }
 
   // ---- source/drain junction diodes (bulk<->diffusion) ------------------
-  // NMOS: p-bulk anode to n+ diffusion cathode; PMOS mirrored.
+  // NMOS: p-bulk anode to n+ diffusion cathode; PMOS mirrored. Without
+  // diffusion areas there is nothing to stamp, and the AC junction terms
+  // keep their reset value 0.
+  if (!has_junctions_) return;
   auto do_junction = [&](NodeId diff, double area,
                          const spice::NonlinearPattern& pat, double& v_last,
                          double vcrit, int state_base, JunctionCache& jc,
@@ -240,7 +255,7 @@ class Mosfet::Channel final : public spice::EnsembleChannel {
 };
 
 std::unique_ptr<spice::EnsembleChannel> Mosfet::make_ensemble_channel() {
-  if (geometry_.as > 0 || geometry_.ad > 0) return nullptr;
+  if (has_junctions_) return nullptr;
   return std::make_unique<Channel>(*this);
 }
 
@@ -287,9 +302,7 @@ bool Mosfet::describe(spice::DeviceInfo& info) const {
   };
   info.is_mosfet = true;
   info.is_nmos = params_.is_nmos;
-  info.ispec =
-      ekv_evaluate(params_, geometry_, mismatch_, 0, 0, 0, 0, temperature_)
-          .ispec;
+  info.ispec = card_.ispec;
   info.mos_d = d_;
   info.mos_g = g_;
   info.mos_s = s_;

@@ -44,10 +44,9 @@ class Mosfet final : public spice::Device {
 
   const MosGeometry& geometry() const { return geometry_; }
   const MosParams& params() const { return params_; }
-  void set_mismatch(const MosMismatch& mm) {
-    mismatch_ = mm;
-    cache_valid_ = false;  // cached evaluation used the old parameters
-  }
+  /// Replace the mismatch draw; the device card and the bypass cache
+  /// follow it.
+  void set_mismatch(const MosMismatch& mm);
 
   /// Total gate capacitance estimate used by delay models [F].
   double gate_capacitance() const;
@@ -55,16 +54,21 @@ class Mosfet final : public spice::Device {
  private:
   class Channel;  // EnsembleChannel over the reserved stamp slots
 
+  /// The EKV card of the current parameters and mismatch draw.
+  EkvCard make_card() const;
+
   spice::NodeId d_, g_, s_, b_;
   MosParams params_;
   MosGeometry geometry_;
   double temperature_;
   MosMismatch mismatch_;
+  EkvCard card_;  ///< make_card(), kept current by set_mismatch()
 
   // Constant small-signal gate capacitances (weak-inversion estimates).
   double cgs_ = 0.0, cgd_ = 0.0, cgb_ = 0.0;
 
   // Junction diode parameters (only when as/ad are set).
+  bool has_junctions_ = false;  // a diffusion area is given
   double jn_sign_ = 1.0;  // +1 NMOS (bulk is anode), -1 PMOS
   double nvt_ = 0.0;
   double vcrit_s_ = 0.0, vcrit_d_ = 0.0;

@@ -90,6 +90,7 @@ void EventSim::run_until(double t) {
     const Gate& g = netlist_.gates()[e.gate];
     // Inertial re-evaluation at maturity: the gate output takes the
     // value its inputs imply *now*; stale glitch events dissolve.
+    ++evaluations_;
     apply(g.out, eval_gate(g));
   }
   now_ = t;
@@ -103,6 +104,7 @@ double EventSim::settle() {
     queue_.pop();
     now_ = e.t;
     const Gate& g = netlist_.gates()[e.gate];
+    ++evaluations_;
     apply(g.out, eval_gate(g));
   }
   trace::set_counter("eventsim.transitions", transitions_);

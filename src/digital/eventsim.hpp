@@ -46,6 +46,9 @@ class EventSim {
 
   /// Total signal transitions processed (activity metric).
   long long transition_count() const { return transitions_; }
+  /// Events processed: gate re-evaluations at event maturity (the
+  /// simulator's unit of work).
+  long long events_evaluated() const { return evaluations_; }
 
   /// Delay of a gate at the calibration load (fanout 1) [s]. Individual
   /// gates run slower in proportion to their fanout-aware load.
@@ -92,6 +95,7 @@ class EventSim {
   std::vector<std::vector<int>> fanout_;  // signal -> gate indices
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
   long long transitions_ = 0;
+  long long evaluations_ = 0;
   std::array<double, kGateKindCount> kind_factor_{};
 };
 

@@ -50,7 +50,8 @@ std::vector<std::pair<int, int>> default_stimuli(int n_random,
 
 bool encoder_works_at(const Netlist& netlist, const EncoderIo& io,
                       const stscl::SclModel& timing, double iss, double period,
-                      const std::vector<std::pair<int, int>>& stimuli) {
+                      const std::vector<std::pair<int, int>>& stimuli,
+                      long long* events_evaluated) {
   EventSim sim(netlist, timing, iss);
 
   sim.set_input(io.clock, false);
@@ -76,6 +77,7 @@ bool encoder_works_at(const Netlist& netlist, const EncoderIo& io,
     sim.set_input(io.clock, false);
   }
   sim.run_until(t0 + (n + extra_cycles) * period);
+  if (events_evaluated) *events_evaluated += sim.events_evaluated();
 
   for (int lat = 0; lat <= extra_cycles; ++lat) {
     bool all_ok = true;
@@ -95,29 +97,32 @@ bool encoder_works_at(const Netlist& netlist, const EncoderIo& io,
 }
 
 double measure_encoder_fmax(const Netlist& netlist, const EncoderIo& io,
-                            const stscl::SclModel& timing, double iss) {
+                            const stscl::SclModel& timing, double iss,
+                            long long* events_evaluated) {
   const auto stimuli = default_stimuli();
   const double td = timing.delay(iss);
+  if (events_evaluated) *events_evaluated = 0;
+  auto works_at = [&](double period) {
+    return encoder_works_at(netlist, io, timing, iss, period, stimuli,
+                            events_evaluated);
+  };
 
   double hi = 8.0 * td;
   int guard = 0;
-  while (!encoder_works_at(netlist, io, timing, iss, hi, stimuli)) {
+  while (!works_at(hi)) {
     hi *= 2.0;
     if (++guard > 12) {
       throw std::runtime_error("measure_encoder_fmax: no working period");
     }
   }
   double lo = hi / 64.0;
-  while (encoder_works_at(netlist, io, timing, iss, lo, stimuli)) {
+  while (works_at(lo)) {
     lo *= 0.5;
     if (++guard > 24) break;
   }
 
   const double t_min = util::binary_search_boundary(
-      [&](double period) {
-        return !encoder_works_at(netlist, io, timing, iss, period, stimuli);
-      },
-      lo, hi, 1e-3);
+      [&](double period) { return !works_at(period); }, lo, hi, 1e-3);
   return 1.0 / t_min;
 }
 

@@ -29,14 +29,20 @@ std::vector<std::pair<int, int>> default_stimuli(int n_random = 24,
 
 /// Clock the encoder at \p period over \p stimuli (one sample per cycle)
 /// and check every output against the reference, automatically detecting
-/// the pipeline latency. Returns true when all codes match.
+/// the pipeline latency. Returns true when all codes match. The
+/// simulator's EventSim::events_evaluated() is added to
+/// \p events_evaluated when it is given.
 bool encoder_works_at(const Netlist& netlist, const EncoderIo& io,
                       const stscl::SclModel& timing, double iss, double period,
-                      const std::vector<std::pair<int, int>>& stimuli);
+                      const std::vector<std::pair<int, int>>& stimuli,
+                      long long* events_evaluated = nullptr);
 
 /// Binary-search the maximum clock frequency at the given tail current.
+/// \p events_evaluated, when given, receives the events every trial's
+/// simulator evaluated.
 double measure_encoder_fmax(const Netlist& netlist, const EncoderIo& io,
-                            const stscl::SclModel& timing, double iss);
+                            const stscl::SclModel& timing, double iss,
+                            long long* events_evaluated = nullptr);
 
 /// fmax at each bias point, searched concurrently on \p jobs threads.
 /// Thread model: the netlist and timing model are shared read-only;

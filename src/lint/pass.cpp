@@ -1,8 +1,8 @@
 #include "lint/pass.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <future>
-#include <map>
 #include <string>
 
 #include "digital/netlist.hpp"
@@ -17,34 +17,42 @@ PassManager::PassManager(std::vector<std::unique_ptr<Rule>> passes)
 
 std::vector<std::vector<int>> PassManager::schedule(
     const std::vector<int>& selected) const {
-  std::map<std::string, int> index_of;
-  for (const int pi : selected) index_of[passes_[pi]->id()] = pi;
-
-  // Dependency edges restricted to the run set; unknown ids are
-  // ordering hints about passes that are not running — ignored.
-  std::map<int, std::vector<int>> deps;
-  std::map<int, int> wave_of;
-  for (const int pi : selected) {
+  const std::size_t passes = passes_.size();
+  // Dependency edges restricted to the run set, by pass position in
+  // flat arrays: deps[dep_begin[s] .. dep_begin[s + 1]) are the
+  // positions selected[s] waits for. A dependency id names the last
+  // selected pass with that id; unknown ids are ordering hints about
+  // passes that are not running -- ignored.
+  std::vector<int> dep_begin(selected.size() + 1, 0);
+  std::vector<int> deps;
+  for (std::size_t s = 0; s < selected.size(); ++s) {
+    const int pi = selected[s];
     for (const char* dep : passes_[pi]->depends_on()) {
-      const auto it = index_of.find(dep);
-      if (it != index_of.end() && it->second != pi) {
-        deps[pi].push_back(it->second);
+      for (auto it = selected.rbegin(); it != selected.rend(); ++it) {
+        if (std::strcmp(passes_[*it]->id(), dep) != 0) continue;
+        if (*it != pi) deps.push_back(*it);
+        break;
       }
     }
+    dep_begin[s + 1] = static_cast<int>(deps.size());
   }
 
   // Longest-path layering: wave(p) = 1 + max(wave(deps)). Passes are
   // visited repeatedly until stable; a dependency cycle (a registry
   // bug) would never stabilise, so cap the sweeps and fall back to one
   // pass per wave in registration order — slower, never wrong.
+  std::vector<int> wave_of(passes, 0);
   bool stable = false;
   for (std::size_t sweep = 0; sweep <= selected.size() && !stable; ++sweep) {
     stable = true;
-    for (const int pi : selected) {
+    for (std::size_t s = 0; s < selected.size(); ++s) {
       int w = 0;
-      for (const int d : deps[pi]) w = std::max(w, wave_of[d] + 1);
-      if (wave_of[pi] != w) {
-        wave_of[pi] = w;
+      for (int k = dep_begin[s]; k < dep_begin[s + 1]; ++k) {
+        w = std::max(w, wave_of[static_cast<std::size_t>(deps[k])] + 1);
+      }
+      int& wave = wave_of[static_cast<std::size_t>(selected[s])];
+      if (wave != w) {
+        wave = w;
         stable = false;
       }
     }
@@ -57,7 +65,7 @@ std::vector<std::vector<int>> PassManager::schedule(
     return waves;
   }
   for (const int pi : selected) {
-    const int w = wave_of[pi];
+    const int w = wave_of[static_cast<std::size_t>(pi)];
     if (static_cast<int>(waves.size()) <= w) waves.resize(w + 1);
     waves[static_cast<std::size_t>(w)].push_back(pi);
   }

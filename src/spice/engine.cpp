@@ -1,7 +1,6 @@
 #include "spice/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "lint/check.hpp"
@@ -19,24 +18,6 @@ void stamp_charge(LoadContext& ctx, const LinearCharge& q) {
   ctx.stamp_conductance(q.slots.g, ctx.integ_a0() * q.c);
   ctx.stamp_current_source(q.slots.i, ctx.charge_current(q.state, 0.0));
 }
-
-/// Accumulates elapsed wall time into an EngineStats seconds field.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(double& acc)
-      : acc_(acc), start_(std::chrono::steady_clock::now()) {}
-  ~PhaseTimer() {
-    acc_ += std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start_)
-                .count();
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  double& acc_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace
 
@@ -65,9 +46,6 @@ void trace_publish(const EngineStats& st) {
   trace::set_gauge("spice.bypass_rate", st.bypass_rate());
   trace::set_gauge("spice.numeric_refactor_share",
                    st.numeric_refactor_share());
-  trace::set_gauge("spice.seconds_baseline", st.seconds_baseline);
-  trace::set_gauge("spice.seconds_assemble", st.seconds_assemble);
-  trace::set_gauge("spice.seconds_solve", st.seconds_solve);
 }
 
 Engine::Engine(Circuit& circuit, SolverOptions options)
@@ -108,17 +86,42 @@ std::vector<double> Engine::make_initial_guess() const {
   return x;
 }
 
-bool Engine::converged(const std::vector<double>& x,
-                       const std::vector<double>& x_old) const {
+bool Engine::finite_and_clamped(std::vector<double>& x_new,
+                                const std::vector<double>& x) const {
+  const int n = static_cast<int>(x_new.size());
   const int nodes = circuit_.node_count();
-  for (int i = 0; i < static_cast<int>(x.size()); ++i) {
-    const double delta = std::fabs(x[i] - x_old[i]);
-    const double magnitude = std::max(std::fabs(x[i]), std::fabs(x_old[i]));
-    const double tol = (i < nodes ? options_.vntol : options_.itol) +
-                       options_.reltol * magnitude;
-    if (delta > tol) return false;
+  const double max_step = options_.max_step_v;
+  // The clamp (damping) stops the exponential devices from overshooting
+  // into overflow. Each value is tested before its clamp, which would
+  // make an infinite step finite; a non-finite value fails the
+  // iteration, so a clamp already applied to x_new is never used.
+  for (int i = 0; i < nodes; ++i) {
+    if (!std::isfinite(x_new[i])) return false;
+    const double step = x_new[i] - x[i];
+    if (std::fabs(step) > max_step) {
+      x_new[i] = x[i] + std::copysign(max_step, step);
+    }
+  }
+  for (int i = nodes; i < n; ++i) {
+    if (!std::isfinite(x_new[i])) return false;
   }
   return true;
+}
+
+bool Engine::converged_copy(std::vector<double>& x,
+                            const std::vector<double>& x_new) const {
+  const int n = static_cast<int>(x.size());
+  const int nodes = circuit_.node_count();
+  bool conv = true;
+  auto test_and_copy = [&](int i, double abstol) {
+    const double delta = std::fabs(x_new[i] - x[i]);
+    const double magnitude = std::max(std::fabs(x_new[i]), std::fabs(x[i]));
+    if (delta > abstol + options_.reltol * magnitude) conv = false;
+    x[i] = x_new[i];
+  };
+  for (int i = 0; i < nodes; ++i) test_and_copy(i, options_.vntol);
+  for (int i = nodes; i < n; ++i) test_and_copy(i, options_.itol);
+  return conv;
 }
 
 bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
@@ -147,7 +150,6 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
     // static-linear device stamps, in transient the linear-charge
     // companions, and the gmin diagonal -- is assembled once and
     // snapshotted; each iteration starts from a copy of it.
-    PhaseTimer t(stats_.seconds_baseline);
     trace::Span span("baseline", "device-eval");
     const std::vector<Device*>& statics =
         mode == AnalysisMode::kTransient ? static_tr_ : static_op_;
@@ -167,7 +169,6 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
   // baseline, bypassing their model evaluation when their terminals
   // stayed within the Newton tolerance.
   auto assemble = [&](const std::vector<double>& at) {
-    PhaseTimer t(stats_.seconds_assemble);
     trace::Span span("assemble", "device-eval");
     system_.restore_baseline();
     configure(at);
@@ -178,7 +179,6 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
   };
 
   auto solve_system = [&](std::vector<double>& out) {
-    PhaseTimer t(stats_.seconds_solve);
     trace::Span span("factor", "factor");
     const bool ok = system_.solve(out);
     if (ok) {
@@ -239,26 +239,10 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
       return false;
     }
 
-    bool bad = false;
-    for (double v : x_new) {
-      if (!std::isfinite(v)) {
-        bad = true;
-        break;
-      }
-    }
-    if (bad) {
+    if (!finite_and_clamped(x_new, x)) {
       diagnose_nonfinite_stamps(x);
       if (iterations_out) *iterations_out = iter + 1;
       return false;
-    }
-
-    // Damping: clamp node-voltage steps to max_step_v to stop the
-    // exponential devices from overshooting into overflow.
-    for (int i = 0; i < nodes; ++i) {
-      const double step = x_new[i] - x[i];
-      if (std::fabs(step) > options_.max_step_v) {
-        x_new[i] = x[i] + std::copysign(options_.max_step_v, step);
-      }
     }
 
     // Backtracking line search on the KCL residual: if the full step
@@ -274,12 +258,13 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
       norm_new = system_.residual_norm(x_new);
     }
 
-    const bool conv = converged(x_new, x) && !limited;
-    if (!conv && iter == options_.max_iterations - 1 &&
-        util::log_level() <= util::LogLevel::kDebug) {
-      // Diagnostic: report the worst-converging unknown.
-      int worst = 0;
-      double worst_delta = 0;
+    // Diagnostic for a last iteration that fails: the worst-converging
+    // unknown, found before the copy below overwrites the old iterate.
+    const bool diagnose = iter == options_.max_iterations - 1 &&
+                          util::log_level() <= util::LogLevel::kDebug;
+    int worst = 0;
+    double worst_delta = 0;
+    if (diagnose) {
       for (int i = 0; i < n; ++i) {
         const double d = std::fabs(x_new[i] - x[i]);
         if (d > worst_delta) {
@@ -287,15 +272,18 @@ bool Engine::newton(std::vector<double>& x, AnalysisMode mode, double time,
           worst = i;
         }
       }
-      util::log_debug("newton: no convergence; worst unknown ",
-                      worst < nodes ? circuit_.node_name(worst)
-                                    : "branch" + std::to_string(worst - nodes),
-                      " delta=", worst_delta, " value=", x_new[worst],
-                      " limited=", limited, " residual=", norm_new);
     }
     // Copy, not swap: the caller keeps its buffer and the engine its
     // scratch, so a cached engine never holds memory a caller allocated.
-    std::copy(x_new.begin(), x_new.end(), x.begin());
+    const bool within_tolerance = converged_copy(x, x_new);
+    const bool conv = within_tolerance && !limited;
+    if (diagnose && !conv) {
+      util::log_debug("newton: no convergence; worst unknown ",
+                      worst < nodes ? circuit_.node_name(worst)
+                                    : "branch" + std::to_string(worst - nodes),
+                      " delta=", worst_delta, " value=", x[worst],
+                      " limited=", limited, " residual=", norm_new);
+    }
     norm_x = norm_new;
     if (conv) {
       // The linear charges' state, written once, at the solution.

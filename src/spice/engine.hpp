@@ -114,8 +114,16 @@ class Engine {
   const std::vector<MatrixSlot>& gmin_slots() const { return gmin_slots_; }
 
  private:
-  bool converged(const std::vector<double>& x,
-                 const std::vector<double>& x_old) const;
+  /// One pass over a solved iterate: false as soon as a value is not
+  /// finite; otherwise each node-voltage step from \p x is clamped to
+  /// max_step_v in place.
+  bool finite_and_clamped(std::vector<double>& x_new,
+                          const std::vector<double>& x) const;
+  /// One pass that tests \p x_new against the iterate \p x it replaces
+  /// (vntol/itol + reltol) and copies it into \p x; true when every
+  /// unknown is within tolerance.
+  bool converged_copy(std::vector<double>& x,
+                      const std::vector<double>& x_new) const;
 
   Circuit& circuit_;
   SolverOptions options_;

@@ -422,25 +422,23 @@ bool LinearSystem::Factors<T>::refactor_numeric(const LinearSystem& a,
       for (int q = lp[j] + 1; q < lp[j + 1]; ++q) w[li[q]] -= lx[q] * xj;
     }
 
+    // One pass over L(:,k) finds the column maximum for the pivot test
+    // and scales and clears the entries. A failed test discards the
+    // scaled values: the full pass that follows rebuilds the factors.
     const T pivot = w[k];
+    w[k] = T{};
     double cand_max = std::abs(pivot);
     for (int p = lp[k] + 1; p < lp[k + 1]; ++p) {
-      cand_max = std::max(cand_max, std::abs(w[li[p]]));
+      const T v = w[li[p]];
+      w[li[p]] = T{};
+      cand_max = std::max(cand_max, std::abs(v));
+      lx[p] = v / pivot;
     }
     if (std::abs(pivot) <= kPivotTiny ||
         std::abs(pivot) < kPivotReuseThreshold * cand_max) {
-      // Old pivot no longer dominates its column: clear the workspace and
-      // let the caller rerun the full pivot search.
-      w[k] = T{};
-      for (int p = lp[k] + 1; p < lp[k + 1]; ++p) w[li[p]] = T{};
-      return false;
+      return false;  // the old pivot no longer dominates its column
     }
     ux[up[k + 1] - 1] = pivot;
-    w[k] = T{};
-    for (int p = lp[k] + 1; p < lp[k + 1]; ++p) {
-      lx[p] = w[li[p]] / pivot;
-      w[li[p]] = T{};
-    }
   }
   return true;
 }

@@ -5,6 +5,9 @@
 /// pipeline (see docs/ENGINE.md). One instance lives in Engine and
 /// accumulates across every analysis run through it; analyses
 /// (run_transient, run_dc_sweep, run_ac) add their own step counters.
+/// The counters are exact and cost no clock read: the wall time of each
+/// phase is in the trace spans (baseline, assemble, factor), which read
+/// the clock only while tracing is on.
 
 namespace sscl::spice {
 
@@ -33,11 +36,6 @@ struct EngineStats {
   long long transient_rejects_newton = 0;  ///< steps rejected by Newton failure
   long long sweep_points = 0;         ///< DC sweep points solved
   long long ac_points = 0;            ///< AC frequency points solved
-
-  // ---- wall time per phase [s] ---------------------------------------
-  double seconds_baseline = 0.0;  ///< building static baselines
-  double seconds_assemble = 0.0;  ///< dynamic device loads
-  double seconds_solve = 0.0;     ///< factor + triangular solves
 
   /// Fraction of model-evaluation opportunities served from the bypass
   /// cache: hits / (hits + full evaluations).

@@ -158,8 +158,8 @@ Waveform run_transient(Engine& engine, const TransientOptions& options) {
       continue;
     }
 
-    // Accept.
-    {
+    // Accept. The largest |v| only feeds a debug line.
+    if (util::log_level() <= util::LogLevel::kDebug) {
       double big = 0;
       int big_i = 0;
       for (int i = 0; i < nodes; ++i) {

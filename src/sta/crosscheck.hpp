@@ -19,7 +19,12 @@ struct FmaxCrossCheck {
   double ratio = 0.0;        ///< f_sta / f_sim
   double sta_seconds = 0.0;  ///< wall time of the analytic search
   double sim_seconds = 0.0;  ///< wall time of the simulated search
-  double speedup = 0.0;      ///< sim_seconds / sta_seconds
+  double speedup = 0.0;      ///< sim_seconds / sta_seconds (load-dependent)
+  long long sta_arcs = 0;    ///< timing arcs the analytic search relaxed
+  long long sim_events = 0;  ///< events the simulated search evaluated
+  /// sim_events / sta_arcs: the work advantage, independent of machine
+  /// load.
+  double work_ratio = 0.0;
 
   /// |ratio - 1| <= tolerance.
   bool agrees(double tolerance = 0.10) const;

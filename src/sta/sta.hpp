@@ -153,8 +153,11 @@ TimingReport analyze(const digital::Netlist& netlist,
                      const StaOptions& options = {});
 
 /// Maximum clock frequency: binary search on the analytic feasibility
-/// boundary (no event simulation anywhere).
+/// boundary (no event simulation anywhere). \p arcs_relaxed, when
+/// given, receives the timing arcs (gate inputs) the search relaxed over
+/// all its feasibility probes.
 double sta_fmax(const digital::Netlist& netlist, const stscl::SclModel& model,
-                double iss, const StaOptions& options = {});
+                double iss, const StaOptions& options = {},
+                long long* arcs_relaxed = nullptr);
 
 }  // namespace sscl::sta

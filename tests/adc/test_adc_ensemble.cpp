@@ -145,6 +145,50 @@ TEST(AdcEnsemble, ConversionsAreBitIdenticalToFaiAdc) {
   }
 }
 
+/// The histogram ramp carries each folder's crossing search from one
+/// input to the next while the input rises: its codes must equal the
+/// per-line reference at every ramp point, noiseless and with input
+/// noise (a falling input restarts the searches). Codes tolerate a
+/// folder output that is off in its last bits, so the ramp's folder
+/// outputs must also equal fold()'s bitwise.
+TEST(AdcEnsemble, RampCodesEqualThePerLineReference) {
+  for (const double noise_rms : {0.0, FaiAdcConfig{}.input_noise_rms}) {
+    FaiAdcConfig config;
+    config.input_noise_rms = noise_rms;
+    const FaiAdcEnsemble shared(config);
+    const int samples_per_code = 4;
+    const int total = shared.n_codes() * samples_per_code;
+    for (std::uint64_t inst = 0; inst < 4; ++inst) {
+      const util::Rng stream = util::Rng(31).fork(inst);
+      const FoldingMismatch mm =
+          FoldingMismatch::sample(config.folding, config.sigmas, stream);
+      FaiAdcEnsemble::Sample sample(shared, mm, stream.fork(1));
+      const std::vector<int> codes = sample.ramp_codes(samples_per_code);
+      ASSERT_EQ(static_cast<int>(codes.size()), total);
+
+      const FoldingFrontEnd reference(config.folding, mm);
+      const FoldingSampleFrontEnd& front_end = sample.front_end();
+      FoldingSampleFrontEnd::Ramp ramp;
+      std::vector<double> fo(config.folding.n_folders);
+      std::vector<double> fo_plain(config.folding.n_folders);
+      util::Rng noise = stream.fork(1);
+      const double lo = shared.v_bottom();
+      const double hi = shared.v_top();
+      for (int k = 0; k < total; ++k) {
+        double v = lo + (hi - lo) * (k + 0.5) / total;
+        if (noise_rms > 0) v += noise.gaussian(0.0, noise_rms);
+        ASSERT_EQ(codes[static_cast<std::size_t>(k)],
+                  reference_code(reference, v))
+            << "noise " << noise_rms << " inst " << inst << " point " << k;
+        front_end.fold(v, fo.data(), ramp);
+        front_end.fold(v, fo_plain.data());
+        ASSERT_EQ(fo, fo_plain)
+            << "noise " << noise_rms << " inst " << inst << " point " << k;
+      }
+    }
+  }
+}
+
 /// The Monte-Carlo summaries must be invariant under the job count:
 /// same instance streams, same estimators, bitwise-equal result vectors.
 TEST(AdcEnsemble, MonteCarloLinearityInvariantUnderEngineAndJobs) {

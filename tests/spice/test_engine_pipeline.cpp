@@ -213,8 +213,6 @@ TEST(EnginePipeline, StatsCountersAccumulate) {
   EXPECT_GT(st.device_evals, 0);
   EXPECT_GE(st.bypass_rate(), 0.0);
   EXPECT_LE(st.bypass_rate(), 1.0);
-  EXPECT_GE(st.seconds_assemble, 0.0);
-  EXPECT_GE(st.seconds_solve, 0.0);
 
   engine.stats().reset();
   EXPECT_EQ(engine.stats().newton_iterations, 0);

@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "spice/circuit.hpp"
 #include "spice/device.hpp"
@@ -84,6 +85,26 @@ TEST(NonFiniteGuard, NamesDeviceThatStampsInfiniteRhs) {
   Circuit c = healthy_core(&n1, &n2);
   c.add<PoisonDevice>("Xinf", n2, kGround, 1e-3, kInf);
   expect_guard_names(c, "Xinf");
+}
+
+TEST(NonFiniteGuard, OverflowingSolutionFailsTheIterationUnclamped) {
+  // Finite stamps whose solution overflows: 1e300 A into the gmin floor
+  // of a node puts it at +inf. The iteration must fail at once, as a
+  // non-finite iterate; clamping the step first would turn the infinite
+  // step into a finite 0.5 V one and keep iterating.
+  Circuit c;
+  const NodeId n = c.node("n");
+  c.add<PoisonDevice>("Xhuge", kGround, n, 0.0, 1e300);
+  SolverOptions options;
+  options.lint = false;
+  Engine engine(c, options);
+  std::vector<double> x = engine.make_initial_guess();
+  int iterations = 0;
+  EXPECT_FALSE(engine.newton(x, AnalysisMode::kDcOp, 0.0,
+                             IntegrationMethod::kTrapezoidal, 0.0,
+                             options.gmin, 1.0, &iterations));
+  EXPECT_EQ(iterations, 1);
+  EXPECT_EQ(x[n], 0.0);  // the caller's iterate is left as it was
 }
 
 TEST(NonFiniteGuard, FiniteCustomDeviceStillSolves) {

@@ -3,42 +3,40 @@
 /// the predictor, the trial solution, the residual's row sums and a full
 /// factorisation's scratch live in buffers kept across steps, and
 /// Waveform::append() copies each sample into a block that holds many.
-/// This executable replaces the global operator new to count its calls.
+/// Nor does a solve read the clock while tracing is off: the phase times
+/// are trace spans. This executable counts operator new calls
+/// (support/counting_new.hpp) and interposes clock_gettime to count
+/// clock reads.
+
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
+#include <ctime>
 
 #include <gtest/gtest.h>
 
 #include "spice/engine.hpp"
 #include "spice/transient.hpp"
 #include "stscl/fabric.hpp"
+#include "support/counting_new.hpp"
+#include "trace/trace.hpp"
 
 namespace {
-std::atomic<bool> g_counting{false};
-std::atomic<long long> g_allocations{0};
+std::atomic<bool> g_counting_clock{false};
+std::atomic<long long> g_clock_reads{0};
 }  // namespace
 
-// The replacements pair operator new with std::malloc and operator
-// delete with std::free, which GCC's mismatch check cannot see.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
+// Every clock read of the program -- std::chrono's clocks and the trace
+// timestamps included -- goes through glibc's clock_gettime; this
+// definition takes its place and forwards to the system call.
+extern "C" int clock_gettime(clockid_t clock, struct timespec* ts) {
+  if (g_counting_clock.load(std::memory_order_relaxed)) {
+    g_clock_reads.fetch_add(1, std::memory_order_relaxed);
   }
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
+  return static_cast<int>(syscall(SYS_clock_gettime, clock, ts));
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace sscl::spice {
 namespace {
@@ -64,37 +62,48 @@ struct TransientRun {
   std::size_t samples = 0;
 };
 
-/// The two-buffer pulse transient of
-/// EngineGolden.BypassTransientMatchesBypassOffEngine, run to
-/// \p tstop_delays gate delays; only run_transient() is counted.
-TransientRun run_pulse_transient(double tstop_delays) {
+/// The two-buffer pulse circuit of
+/// EngineGolden.BypassTransientMatchesBypassOffEngine; \p td receives
+/// its gate delay.
+void build_pulse_buffers(Circuit& c, double& td) {
   const device::Process proc = device::Process::c180();
-  Circuit c;
   stscl::SclParams p;
   stscl::SclFabric fab(c, proc, p);
   stscl::DiffSignal in = fab.signal("in");
   const stscl::SclModel model;
-  const double td = model.delay(p.iss);
+  td = model.delay(p.iss);
   fab.drive_pulse(in, 4 * td, td / 4, 40 * td);
   fab.buffer(fab.buffer(in, "b0"), "b1");
-  Engine engine(c);
+}
+
+TransientOptions pulse_options(double td, double tstop_delays) {
   TransientOptions to;
   to.tstop = tstop_delays * td;
   to.dt_max = td / 3;
+  return to;
+}
 
-  g_allocations = 0;
-  g_counting = true;
+/// The pulse transient run to \p tstop_delays gate delays; only
+/// run_transient() is counted.
+TransientRun run_pulse_transient(double tstop_delays) {
+  Circuit c;
+  double td = 0.0;
+  build_pulse_buffers(c, td);
+  Engine engine(c);
+  const TransientOptions to = pulse_options(td, tstop_delays);
+
+  test_support::start_counting_allocations();
   const Waveform w = run_transient(engine, to);
-  g_counting = false;
+  const long long allocations = test_support::stop_counting_allocations().calls;
 
   const EngineStats& st = engine.stats();
   const long long attempts = st.transient_steps + st.transient_rejects_lte +
                              st.transient_rejects_newton;
   std::printf("tstop %g td: allocations %lld, accepted steps %lld, step "
               "attempts %lld, full factorisations %lld\n",
-              tstop_delays, g_allocations.load(), st.transient_steps,
-              attempts, st.full_factors);
-  return {g_allocations.load(), st, w.size()};
+              tstop_delays, allocations, st.transient_steps, attempts,
+              st.full_factors);
+  return {allocations, st, w.size()};
 }
 
 TEST(TransientAllocations, AtMostOnePerAcceptedStep) {
@@ -112,6 +121,35 @@ TEST(TransientAllocations, DoNotGrowWithTheStepCount) {
             2 * short_run.stats.transient_steps);
   EXPECT_LE(short_run.allocations, kRunAllocations);
   EXPECT_LE(long_run.allocations, kRunAllocations);
+}
+
+// With tracing off, neither an operating point nor a transient reads the
+// clock: the engine's phase times are trace spans, which read it only
+// while tracing is on.
+TEST(NewtonClockReads, NoneWhileTracingIsOff) {
+  trace::disable();
+  Circuit c;
+  double td = 0.0;
+  build_pulse_buffers(c, td);
+  Engine engine(c);
+
+  g_clock_reads = 0;
+  g_counting_clock = true;
+  engine.solve_op();
+  const long long op_reads = g_clock_reads.load();
+  const Waveform w = run_transient(engine, pulse_options(td, 12));
+  g_counting_clock = false;
+
+  std::printf("clock reads: %lld in solve_op, %lld in all; %lld Newton "
+              "iterations, %lld accepted steps\n",
+              op_reads, g_clock_reads.load(),
+              engine.stats().newton_iterations,
+              engine.stats().transient_steps);
+  ASSERT_GT(engine.stats().transient_steps, 50);
+  EXPECT_EQ(static_cast<long long>(w.size()),
+            engine.stats().transient_steps + 1);
+  EXPECT_EQ(op_reads, 0);
+  EXPECT_EQ(g_clock_reads.load(), 0);
 }
 
 }  // namespace
