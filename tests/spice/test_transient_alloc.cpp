@@ -44,7 +44,7 @@ namespace {
 /// Allocations a whole run_transient() may make besides one per accepted
 /// step: the DC operating point, the breakpoint list, the step loop's
 /// buffers and the amortised growth of the waveform's two vectors and of
-/// the LU factors. The 12 td run below makes 75-79 with four full
+/// the LU factors. The 12 td run below makes 75-80 with four full
 /// factorisations; one allocation per step attempt would add about 100.
 constexpr long long kSetupAllocations = 128;
 
