@@ -14,52 +14,6 @@ int find_root(std::vector<int>& parent, int i) {
   }
   return i;
 }
-
-/// Back to a default DeviceInfo, keeping the capacity of its lists so the
-/// next describe() allocates nothing.
-void clear_keeping_capacity(spice::DeviceInfo& info) {
-  std::vector<spice::TerminalDesc> terminals = std::move(info.terminals);
-  std::vector<spice::DcEdge> edges = std::move(info.edges);
-  terminals.clear();
-  edges.clear();
-  info = spice::DeviceInfo{};
-  info.terminals = std::move(terminals);
-  info.edges = std::move(edges);
-}
-
-// DeviceDesc mirrors DeviceInfo with spans for its two lists, and
-// copy_payload() copies the other fields one by one. A field added to
-// DeviceInfo (one that changes its size) fails here until DeviceDesc
-// and copy_payload() carry it.
-static_assert(sizeof(spice::DeviceInfo) -
-                      2 * sizeof(std::vector<spice::DcEdge>) ==
-                  sizeof(CircuitView::DeviceDesc) -
-                      2 * sizeof(std::span<const spice::DcEdge>),
-              "DeviceInfo changed: update CircuitView::DeviceDesc and "
-              "copy_payload()");
-
-/// Every field of \p info except the two lists.
-void copy_payload(const spice::DeviceInfo& info,
-                  CircuitView::DeviceDesc& desc) {
-  desc.kind = info.kind;
-  desc.is_mosfet = info.is_mosfet;
-  desc.is_nmos = info.is_nmos;
-  desc.ispec = info.ispec;
-  desc.mos_d = info.mos_d;
-  desc.mos_g = info.mos_g;
-  desc.mos_s = info.mos_s;
-  desc.mos_b = info.mos_b;
-  desc.mos_vt0 = info.mos_vt0;
-  desc.mos_n = info.mos_n;
-  desc.mos_kp = info.mos_kp;
-  desc.mos_lambda = info.mos_lambda;
-  desc.mos_w = info.mos_w;
-  desc.mos_l = info.mos_l;
-  desc.mos_temp = info.mos_temp;
-  desc.mos_ijs_s = info.mos_ijs_s;
-  desc.mos_ijs_d = info.mos_ijs_d;
-  desc.mos_nj = info.mos_nj;
-}
 }  // namespace
 
 CircuitView::CircuitView(const spice::Circuit& circuit) : circuit_(circuit) {
@@ -75,12 +29,16 @@ CircuitView::CircuitView(const spice::Circuit& circuit) : circuit_(circuit) {
   std::vector<int> list_sizes(2 * circuit_devices.size());
   spice::DeviceInfo scratch;
   for (int di = 0; di < count; ++di) {
-    clear_keeping_capacity(scratch);
+    // Back to a default DeviceInfo, keeping the lists' capacity so the
+    // next describe() allocates nothing.
+    static_cast<spice::DeviceScalars&>(scratch) = {};
+    scratch.terminals.clear();
+    scratch.edges.clear();
     DeviceEntry& entry = devices_[di];
     entry.device = circuit_devices[di].get();
     entry.described = entry.device->describe(scratch);
     if (!entry.described) fully_described_ = false;
-    copy_payload(scratch, entry.info);
+    static_cast<spice::DeviceScalars&>(entry.info) = scratch;
     terminals_.insert(terminals_.end(), scratch.terminals.begin(),
                       scratch.terminals.end());
     edges_.insert(edges_.end(), scratch.edges.begin(), scratch.edges.end());

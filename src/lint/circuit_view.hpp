@@ -60,26 +60,12 @@ class CircuitView {
   CircuitView(const CircuitView&) = delete;
   CircuitView& operator=(const CircuitView&) = delete;
 
-  /// spice::DeviceInfo as the view keeps it: the same fields, with the
-  /// terminal and edge lists as spans into the view's flat arrays.
-  struct DeviceDesc {
-    const char* kind = "";
+  /// spice::DeviceInfo as the view keeps it: the same scalar fields,
+  /// with the terminal and edge lists as spans into the view's flat
+  /// arrays.
+  struct DeviceDesc : spice::DeviceScalars {
     std::span<const spice::TerminalDesc> terminals;
     std::span<const spice::DcEdge> edges;
-    bool is_mosfet = false;
-    bool is_nmos = true;
-    double ispec = 0.0;
-    spice::NodeId mos_d = spice::kGround, mos_g = spice::kGround,
-                  mos_s = spice::kGround, mos_b = spice::kGround;
-    double mos_vt0 = 0.0;
-    double mos_n = 1.0;
-    double mos_kp = 0.0;
-    double mos_lambda = 0.0;
-    double mos_w = 0.0, mos_l = 1.0;
-    double mos_temp = 0.0;
-    double mos_ijs_s = 0.0;
-    double mos_ijs_d = 0.0;
-    double mos_nj = 1.0;
   };
 
   struct DeviceEntry {

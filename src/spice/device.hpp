@@ -426,11 +426,11 @@ struct DcEdge {
   double value = 0.0;
 };
 
-/// Filled by Device::describe() for electrical-rule checking.
-struct DeviceInfo {
+/// The scalar fields of a DeviceInfo: what the device is and, for a
+/// MOSFET, its terminals and DC model card. lint::CircuitView keeps
+/// them as they are and the two lists as spans.
+struct DeviceScalars {
   const char* kind = "";  ///< "resistor", "mosfet", ...
-  std::vector<TerminalDesc> terminals;
-  std::vector<DcEdge> edges;
 
   // MOSFET payload for the subthreshold bias rules (set by
   // device::Mosfet; is_mosfet stays false for everything else).
@@ -450,6 +450,12 @@ struct DeviceInfo {
   double mos_ijs_s = 0.0;  ///< bulk-source junction saturation current [A]
   double mos_ijs_d = 0.0;  ///< bulk-drain junction saturation current [A]
   double mos_nj = 1.0;     ///< junction ideality factor
+};
+
+/// Filled by Device::describe() for electrical-rule checking.
+struct DeviceInfo : DeviceScalars {
+  std::vector<TerminalDesc> terminals;
+  std::vector<DcEdge> edges;
 };
 
 /// Base class of every circuit element.
