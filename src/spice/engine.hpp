@@ -113,10 +113,10 @@ class Engine {
   /// The reserved gmin diagonal slots, one per node.
   const std::vector<MatrixSlot>& gmin_slots() const { return gmin_slots_; }
 
- private:
   /// One pass over a solved iterate: false as soon as a value is not
   /// finite; otherwise each node-voltage step from \p x is clamped to
-  /// max_step_v in place.
+  /// max_step_v in place. newton() and the ensemble's lanes take this
+  /// step.
   bool finite_and_clamped(std::vector<double>& x_new,
                           const std::vector<double>& x) const;
   /// One pass that tests \p x_new against the iterate \p x it replaces
@@ -125,6 +125,7 @@ class Engine {
   bool converged_copy(std::vector<double>& x,
                       const std::vector<double>& x_new) const;
 
+ private:
   Circuit& circuit_;
   SolverOptions options_;
   LinearSystem system_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <mutex>
 #include <utility>
 
@@ -50,32 +49,6 @@ const LinearSystem& Topology::master_system() const {
 EnsembleEngine::EnsembleEngine(const Topology& topology,
                                EnsembleOptions options)
     : topology_(topology), options_(options) {}
-
-namespace {
-
-/// Per-element Newton convergence test, the same formula as
-/// Engine::converged (engine.cpp).
-bool lane_converged(const std::vector<double>& x,
-                    const std::vector<double>& x_old, int nodes,
-                    const SolverOptions& o) {
-  for (int i = 0; i < static_cast<int>(x.size()); ++i) {
-    const double delta = std::fabs(x[i] - x_old[i]);
-    const double magnitude = std::max(std::fabs(x[i]), std::fabs(x_old[i]));
-    const double tol =
-        (i < nodes ? o.vntol : o.itol) + o.reltol * magnitude;
-    if (delta > tol) return false;
-  }
-  return true;
-}
-
-bool all_finite(const std::vector<double>& x) {
-  for (double v : x) {
-    if (!std::isfinite(v)) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 std::vector<double> EnsembleEngine::solve_sample(std::uint64_t sample,
                                                  std::uint64_t seed,
@@ -127,11 +100,6 @@ std::vector<std::vector<double>> EnsembleEngine::run_block(
                                static_cast<std::uint64_t>(j));
   }
 
-  // Gmin diagonal slots: the engine reserved them at construction, so
-  // reserve() on the frozen pattern just looks them up.
-  std::vector<MatrixSlot> gmin_slots(nodes);
-  for (int i = 0; i < nodes; ++i) gmin_slots[i] = sys.reserve(i, i);
-
   std::vector<double> state_now(circuit->state_count(), 0.0);
   std::vector<double> state_prev(circuit->state_count(), 0.0);
   LoadContext ctx(sys, nodes, AnalysisMode::kDcOp);
@@ -144,7 +112,7 @@ std::vector<std::vector<double>> EnsembleEngine::run_block(
   ctx.configure(&x0, &x0, &state_now, &state_prev, 0.0, o.gmin, 1.0, true,
                 IntegrationMethod::kTrapezoidal, 0.0);
   for (Device* d : statics) d->load(ctx);
-  for (int i = 0; i < nodes; ++i) sys.add_at(gmin_slots[i], o.gmin);
+  for (const MatrixSlot slot : engine.gmin_slots()) sys.add_at(slot, o.gmin);
   sys.snapshot_baseline();
 
   // Lockstep Newton: all lanes warm-start from the nominal op.
@@ -176,7 +144,11 @@ std::vector<std::vector<double>> EnsembleEngine::run_block(
       // the arithmetic is independent of lane-to-worker assignment.
       sys.adopt_factorization(topology_.master_system());
       ++local.factor_adoptions;
-      if (!sys.solve(x_new) || !all_finite(x_new)) {
+      // Engine::newton's step: finite check and damping clamp, then
+      // the convergence test (no residual line search; see the
+      // determinism contract in the header).
+      if (!sys.solve(x_new) ||
+          !engine.finite_and_clamped(x_new, x_lanes[k])) {
         active[k] = 0;
         --n_active;
         continue;
@@ -186,17 +158,7 @@ std::vector<std::vector<double>> EnsembleEngine::run_block(
       } else {
         ++local.full_factors;
       }
-      // Same damping clamp as Engine::newton (no residual line search;
-      // see the determinism contract in the header).
-      for (int i = 0; i < nodes; ++i) {
-        const double step = x_new[i] - x_lanes[k][i];
-        if (std::fabs(step) > o.max_step_v) {
-          x_new[i] = x_lanes[k][i] + std::copysign(o.max_step_v, step);
-        }
-      }
-      const bool conv = lane_converged(x_new, x_lanes[k], nodes, o);
-      x_lanes[k].swap(x_new);
-      if (conv) {
+      if (engine.converged_copy(x_lanes[k], x_new)) {
         active[k] = 0;
         solved[k] = 1;
         --n_active;
