@@ -67,8 +67,7 @@ EkvIntervalResult ekv_evaluate_interval(
     const MosParams& params, const MosGeometry& geometry,
     const util::Interval& vg, const util::Interval& vd,
     const util::Interval& vs, const util::Interval& vb,
-    const util::Interval& tK, double cardTemperatureK,
-    const util::Interval* clm_dv_hint) {
+    const util::Interval& tK, double cardTemperatureK) {
   using util::Interval;
   if (vg.is_empty() || vd.is_empty() || vs.is_empty() || vb.is_empty() ||
       tK.is_empty()) {
@@ -78,9 +77,8 @@ EkvIntervalResult ekv_evaluate_interval(
   const Interval ug = (vg - vb) * sign;
   const Interval us = (vs - vb) * sign;
   const Interval ud = (vd - vb) * sign;
-  const Interval dv = clm_dv_hint ? (*clm_dv_hint * sign) : (ud - us);
-  return ekv_evaluate_interval_refs(params, geometry, ug, ud, us, dv, tK,
-                                    cardTemperatureK);
+  return ekv_evaluate_interval_refs(params, geometry, ug, ud, us, ud - us,
+                                    tK, cardTemperatureK);
 }
 
 EkvIntervalResult ekv_evaluate_interval_refs(

@@ -168,20 +168,12 @@ struct EkvIntervalResult {
 /// Process::at_temperature dependences (VT drops 1 mV/K, KP scales as
 /// (T/Tcard)^-1.5, UT = kT/q), so the result bounds ekv_evaluate() of
 /// the re-derived card at every temperature in the box.
-///
-/// \p clm_dv_hint (optional, unreflected vd - vs) freezes the
-/// channel-length-modulation factor at the hinted box instead of the
-/// vd/vs arguments. The op-region bisection uses this to keep each
-/// output bound monotone in a substituted terminal voltage: with CLM
-/// frozen at the full node box the result is still a superset of the
-/// true image. Inclusion-isotone: a nested input box (with a nested
-/// hint) yields a nested result.
+/// Inclusion-isotone: a nested input box yields a nested result.
 EkvIntervalResult ekv_evaluate_interval(
     const MosParams& params, const MosGeometry& geometry,
     const util::Interval& vg, const util::Interval& vd,
     const util::Interval& vs, const util::Interval& vb,
-    const util::Interval& tK, double cardTemperatureK,
-    const util::Interval* clm_dv_hint = nullptr);
+    const util::Interval& tK, double cardTemperatureK);
 
 /// The temperature-box part of an interval evaluation: the interval
 /// card of one device over \p tK, derived once per analysis instead of
