@@ -15,7 +15,6 @@
 ///   sscl-lint --write-baseline lint.base *.sp   accept current findings
 ///   sscl-lint --passes bias-provenance,domain-crossing bias.sp
 ///   sscl-lint --bias-budget 1u bias.sp     declare the IB budget
-///   sscl-lint --jobs 8 bias.sp             parallel passes (same bytes)
 ///   sscl-lint --trace t.json --metrics m.json bias.sp
 ///   sscl-lint --list-passes                print every pass and exit
 
@@ -51,7 +50,6 @@ int usage(std::ostream& os, int code) {
         "  --corners T=LO:HI      op-region temperature box in Celsius\n"
         "  --vdd-tol TOL          supply tolerance for op-region (10% or "
         "0.1)\n"
-        "  --jobs N               worker threads (0 = hardware)\n"
         "  --strict               reject unknown dot-cards instead of\n"
         "                         accept-and-warn\n"
         "  --max-depth N          .subckt nesting limit (default 64)\n"
@@ -184,9 +182,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-depth") {
       if (!(value = next(i))) return usage(std::cerr, 2);
       max_depth = count(value, "--max-depth");
-    } else if (arg == "--jobs") {
-      if (!(value = next(i))) return usage(std::cerr, 2);
-      options.jobs = count(value, "--jobs");
     } else if (arg == "--trace") {
       if (!(value = next(i))) return usage(std::cerr, 2);
       trace_path = value;

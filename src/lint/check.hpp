@@ -27,12 +27,8 @@ struct Options {
   bool include_info = true;
   /// Rule ids to skip, e.g. {"weak-inversion-bias"}.
   std::vector<std::string> disabled;
-  /// When non-empty, run only these passes (dependencies stay ordering
-  /// hints; they are not pulled into the run set).
+  /// When non-empty, run only these passes.
   std::vector<std::string> only;
-  /// Worker threads for independent passes (0 = hardware concurrency,
-  /// 1 = serial). The report is byte-identical at any value.
-  int jobs = 1;
   /// Bias-current budget [A] for the bias-provenance pass (0 = none
   /// declared; the estimate is then reported as info only).
   double bias_budget = 0.0;

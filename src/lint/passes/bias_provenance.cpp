@@ -42,9 +42,6 @@ class BiasProvenancePass final : public Rule {
     return "every source-coupled tail must trace back to a bias-current "
            "root through mirrors (the paper's one-knob IB property)";
   }
-  std::vector<const char*> depends_on() const override {
-    return {"unbiased-tail", "weak-inversion-bias"};
-  }
 
   void run(const LintContext& ctx, Report& report) const override {
     if (!ctx.view || !ctx.ir) return;

@@ -38,9 +38,6 @@ class ConstNetPass final : public Rule {
     return "fold constants through the simulator's gate models and flag "
            "constant outputs and transitively dead nets";
   }
-  std::vector<const char*> depends_on() const override {
-    return {"multi-driven", "undriven-signal", "unconnected-input"};
-  }
 
   void run(const LintContext& ctx, Report& report) const override {
     if (!ctx.netlist || !ctx.ir || !ctx.ir->wiring_ok) return;

@@ -48,9 +48,6 @@ class DomainCrossingPass final : public Rule {
     return "infer supply domains for every net and flag signals that "
            "cross domains without a level shifter";
   }
-  std::vector<const char*> depends_on() const override {
-    return {"dc-path"};
-  }
 
   void run(const LintContext& ctx, Report& report) const override {
     if (!ctx.view || !ctx.ir) return;

@@ -1,9 +1,9 @@
 /// Operating-region certification pass (interval abstract
-/// interpretation). Runs the op-region analyzer (lint/op_region.hpp) to
-/// obtain sound node-voltage and device-region intervals over the
-/// declared PVT box, publishes the result into the per-run fact store
-/// for dependent rules (the migrated weak-inversion rule), and turns
-/// the paper's STSCL operating-region contract into diagnostics:
+/// interpretation). Reads the sound node-voltage and device-region
+/// intervals the op-region analyzer (lint/op_region.hpp) computed over
+/// the declared PVT box before the passes ran (LintContext::op_region;
+/// the weak-inversion rule reads them too), and turns the paper's STSCL
+/// operating-region contract into diagnostics:
 ///
 ///   * every tail / pair device conducts in weak inversion (IC <= 10);
 ///   * the single-ended output swing satisfies Vsw >= 4 n UT, the
@@ -32,7 +32,6 @@
 #include "lint/ir.hpp"
 #include "lint/op_region.hpp"
 #include "lint/rules/rules.hpp"
-#include "trace/trace.hpp"
 #include "util/units.hpp"
 
 namespace sscl::lint::rules {
@@ -69,31 +68,11 @@ class OpRegionPass final : public Rule {
   }
 
   void run(const LintContext& ctx, Report& report) const override {
-    if (!ctx.view || !ctx.ir) return;
+    // No facts: nothing to certify (no MOS devices).
+    if (!ctx.view || !ctx.ir || !ctx.op_region) return;
     const CircuitView& view = *ctx.view;
     const AnalysisIR& ir = *ctx.ir;
-
-    // Nothing to certify without MOS devices.
-    bool any_mos = false;
-    for (const auto& entry : view.devices()) {
-      if (entry.info.is_mosfet) any_mos = true;
-    }
-    if (!any_mos) return;
-
-    OpRegionOptions options;
-    options.t_lo_k = ctx.t_lo_k;
-    options.t_hi_k = ctx.t_hi_k;
-    options.vdd_tol = ctx.vdd_tol;
-    const auto result = std::make_shared<const OpRegionResult>(
-        analyze_op_region(view, ir, options));
-    if (ctx.facts) ctx.facts->op_region = result;
-    const OpRegionResult& r = *result;
-    static trace::Counter f_evals("lint.op_region.ekv_f_evals");
-    static trace::Counter kcl_steps("lint.op_region.kcl_steps");
-    static trace::Counter swing_steps("lint.op_region.swing_steps");
-    f_evals.add(r.stats.ekv_f_evals);
-    kcl_steps.add(r.stats.kcl_steps);
-    swing_steps.add(r.stats.swing_steps);
+    const OpRegionResult& r = *ctx.op_region;
 
     if (!view.fully_described()) {
       report.info(id(), "-",

@@ -31,9 +31,6 @@ class PhaseDomainPass final : public Rule {
     return "colour every signal with its source latch phases and flag "
            "same-phase races through combinational logic";
   }
-  std::vector<const char*> depends_on() const override {
-    return {"comb-loop", "latch-phase"};
-  }
 
   void run(const LintContext& ctx, Report& report) const override {
     if (!ctx.netlist || !ctx.ir || !ctx.ir->wiring_ok) return;

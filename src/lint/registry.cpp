@@ -1,10 +1,9 @@
 /// Default pass registry. An explicit factory list (rather than static
 /// self-registration) so passes cannot be dead-stripped out of the
-/// static library — and so the *reporting* order is deterministic:
-/// structural rules first, then bias heuristics, then digital DRC, then
-/// the interprocedural dataflow passes. Execution order is the
-/// PassManager's business (declared dependencies, parallel waves);
-/// registration order is what the merged Report preserves.
+/// static library — and so the order is deterministic: structural rules
+/// first, then bias heuristics, then digital DRC, then the
+/// interprocedural dataflow passes. A lint run (check.cpp) executes the
+/// passes in this order, which is also the order of the Report.
 
 #include "lint/rule.hpp"
 #include "lint/rules/rules.hpp"

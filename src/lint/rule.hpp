@@ -6,10 +6,10 @@
 /// alike — is a Rule subclass living in its own translation unit under
 /// src/lint/rules/ or src/lint/passes/; adding one means writing that
 /// file and listing its factory in registry.cpp. Passes read the
-/// prepared LintContext (including the shared AnalysisIR) and append
-/// Diagnostics to a Report — they never mutate the design. A pass may
-/// declare dependencies on other pass ids; the PassManager (pass.hpp)
-/// schedules accordingly and runs independent passes in parallel.
+/// prepared LintContext (the shared AnalysisIR and, for circuits, the
+/// interval operating point) and append Diagnostics to a Report — they
+/// never mutate the design. check.cpp runs them one after another in
+/// registration order.
 
 #include <memory>
 #include <vector>
@@ -26,38 +26,25 @@ namespace sscl::lint {
 struct AnalysisIR;
 struct OpRegionResult;
 
-/// Facts deposited by passes for their dependents. The PassManager
-/// creates one store per run; a pass that declares depends_on() an
-/// upstream pass id observes that pass's published facts (wave
-/// barriers give the happens-before edge). Facts are shared_ptr so a
-/// consumer can hold them past the producing pass's Report merge.
-struct PassFacts {
-  /// Published by the op-region pass: interval operating-point facts
-  /// (node voltages, device regions, pair certification inputs).
-  std::shared_ptr<const OpRegionResult> op_region;
-};
-
 /// What a lint run is looking at. Analog passes no-op when view is
 /// null, digital passes when netlist is null, so one registry serves
 /// both check_circuit() and check_netlist(). `ir` is the shared
-/// connectivity IR (ir.hpp), built once by the PassManager before any
-/// pass runs; it is non-null whenever view or netlist is.
+/// connectivity IR (ir.hpp), built once before any pass runs; it is
+/// non-null whenever view or netlist is.
 struct LintContext {
   const CircuitView* view = nullptr;
   const digital::Netlist* netlist = nullptr;
   const AnalysisIR* ir = nullptr;
-  /// Per-run fact store (created by the PassManager; null only when a
-  /// Rule is driven directly outside the manager).
-  PassFacts* facts = nullptr;
+  /// Interval operating-point facts (op_region.hpp) over the run's PVT
+  /// box: node voltages, device regions, pair certification inputs.
+  /// Built before any pass runs when op-region is in the run set and
+  /// the circuit has a MOSFET; null otherwise, or when the analysis
+  /// threw. The op-region pass reports them and weak-inversion-bias
+  /// prefers them to its local estimate.
+  const OpRegionResult* op_region = nullptr;
   /// Bias-current budget [A] for the provenance pass (0 = no budget
   /// declared; the pass then reports the estimate as info only).
   double bias_budget = 0.0;
-  /// PVT box for the op-region pass: temperature corners [K] and the
-  /// relative tolerance applied to supply-named voltage sources.
-  /// Defaults describe the nominal corner only.
-  double t_lo_k = 300.15;
-  double t_hi_k = 300.15;
-  double vdd_tol = 0.0;
 };
 
 class Rule {
@@ -71,10 +58,6 @@ class Rule {
   virtual const char* id() const = 0;
   /// One-line human description for --list-passes and docs.
   virtual const char* description() const = 0;
-  /// Ids of passes that must complete before this one runs. Ordering
-  /// only — depending on a pass does not force it into the run set.
-  /// The returned pointers must be string literals.
-  virtual std::vector<const char*> depends_on() const { return {}; }
   virtual void run(const LintContext& ctx, Report& report) const = 0;
 };
 

@@ -27,9 +27,6 @@ class LatchDepthImbalanceRule final : public Rule {
     return "pipeline stage logic depths differ by 2+ gates; retime the "
            "deep stage";
   }
-  std::vector<const char*> depends_on() const override {
-    return {"comb-loop", "multi-driven", "unconnected-input"};
-  }
 
   void run(const LintContext& ctx, Report& report) const override {
     if (!ctx.netlist) return;

@@ -74,20 +74,14 @@ class WeakInversionRule final : public Rule {
   const char* description() const override {
     return "tail currents must keep source-coupled pairs in weak inversion";
   }
-  std::vector<const char*> depends_on() const override {
-    // Consume interval facts when the op-region pass is in the run set
-    // (ordering hint only; without it the local estimate below runs).
-    return {"op-region"};
-  }
 
   void run(const LintContext& ctx, Report& report) const override {
     if (!ctx.view || !ctx.ir) return;
     const CircuitView& view = *ctx.view;
-    // Interval facts from the op-region pass, when it ran before us:
-    // per-device IC bounds sound over the PVT box, strictly sharper
-    // than the worst-case Iss/Ispec estimate below.
-    const OpRegionResult* facts =
-        ctx.facts ? ctx.facts->op_region.get() : nullptr;
+    // Interval facts, when op-region is in the run set: per-device IC
+    // bounds sound over the PVT box, strictly sharper than the
+    // worst-case Iss/Ispec estimate below.
+    const OpRegionResult* facts = ctx.op_region;
     const std::vector<SourceCoupledGroup>& groups = ctx.ir->source_groups;
     for (std::size_t g = 0; g < groups.size(); ++g) {
       if (shadowed(groups, g)) continue;

@@ -29,9 +29,6 @@ class ZeroSlackPhaseRule final : public Rule {
     return "at fmax one clock phase is binding while the other has large "
            "spare slack";
   }
-  std::vector<const char*> depends_on() const override {
-    return {"comb-loop", "multi-driven", "unconnected-input"};
-  }
 
   void run(const LintContext& ctx, Report& report) const override {
     if (!ctx.netlist) return;

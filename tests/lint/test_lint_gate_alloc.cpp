@@ -19,16 +19,15 @@
 namespace sscl::lint {
 namespace {
 
-/// Allocations one gate run may make: the pass objects and their
-/// schedule (flat arrays indexed by pass position), the per-pass
-/// reports, and a fixed number of flat arrays for the view, the IR and
-/// the dataflow passes (each grown geometrically). Each bound is the
+/// Allocations one gate run may make: the pass objects, the report,
+/// and a fixed number of flat arrays for the view, the IR and the
+/// dataflow passes (each grown geometrically). Each bound is the
 /// count when it was set plus about 15%: room for a container growth
 /// policy, not for a map or list per pass, node or device. Five
 /// allocations per element, as a per-device DeviceInfo and per-node
 /// incidence lists cost, would be over 10,000 on serve_bench.sp.
-constexpr long long kServeBenchGateAllocations = 132;  // 114 when set
-constexpr long long kFabricGateAllocations = 176;      // 153 when set
+constexpr long long kServeBenchGateAllocations = 82;  // 71 when set
+constexpr long long kFabricGateAllocations = 123;     // 107 when set
 
 netlist::Deck read_deck(const std::string& path) {
   std::ifstream in(path);

@@ -2,9 +2,8 @@
 // pass: certification of the committed STSCL decks (the paper's buffer
 // cell must certify weak inversion, swing and VDD,min at the nominal
 // corner), the three-way certified/violated/unproven verdicts, the
-// supply-rail pair exclusion in the IR, pass-fact plumbing into the
-// migrated weak-inversion rule, and byte-identical SARIF at any job
-// count with the op-region pass enabled.
+// supply-rail pair exclusion in the IR, and the interval facts the
+// migrated weak-inversion rule reads.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include "lint/ir.hpp"
 #include "lint/op_region.hpp"
 #include "lint/rule.hpp"
-#include "lint/sarif.hpp"
 #include "netlist/netlist.hpp"
 #include "spice/engine.hpp"
 
@@ -201,7 +199,7 @@ TEST(AnalysisIr, SupplyRailCommonSourceGroupIsNotAPair) {
   EXPECT_EQ(ir.pairs[0].devices.size(), 2u);
 }
 
-// ---- pass-fact plumbing ----------------------------------------------
+// ---- interval facts in weak-inversion-bias ----------------------------
 
 TEST(OpRegionPass, WeakInversionRuleConsumesIntervalFacts) {
   // With op-region enabled, tail-bias weak inversion reports through
@@ -233,29 +231,6 @@ Iss tail 0 100u
     interval_msg = interval_msg || d->message.find('[') != std::string::npos;
   }
   EXPECT_TRUE(interval_msg);
-}
-
-// ---- determinism ------------------------------------------------------
-
-TEST(OpRegionPass, SarifIsByteIdenticalAcrossJobCounts) {
-  const std::string text = read_deck_file("good_stscl_buffer.sp");
-  const netlist::Deck deck = parse_strict(text);
-
-  const auto run = [&](int jobs) {
-    Options options;
-    options.jobs = jobs;
-    options.t_lo_k = 273.15;
-    options.t_hi_k = 273.15 + 85.0;
-    options.vdd_tol = 0.10;
-    std::vector<ArtifactReport> artifacts;
-    artifacts.push_back(
-        {"buffer.sp", check_circuit(*deck.circuit, options)});
-    return to_sarif(artifacts, SarifOptions{});
-  };
-  const std::string one = run(1);
-  const std::string eight = run(8);
-  EXPECT_EQ(one, eight);
-  EXPECT_NE(one.find("op-region"), std::string::npos);
 }
 
 }  // namespace
